@@ -24,7 +24,7 @@ from .bias import ib_all_fast, ib_all_naive
 from .detectors import DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from .groupfair import PROPERTIES, SCORES, phi
-from .partition import Partition, PartitionError, load_partition, write_partition
+from .partition import Partition, PartitionError, contingency, load_partition, write_partition
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
 from .quality import NMI_NORMS, ari, modularity, nf1, nmi
 from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_report_outputs
@@ -72,22 +72,23 @@ def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, s
     if spec.name in ("louvain", "label_propagation") and "seed" not in params:
         params["seed"] = seed
     pred = run_detector(DetectorSpec(spec.name, params), g)
+    ct = contingency(gt, pred)  # the one table every external metric reads
     row: dict = {"error": None, "k_pred": pred.k}
     if "ib" in cfg.metrics:
-        report = (ib_all_naive if cfg.oracle else ib_all_fast)(gt, pred)
+        report = ib_all_naive(gt, pred) if cfg.oracle else ib_all_fast(ct)
         row["ib_g"] = report.ib_g
         row["mean_ib"] = report.mean_ib
         row["_bias_report"] = report
     if "modularity" in cfg.metrics:
         row["modularity"] = modularity(g, pred)
     if "nmi" in cfg.metrics:
-        row["nmi"] = nmi(gt, pred, norm=cfg.nmi_norm)
+        row["nmi"] = nmi(ct, norm=cfg.nmi_norm)
     if "ari" in cfg.metrics:
-        row["ari"] = ari(gt, pred)
+        row["ari"] = ari(ct)
     if "nf1" in cfg.metrics:
-        row["nf1"] = nf1(gt, pred)
+        row["nf1"] = nf1(ct)
     if "phi" in cfg.metrics:
-        row.update(_phi_flat(phi(g, gt, pred)))
+        row.update(_phi_flat(phi(g, ct)))
     return row
 
 
@@ -113,10 +114,11 @@ def evaluate_run(cfg: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     loaded = []
     for graph_path, gt_path in cfg.graphs:
-        with open(graph_path, "r", encoding="utf-8") as fh:
-            g = load_edge_list(fh, id_mode="raw").graph
+        # n comes from the ground truth: nodes without edges are in no edge list
         with open(gt_path, "r", encoding="utf-8") as fh:
-            gt = load_partition(fh, g.n)
+            gt = load_partition(fh)
+        with open(graph_path, "r", encoding="utf-8") as fh:
+            g = load_edge_list(fh, id_mode="raw", n=gt.n).graph
         loaded.append((graph_path, g, gt))
 
     detectors_block: dict = {}
@@ -243,6 +245,11 @@ def _parse_detector(text: str) -> DetectorSpec:
     return DetectorSpec(name, params)
 
 
+def _spec_text(spec: DetectorSpec) -> str:
+    params = ",".join(f"{k}={v}" for k, v in spec.params.items())
+    return f"{spec.name}:{params}" if params else spec.name
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
@@ -260,6 +267,16 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         detectors = [_parse_detector(d) for d in args.detector]
     if not detectors:
         raise ConfigError("no detectors requested")
+    # a label names a report entry and the bias CSVs, so two specs sharing one
+    # would silently overwrite each other's results
+    by_label: dict[str, DetectorSpec] = {}
+    for spec in detectors:
+        other = by_label.setdefault(spec.label(), spec)
+        if other is not spec:
+            raise ConfigError(
+                f"detectors {_spec_text(other)!r} and {_spec_text(spec)!r} share the "
+                f"label {spec.label()!r}; their results would overwrite each other"
+            )
     metrics = tuple(file_cfg.get("metrics", ALL_METRICS))
     if args.metrics:
         metrics = tuple(args.metrics.split(","))

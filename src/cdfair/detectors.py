@@ -42,16 +42,17 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     """Asynchronous label propagation with seeded order and tie-breaking."""
     _require_edges(g)
     rng = random.Random(seed)
+    adj = g.neighbor_lists()
     labels = list(range(g.n))
     order = list(range(g.n))
     for _ in range(max_sweeps):
         rng.shuffle(order)
         changed = False
         for u in order:
-            if not g.adjacency[u]:
+            if not adj[u]:
                 continue
             counts: dict[int, int] = {}
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 counts[labels[v]] = counts.get(labels[v], 0) + 1
             top = max(counts.values())
             winners = [lab for lab, c in counts.items() if c == top]
@@ -76,7 +77,7 @@ class _LouvainLevel:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "_LouvainLevel":
-        adj = [{v: 1.0 for v in g.adjacency[u]} for u in range(g.n)]
+        adj = [{v: 1.0 for v in nbrs} for nbrs in g.neighbor_lists()]
         return cls(g.n, adj, [0.0] * g.n)
 
 
@@ -153,7 +154,7 @@ def greedy_agglomerative(g: Graph) -> Partition:
     _require_edges(g)
     m = g.num_edges
     comm = list(range(g.n))
-    deg = {c: float(g.degree(c)) for c in range(g.n)}
+    deg = {c: float(d) for c, d in enumerate(g.degrees.tolist())}
     # inter-community edge weight, keyed by sorted community pair
     links: dict[tuple[int, int], float] = {}
     for u, v in g.edges():

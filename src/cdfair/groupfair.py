@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .graph import Graph
-from .partition import Partition, PartitionError, contingency
+from .partition import ContingencyTable, Partition, PartitionError
 
 PROPERTIES = ("size", "conductance", "density")
 SCORES = ("fccn", "f1", "fcce")
@@ -83,75 +85,61 @@ def community_stats(g: Graph, p: Partition) -> list[CommunityStats]:
     """Size, density, conductance per community of `p`."""
     if p.n != g.n:
         raise PartitionError(f"partition covers {p.n} nodes, graph has {g.n}")
-    labels = p.labels
-    intra = [0] * p.k
-    cut = [0] * p.k
-    vol = [0] * p.k
-    for u in range(g.n):
-        cu = labels[u]
-        vol[cu] += len(g.adjacency[u])
-        for v in g.adjacency[u]:
-            if labels[v] == cu:
-                if u < v:
-                    intra[cu] += 1
-            else:
-                cut[cu] += 1
-    total_vol = sum(vol)
-    out = []
-    for c in range(p.k):
-        s = int(p.sizes[c])
-        density = 1.0 if s == 1 else 2.0 * intra[c] / (s * (s - 1))
-        denom = min(vol[c], total_vol - vol[c])
-        conductance = 0.0 if denom == 0 else cut[c] / denom
-        out.append(CommunityStats(size=s, density=density, conductance=conductance))
-    return out
+    lu, lv = p.labels[g.edge_array].T
+    same = lu == lv
+    intra = np.bincount(lu[same], minlength=p.k)
+    cut = np.bincount(lu[~same], minlength=p.k) + np.bincount(lv[~same], minlength=p.k)
+    vol = np.bincount(lu, minlength=p.k) + np.bincount(lv, minlength=p.k)
+    s = p.sizes
+    pairs = s * (s - 1)
+    density = np.where(s == 1, 1.0, 2.0 * intra / np.maximum(pairs, 1))
+    denom = np.minimum(vol, 2 * g.num_edges - vol)
+    conductance = np.where(denom == 0, 0.0, cut / np.maximum(denom, 1))
+    return [
+        CommunityStats(size=size, density=d, conductance=c)
+        for size, d, c in zip(s.tolist(), density.tolist(), conductance.tolist())
+    ]
 
 
-def community_scores(g: Graph, gt: Partition, pred: Partition) -> list[CommunityScores]:
+def community_scores(g: Graph, ct: ContingencyTable) -> list[CommunityScores]:
     """FCCN / F1 / FCCE per ground-truth community.
 
     Each ground-truth community is mapped to the predicted community of
     maximum overlap, ties broken towards the smaller predicted id. FCCE of an
     edgeless community is 1.0 by convention (nothing to misclassify).
     """
-    ct = contingency(gt, pred)
-    best: dict[int, tuple[int, int]] = {}  # gt id -> (overlap, pred id)
-    for (a, b), o in ct.overlap.items():
-        cur = best.get(a)
-        if cur is None or o > cur[0] or (o == cur[0] and b < cur[1]):
-            best[a] = (o, b)
-    labels_gt = gt.labels
-    labels_pred = pred.labels
-    intra_edges: list[int] = [0] * gt.k
-    kept_edges: list[int] = [0] * gt.k
-    for u in range(g.n):
-        a = labels_gt[u]
-        target = best[int(a)][1]
-        for v in g.adjacency[u]:
-            if u < v and labels_gt[v] == a:
-                intra_edges[a] += 1
-                if labels_pred[u] == target and labels_pred[v] == target:
-                    kept_edges[a] += 1
-    out = []
-    for a in range(gt.k):
-        o, b = best[a]
-        s = int(gt.sizes[a])
-        sp = int(pred.sizes[b])
-        fccn = o / s
-        precision = o / sp
-        recall = o / s
-        f1 = 2 * precision * recall / (precision + recall)
-        fcce = 1.0 if intra_edges[a] == 0 else kept_edges[a] / intra_edges[a]
-        out.append(CommunityScores(fccn=fccn, f1=f1, fcce=fcce))
-    return out
+    gt = ct.gt
+    if gt.n != g.n:
+        raise PartitionError(f"partition covers {gt.n} nodes, graph has {g.n}")
+    best = ct.best_cells()  # one cell per ground-truth community
+    o = ct.overlap[best]
+    s = gt.sizes
+    sp = ct.col_sums[ct.cols[best]]
+    lu, lv = gt.labels[g.edge_array].T
+    intra_edges = np.bincount(lu[lu == lv], minlength=gt.k)
+    # an edge is kept when both ends share one cell and it is their row's best
+    cu, cv = ct.node_cell[g.edge_array].T
+    is_best = np.zeros(len(ct.overlap), dtype=bool)
+    is_best[best] = True
+    kept = (cu == cv) & is_best[cu]
+    kept_edges = np.bincount(ct.rows[cu[kept]], minlength=gt.k)
+    fccn = o / s
+    precision = o / sp
+    recall = o / s
+    f1 = 2 * precision * recall / (precision + recall)
+    fcce = np.where(intra_edges == 0, 1.0, kept_edges / np.maximum(intra_edges, 1))
+    return [
+        CommunityScores(fccn=a, f1=b, fcce=c)
+        for a, b, c in zip(fccn.tolist(), f1.tolist(), fcce.tolist())
+    ]
 
 
-def phi(g: Graph, gt: Partition, pred: Partition) -> GroupFairnessResult:
+def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
     """Fairness slopes for all (property, score) combinations."""
-    if gt.k < 2:
+    if ct.gt.k < 2:
         raise PartitionError("group fairness needs at least two ground-truth communities")
-    stats = community_stats(g, gt)
-    scores = community_scores(g, gt, pred)
+    stats = community_stats(g, ct.gt)
+    scores = community_scores(g, ct)
     result: dict[str, dict[str, float | None]] = {}
     for prop in PROPERTIES:
         norm = _minmax([getattr(st, prop) for st in stats])

@@ -8,11 +8,12 @@ only as the materialized oracle for tests.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+
+from .textio import first_true, parse_ints, read_pairs
 
 
 class PartitionError(ValueError):
@@ -34,18 +35,28 @@ class Partition:
 
     @classmethod
     def from_labels(cls, raw_labels: Sequence) -> "Partition":
-        """Relabel arbitrary community ids to dense ids in first-seen order."""
+        """Relabel arbitrary community ids to dense ids in first-seen order.
+
+        Integer arrays go through ``np.unique``; any other sequence is
+        relabeled by Python equality, so labels such as ``1`` and ``"1"``
+        stay distinct.
+        """
         if len(raw_labels) == 0:
             raise PartitionError("empty label sequence")
-        remap: dict = {}
-        dense = np.empty(len(raw_labels), dtype=np.int64)
-        for i, lab in enumerate(raw_labels):
-            if lab not in remap:
-                remap[lab] = len(remap)
-            dense[i] = remap[lab]
-        k = len(remap)
+        if isinstance(raw_labels, np.ndarray) and raw_labels.ndim == 1 and raw_labels.dtype.kind in "iu":
+            uniq, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # distinct labels in first-seen order
+            dense_of = np.empty(len(order), dtype=np.int64)
+            dense_of[order] = np.arange(len(order))
+            dense = dense_of[inverse.reshape(-1)]
+            original_ids = tuple(uniq[order].tolist())
+        else:
+            remap = {lab: i for i, lab in enumerate(dict.fromkeys(raw_labels))}
+            dense = np.fromiter(map(remap.__getitem__, raw_labels), np.int64, len(raw_labels))
+            original_ids = tuple(remap)
+        k = len(original_ids)
         sizes = np.bincount(dense, minlength=k)
-        return cls(labels=dense, sizes=sizes, k=k, original_ids=tuple(remap.keys()))
+        return cls(labels=dense, sizes=sizes, k=k, original_ids=original_ids)
 
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.labels == c)
@@ -56,33 +67,64 @@ class Partition:
         return bool(np.array_equal(self.labels, other.labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContingencyTable:
     """Overlap counts |a ∩ b| between ground-truth and predicted communities.
 
-    Sparse: only non-empty cells are stored. Row marginals are the
+    Sparse: only the non-empty cells are stored, sorted by (ground-truth id,
+    predicted id). ``node_cell`` maps every node to its own cell, so per-node
+    quantities are a gather from per-cell ones. Row marginals are the
     ground-truth community sizes, column marginals the predicted ones.
     """
 
-    overlap: dict[tuple[int, int], int]
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
+    gt: Partition
+    pred: Partition
+    rows: np.ndarray  # (cells,) ground-truth id of each non-empty cell
+    cols: np.ndarray  # (cells,) predicted id of each non-empty cell
+    overlap: np.ndarray  # (cells,) cell counts, all >= 1
+    node_cell: np.ndarray  # (n,) index of each node's cell
+
+    @property
+    def n(self) -> int:
+        return self.gt.n
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self.gt.sizes
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        return self.pred.sizes
 
     def cell(self, a: int, b: int) -> int:
-        return self.overlap.get((a, b), 0)
+        if not (0 <= a < self.gt.k and 0 <= b < self.pred.k):
+            return 0
+        keys = self.rows * self.pred.k + self.cols
+        i = int(np.searchsorted(keys, a * self.pred.k + b))
+        return int(self.overlap[i]) if i < len(keys) and keys[i] == a * self.pred.k + b else 0
+
+    def best_cells(self, by_gt: bool = True) -> np.ndarray:
+        """Largest cell of each ground-truth row (or predicted column).
+
+        Entry c is the index of the cell with the largest overlap in row (or
+        column) c; ties go to the smaller predicted (or ground-truth) id.
+        """
+        key, other = (self.rows, self.cols) if by_gt else (self.cols, self.rows)
+        order = np.lexsort((other, -self.overlap, key))
+        ordered = key[order]
+        return order[np.r_[True, ordered[1:] != ordered[:-1]]]
 
 
 def contingency(gt: Partition, pred: Partition) -> ContingencyTable:
-    """Single O(n) pass over node labels."""
+    """One ``np.unique`` over the per-node cell keys ``gt * k' + pred``."""
     if gt.n != pred.n:
         raise PartitionError(f"partition sizes differ: {gt.n} vs {pred.n}")
-    counts = Counter(zip(gt.labels.tolist(), pred.labels.tolist()))
+    keys, node_cell, overlap = np.unique(
+        gt.labels * pred.k + pred.labels, return_inverse=True, return_counts=True
+    )
+    rows, cols = np.divmod(keys, pred.k)
     return ContingencyTable(
-        overlap=dict(counts),
-        row_sums=gt.sizes.copy(),
-        col_sums=pred.sizes.copy(),
-        n=gt.n,
+        gt=gt, pred=pred, rows=rows, cols=cols, overlap=overlap, node_cell=node_cell.reshape(-1)
     )
 
 
@@ -93,32 +135,43 @@ def cc_row(p: Partition, i: int) -> np.ndarray:
     return (p.labels == p.labels[i]).astype(np.float64)
 
 
-def load_partition(source: TextIO | Iterable[str], n: int) -> Partition:
-    """Parse 'node_id community_id' lines; every node in [0, n) exactly once."""
-    assigned: dict[int, str] = {}
-    for lineno, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise PartitionError(f"line {lineno}: expected two tokens, got {len(tokens)}")
-        try:
-            node = int(tokens[0])
-        except ValueError:
-            raise PartitionError(f"line {lineno}: non-integer node id {tokens[0]!r}")
-        if not 0 <= node < n:
-            raise PartitionError(f"line {lineno}: node {node} outside [0, {n})")
-        if node in assigned:
-            raise PartitionError(f"line {lineno}: node {node} assigned twice")
-        assigned[node] = tokens[1]
-    missing = [i for i in range(n) if i not in assigned]
-    if missing:
-        raise PartitionError(f"node {missing[0]} unassigned")
-    return Partition.from_labels([assigned[i] for i in range(n)])
+def load_partition(source: TextIO | Iterable[str], n: int | None = None) -> Partition:
+    """Parse 'node_id community_id' lines; every node in [0, n) exactly once.
+
+    With ``n=None`` the node count is the largest node id plus one. When the
+    input has several problems, the one on the earliest line is reported.
+    """
+    # each check looks only at the lines before any problem found so far, so
+    # the last message set belongs to the earliest bad line
+    linenos, tokens, malformed = read_pairs(source)
+    error = None
+    if malformed is not None:
+        error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
+    node_tokens = tokens[0::2]
+    nodes, stop = parse_ints(node_tokens)
+    if stop is not None:
+        error = f"line {linenos[stop]}: non-integer node id {node_tokens[stop]!r}"
+    if n is None:
+        n = max(int(nodes.max()) + 1, 0) if len(nodes) else 0
+    bad = first_true((nodes < 0) | (nodes >= n))
+    if bad is not None:
+        error = f"line {linenos[bad]}: node {int(node_tokens[bad])} outside [0, {n})"
+        nodes = nodes[:bad]
+    distinct, first = np.unique(nodes, return_index=True)
+    if len(distinct) < len(nodes):
+        repeat = np.ones(len(nodes), dtype=bool)
+        repeat[first] = False
+        dup = first_true(repeat)
+        error = f"line {linenos[dup]}: node {int(nodes[dup])} assigned twice"
+    if error is not None:
+        raise PartitionError(error)
+    if len(nodes) < n:  # distinct ids in [0, n), so the first gap is unassigned
+        gap = first_true(distinct != np.arange(len(distinct)))
+        raise PartitionError(f"node {len(distinct) if gap is None else gap} unassigned")
+    communities = tokens[1::2]
+    return Partition.from_labels(list(map(communities.__getitem__, np.argsort(nodes).tolist())))
 
 
 def write_partition(p: Partition, sink: TextIO) -> None:
     """Write one 'node_id community_id' line per node."""
-    for i, lab in enumerate(p.labels.tolist()):
-        sink.write(f"{i} {lab}\n")
+    sink.write("".join(f"{i} {lab}\n" for i, lab in enumerate(p.labels.tolist())))

@@ -16,7 +16,7 @@ from typing import TextIO
 import numpy as np
 
 from .bias import ib_all_fast
-from .partition import Partition
+from .partition import Partition, contingency
 from .synthgen import two_block_partition
 
 SCENARIOS = ("expand", "shrink", "change")
@@ -88,7 +88,7 @@ def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Pa
     if k > 0:
         joiners = rng.choice(outside, size=k, replace=False)
         labels[joiners] = focal_c
-    return Partition.from_labels(labels.tolist())
+    return Partition.from_labels(labels)
 
 
 def perturb_shrink(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
@@ -110,7 +110,7 @@ def perturb_shrink(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Pa
     if k > 0:
         leavers = rng.choice(members, size=k, replace=False)
         labels[leavers] = _fresh_label(gt)
-    return Partition.from_labels(labels.tolist())
+    return Partition.from_labels(labels)
 
 
 def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
@@ -131,7 +131,7 @@ def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Pa
     if k_in > 0:
         joiners = rng.choice(outside, size=k_in, replace=False)
         labels[joiners] = focal_c
-    return Partition.from_labels(labels.tolist())
+    return Partition.from_labels(labels)
 
 
 _PERTURBATIONS = {
@@ -162,7 +162,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         vals = []
         for run in range(cfg.runs):
             pred = perturb(gt, focal, ratio, seed=derive_seed(cfg.seed, ri, run))
-            vals.append(float(ib_all_fast(gt, pred).ib[focal]))
+            vals.append(float(ib_all_fast(contingency(gt, pred)).ib[focal]))
         arr = np.array(vals)
         means.append(float(arr.mean()))
         stds.append(float(arr.std()))

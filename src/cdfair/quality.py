@@ -1,9 +1,15 @@
-"""Partition quality scores: modularity (internal), NMI, ARI, NF1 (external)."""
+"""Partition quality scores: modularity (internal), NMI, ARI, NF1 (external).
+
+The external scores take the contingency table of a (ground truth,
+prediction) pair, so one table built per pair serves all of them.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 from .partition import ContingencyTable, Partition, PartitionError, contingency
@@ -26,17 +32,11 @@ def modularity(g: Graph, p: Partition) -> float:
         raise ValueError("modularity undefined on an edgeless graph")
     if p.n != g.n:
         raise PartitionError(f"partition covers {p.n} nodes, graph has {g.n}")
-    intra = [0] * p.k
-    deg_tot = [0] * p.k
-    labels = p.labels
-    for u in range(g.n):
-        cu = labels[u]
-        deg_tot[cu] += len(g.adjacency[u])
-        for v in g.adjacency[u]:
-            if u < v and labels[v] == cu:
-                intra[cu] += 1
-    two_m = 2.0 * m
-    return sum(e / m - (d / two_m) ** 2 for e, d in zip(intra, deg_tot))
+    lu, lv = p.labels[g.edge_array].T
+    intra = np.bincount(lu[lu == lv], minlength=p.k)
+    deg_tot = np.bincount(lu, minlength=p.k) + np.bincount(lv, minlength=p.k)
+    # summed in community order, one term at a time
+    return sum((intra / m - (deg_tot / (2.0 * m)) ** 2).tolist())
 
 
 def _entropy(sizes, n: int) -> float:
@@ -48,7 +48,7 @@ def _entropy(sizes, n: int) -> float:
     return h
 
 
-def nmi(gt: Partition, pred: Partition, norm: str = "arithmetic") -> float:
+def nmi(ct: ContingencyTable, norm: str = "arithmetic") -> float:
     """Normalized mutual information from the contingency table.
 
     Conventions for zero-entropy partitions: both single-community -> 1.0,
@@ -56,7 +56,6 @@ def nmi(gt: Partition, pred: Partition, norm: str = "arithmetic") -> float:
     """
     if norm not in NMI_NORMS:
         raise ValueError(f"unknown NMI normalizer {norm!r}")
-    ct = contingency(gt, pred)
     n = ct.n
     h1 = _entropy(ct.row_sums.tolist(), n)
     h2 = _entropy(ct.col_sums.tolist(), n)
@@ -64,10 +63,9 @@ def nmi(gt: Partition, pred: Partition, norm: str = "arithmetic") -> float:
         return 1.0
     if h1 == 0.0 or h2 == 0.0:
         return 0.0
-    mi = 0.0
-    for (a, b), o in ct.overlap.items():
-        mi += (o / n) * math.log(o * n / (ct.row_sums[a] * ct.col_sums[b]))
-    mi = max(mi, 0.0)  # guard tiny negative round-off
+    o = ct.overlap
+    terms = (o / n) * np.log(o * n / (ct.row_sums[ct.rows] * ct.col_sums[ct.cols]))
+    mi = max(sum(terms.tolist()), 0.0)  # guard tiny negative round-off
     if norm == "arithmetic":
         z = 0.5 * (h1 + h2)
     elif norm == "max":
@@ -83,14 +81,17 @@ def _comb2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def ari(gt: Partition, pred: Partition) -> float:
+def _comb2_sum(counts: np.ndarray) -> int:
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def ari(ct: ContingencyTable) -> float:
     """Adjusted Rand index from contingency-table pair counts."""
-    ct = contingency(gt, pred)
     if ct.n < 2:
         raise ValueError("ARI requires at least 2 nodes")
-    sum_cells = sum(_comb2(o) for o in ct.overlap.values())
-    sum_rows = sum(_comb2(int(s)) for s in ct.row_sums)
-    sum_cols = sum(_comb2(int(s)) for s in ct.col_sums)
+    sum_cells = _comb2_sum(ct.overlap)
+    sum_rows = _comb2_sum(ct.row_sums)
+    sum_cols = _comb2_sum(ct.col_sums)
     total = _comb2(ct.n)
     expected = sum_rows * sum_cols / total
     max_index = 0.5 * (sum_rows + sum_cols)
@@ -100,7 +101,7 @@ def ari(gt: Partition, pred: Partition) -> float:
     return (sum_cells - expected) / (max_index - expected)
 
 
-def nf1(gt: Partition, pred: Partition) -> float:
+def nf1(ct: ContingencyTable) -> float:
     """Normalized F1 over max-overlap matches from predicted to ground truth.
 
     Each predicted community is matched to the ground-truth community with the
@@ -109,30 +110,25 @@ def nf1(gt: Partition, pred: Partition) -> float:
     divided by redundancy (predicted count over distinct matched ground-truth
     count).
     """
-    ct = contingency(gt, pred)
-    # best ground-truth match per predicted community
-    best: dict[int, tuple[int, int]] = {}  # pred id -> (overlap, gt id)
-    for (a, b), o in ct.overlap.items():
-        cur = best.get(b)
-        if cur is None or o > cur[0] or (o == cur[0] and a < cur[1]):
-            best[b] = (o, a)
-    f1_sum = 0.0
-    matched_gt: set[int] = set()
-    for b, (o, a) in best.items():
-        precision = o / ct.col_sums[b]
-        recall = o / ct.row_sums[a]
-        f1_sum += 2 * precision * recall / (precision + recall)
-        matched_gt.add(a)
-    mean_f1 = f1_sum / pred.k
-    coverage = len(matched_gt) / gt.k
-    redundancy = pred.k / len(matched_gt)
+    best = ct.best_cells(by_gt=False)  # one cell per predicted community
+    o = ct.overlap[best]
+    matched = ct.rows[best]
+    precision = o / ct.col_sums
+    recall = o / ct.row_sums[matched]
+    f1 = 2 * precision * recall / (precision + recall)
+    n_matched = len(np.unique(matched))
+    k_gt, k_pred = ct.gt.k, ct.pred.k
+    mean_f1 = sum(f1.tolist()) / k_pred  # summed in predicted-id order
+    coverage = n_matched / k_gt
+    redundancy = k_pred / n_matched
     return mean_f1 * coverage / redundancy
 
 
 def all_scores(g: Graph | None, gt: Partition, pred: Partition, nmi_norm: str = "arithmetic") -> QualityScores:
+    ct = contingency(gt, pred)
     return QualityScores(
         modularity=modularity(g, pred) if g is not None else None,
-        nmi=nmi(gt, pred, norm=nmi_norm),
-        ari=ari(gt, pred),
-        nf1=nf1(gt, pred),
+        nmi=nmi(ct, norm=nmi_norm),
+        ari=ari(ct),
+        nf1=nf1(ct),
     )

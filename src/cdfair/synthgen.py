@@ -196,7 +196,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         dropped += _pair_stubs(rng, stubs, edges, labels=bg_labels)
 
     graph = Graph.from_edges(p.n, edges)
-    partition = Partition.from_labels(labels.tolist())
+    partition = Partition.from_labels(labels)
     inter = sum(1 for u, v in edges if labels[u] != labels[v])
     info = {
         "dropped_stubs": int(dropped),

@@ -1,0 +1,172 @@
+"""Pure-Python reference implementations of the vectorised library code.
+
+These are the per-node and per-line loops the package used before its
+arrays-first rewrite (CSR graph, one contingency table per pair). They are
+slow but obviously correct, and the property tests in ``test_oracles.py``
+compare the package against them.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from cdfair.graph import EdgeListError, Graph
+from cdfair.groupfair import CommunityScores, CommunityStats
+from cdfair.partition import Partition, PartitionError
+
+
+def from_labels(raw_labels) -> tuple[list[int], tuple]:
+    """Dense ids in first-seen order and the original label of each id."""
+    remap: dict = {}
+    dense = []
+    for lab in raw_labels:
+        if lab not in remap:
+            remap[lab] = len(remap)
+        dense.append(remap[lab])
+    return dense, tuple(remap)
+
+
+def contingency(gt: Partition, pred: Partition) -> dict[tuple[int, int], int]:
+    """Non-empty cells as {(gt id, pred id): overlap}."""
+    return dict(Counter(zip(gt.labels.tolist(), pred.labels.tolist())))
+
+
+def nf1(gt: Partition, pred: Partition) -> float:
+    overlap = contingency(gt, pred)
+    best: dict[int, tuple[int, int]] = {}  # pred id -> (overlap, gt id)
+    for (a, b), o in overlap.items():
+        cur = best.get(b)
+        if cur is None or o > cur[0] or (o == cur[0] and a < cur[1]):
+            best[b] = (o, a)
+    f1_sum = 0.0
+    matched_gt: set[int] = set()
+    for b, (o, a) in best.items():
+        precision = o / int(pred.sizes[b])
+        recall = o / int(gt.sizes[a])
+        f1_sum += 2 * precision * recall / (precision + recall)
+        matched_gt.add(a)
+    return (f1_sum / pred.k) * (len(matched_gt) / gt.k) / (pred.k / len(matched_gt))
+
+
+def community_stats(g: Graph, p: Partition) -> list[CommunityStats]:
+    adjacency = g.neighbor_lists()
+    labels = p.labels.tolist()
+    intra = [0] * p.k
+    cut = [0] * p.k
+    vol = [0] * p.k
+    for u in range(g.n):
+        cu = labels[u]
+        vol[cu] += len(adjacency[u])
+        for v in adjacency[u]:
+            if labels[v] == cu:
+                if u < v:
+                    intra[cu] += 1
+            else:
+                cut[cu] += 1
+    total_vol = sum(vol)
+    out = []
+    for c in range(p.k):
+        s = int(p.sizes[c])
+        density = 1.0 if s == 1 else 2.0 * intra[c] / (s * (s - 1))
+        denom = min(vol[c], total_vol - vol[c])
+        conductance = 0.0 if denom == 0 else cut[c] / denom
+        out.append(CommunityStats(size=s, density=density, conductance=conductance))
+    return out
+
+
+def community_scores(g: Graph, gt: Partition, pred: Partition) -> list[CommunityScores]:
+    best: dict[int, tuple[int, int]] = {}  # gt id -> (overlap, pred id)
+    for (a, b), o in contingency(gt, pred).items():
+        cur = best.get(a)
+        if cur is None or o > cur[0] or (o == cur[0] and b < cur[1]):
+            best[a] = (o, b)
+    adjacency = g.neighbor_lists()
+    labels_gt = gt.labels.tolist()
+    labels_pred = pred.labels.tolist()
+    intra_edges = [0] * gt.k
+    kept_edges = [0] * gt.k
+    for u in range(g.n):
+        a = labels_gt[u]
+        target = best[a][1]
+        for v in adjacency[u]:
+            if u < v and labels_gt[v] == a:
+                intra_edges[a] += 1
+                if labels_pred[u] == target and labels_pred[v] == target:
+                    kept_edges[a] += 1
+    out = []
+    for a in range(gt.k):
+        o, b = best[a]
+        s = int(gt.sizes[a])
+        sp = int(pred.sizes[b])
+        precision = o / sp
+        recall = o / s
+        f1 = 2 * precision * recall / (precision + recall)
+        fcce = 1.0 if intra_edges[a] == 0 else kept_edges[a] / intra_edges[a]
+        out.append(CommunityScores(fccn=o / s, f1=f1, fcce=fcce))
+    return out
+
+
+def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int, int]:
+    """(n, edge set, duplicates dropped, self-loops dropped), line by line."""
+    id_map: dict[str, int] = {}
+    pairs = []
+    max_raw = -1
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListError(f"line {lineno}: expected two tokens, got {len(tokens)}")
+        ids = []
+        for tok in tokens:
+            if id_mode == "raw":
+                try:
+                    i = int(tok)
+                except ValueError:
+                    raise EdgeListError(f"line {lineno}: non-integer node id {tok!r} in raw mode")
+                if i < 0:
+                    raise EdgeListError(f"line {lineno}: negative node id {i}")
+                max_raw = max(max_raw, i)
+            else:
+                i = id_map.setdefault(tok, len(id_map))
+            ids.append(i)
+        pairs.append(tuple(ids))
+    if not pairs:
+        raise EdgeListError("empty edge-list input")
+    seen: set[tuple[int, int]] = set()
+    dup = loops = 0
+    for u, v in pairs:
+        if u == v:
+            loops += 1
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            dup += 1
+        seen.add(key)
+    n = max_raw + 1 if id_mode == "raw" else len(id_map)
+    return n, seen, dup, loops
+
+
+def load_partition(lines, n: int) -> Partition:
+    assigned: dict[int, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise PartitionError(f"line {lineno}: expected two tokens, got {len(tokens)}")
+        try:
+            node = int(tokens[0])
+        except ValueError:
+            raise PartitionError(f"line {lineno}: non-integer node id {tokens[0]!r}")
+        if not 0 <= node < n:
+            raise PartitionError(f"line {lineno}: node {node} outside [0, {n})")
+        if node in assigned:
+            raise PartitionError(f"line {lineno}: node {node} assigned twice")
+        assigned[node] = tokens[1]
+    missing = [i for i in range(n) if i not in assigned]
+    if missing:
+        raise PartitionError(f"node {missing[0]} unassigned")
+    return Partition.from_labels([assigned[i] for i in range(n)])

@@ -21,7 +21,7 @@ from cdfair.cli import main as cli_main
 from cdfair.detectors import louvain
 from cdfair.graph import Graph
 from cdfair.groupfair import ols_slope, phi
-from cdfair.partition import Partition
+from cdfair.partition import Partition, contingency
 from cdfair.perturb import SweepConfig, perturb_expand, perturb_shrink, run_sweep
 from cdfair.quality import ari, modularity, nf1, nmi
 from cdfair.synthgen import AbcdParams, generate_abcd_lite
@@ -44,7 +44,7 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(2, 201))
         gt = _random_partition(rng, n)
         pred = _random_partition(rng, n)
-        fast = ib_all_fast(gt, pred).ib
+        fast = ib_all_fast(contingency(gt, pred)).ib
         naive = ib_all_naive(gt, pred).ib
         worst = max(worst, float(np.max(np.abs(fast - naive))))
         assert worst <= 1e-12
@@ -62,10 +62,10 @@ def test_criterion_2_range_invariants():
         n = int(rng.integers(2, 120))
         gt = _random_partition(rng, n)
         pred = _random_partition(rng, n)
-        rep = ib_all_fast(gt, pred)
+        rep = ib_all_fast(contingency(gt, pred))
         assert np.all(rep.ib >= 0.0) and np.all(rep.ib < 1.0)
         assert 0.0 <= rep.ib_g <= 0.5
-        assert ib_all_fast(gt, gt).ib_g == 0.0  # exact, not approximate
+        assert ib_all_fast(contingency(gt, gt)).ib_g == 0.0  # exact, not approximate
     print("criterion 2 PASS: IB in [0,1), IB_G in [0,0.5], identity gives exactly 0")
 
 
@@ -117,8 +117,8 @@ def test_criterion_5_shrink_exceeds_expand():
         for k in range(1, s):
             shrunk = perturb_shrink(gt, 0, k / s, seed=k)
             expanded = perturb_expand(gt, 0, k / s, seed=k)
-            ib_shrink = float(ib_all_fast(gt, shrunk).ib[0])
-            ib_expand = float(ib_all_fast(gt, expanded).ib[0])
+            ib_shrink = float(ib_all_fast(contingency(gt, shrunk)).ib[0])
+            ib_expand = float(ib_all_fast(contingency(gt, expanded)).ib[0])
             assert ib_shrink == pytest.approx(1.0 - math.sqrt((s - k) / s), abs=1e-12)
             assert ib_expand == pytest.approx(1.0 - math.sqrt(s / (s + k)), abs=1e-12)
             assert ib_shrink > ib_expand, (s, k)
@@ -208,17 +208,17 @@ def test_criterion_7_quality_goldens():
 
     gt4 = Partition.from_labels([0, 0, 1, 1])
     pred4 = Partition.from_labels([0, 1, 0, 1])
-    assert ari(gt4, pred4) == pytest.approx(-0.5, abs=1e-12)
+    assert ari(contingency(gt4, pred4)) == pytest.approx(-0.5, abs=1e-12)
 
     ind_gt = Partition.from_labels([0, 0, 1, 1])
     ind_pred = Partition.from_labels([0, 1, 0, 1])
-    assert nmi(ind_gt, ind_pred) == pytest.approx(0.0, abs=1e-12)
+    assert nmi(contingency(ind_gt, ind_pred)) == pytest.approx(0.0, abs=1e-12)
 
     g3, gt3 = _three_distinct_communities()
-    assert ari(gt3, gt3) == 1.0
-    assert nmi(gt3, gt3) == 1.0
-    assert nf1(gt3, gt3) == 1.0
-    perfect = phi(g3, gt3, gt3)
+    assert ari(contingency(gt3, gt3)) == 1.0
+    assert nmi(contingency(gt3, gt3)) == 1.0
+    assert nf1(contingency(gt3, gt3)) == 1.0
+    perfect = phi(g3, contingency(gt3, gt3))
     for prop, by_score in perfect.phi.items():
         for score, value in by_score.items():
             assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
@@ -228,7 +228,7 @@ def test_criterion_7_quality_goldens():
         n = int(rng.integers(2, 9))
         gt = _random_partition(rng, n)
         pred = _random_partition(rng, n)
-        assert ari(gt, pred) == pytest.approx(_ari_pair_oracle(gt, pred), abs=1e-12)
+        assert ari(contingency(gt, pred)) == pytest.approx(_ari_pair_oracle(gt, pred), abs=1e-12)
     print("criterion 7 PASS: quality goldens, perfect-prediction identities, "
           "ARI = pair oracle on 200 random pairs")
 
@@ -244,7 +244,7 @@ def _shatter(shatter_small: bool):
         pred = Partition.from_labels(list(range(10)) + [10] * 90)
     else:
         pred = Partition.from_labels([0] * 10 + list(range(1, 91)))
-    return g, gt, pred
+    return g, contingency(gt, pred)
 
 
 def test_criterion_8_phi_signs_and_ols():
@@ -293,8 +293,8 @@ def test_criterion_10_louvain_directional():
         for seed in range(5):
             g, gt, _ = _abcd(xi, seed=200 + seed)
             pred = louvain(g, seed=seed)
-            nmis.append(nmi(gt, pred))
-            ibgs.append(ib_all_fast(gt, pred).ib_g)
+            nmis.append(nmi(contingency(gt, pred)))
+            ibgs.append(ib_all_fast(contingency(gt, pred)).ib_g)
         scores[xi] = (float(np.mean(nmis)), float(np.mean(ibgs)))
     assert scores[0.2][0] >= 0.85
     assert scores[0.2][1] <= 0.1

@@ -80,7 +80,7 @@ def test_ib_node_shrink_to_singleton():
 
 def test_perfect_prediction_zero():
     p = Partition.from_labels([0, 1, 0, 2, 1])
-    rep = ib_all_fast(p, p)
+    rep = ib_all_fast(contingency(p, p))
     assert np.all(rep.ib == 0.0)
     assert rep.ib_g == 0.0
     assert rep.mean_ib == 0.0
@@ -89,7 +89,7 @@ def test_perfect_prediction_zero():
 def test_merge_two_level_values():
     gt = Partition.from_labels([0] * 20 + [1] * 80)
     pred = Partition.from_labels([0] * 100)
-    rep = ib_all_fast(gt, pred)
+    rep = ib_all_fast(contingency(gt, pred))
     lo, hi = 1 - math.sqrt(0.8), 1 - math.sqrt(0.2)
     assert rep.ib[:20] == pytest.approx(hi, abs=1e-12)
     assert rep.ib[20:] == pytest.approx(lo, abs=1e-12)
@@ -108,7 +108,7 @@ def test_identical_three_nodes_naive():
     p = Partition.from_labels([0, 1, 1])
     assert ib_all_naive(p, p).ib == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
     # the fast path is exactly zero for identical partitions
-    assert ib_all_fast(p, p).ib.tolist() == [0.0, 0.0, 0.0]
+    assert ib_all_fast(contingency(p, p)).ib.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_naive_cap():
@@ -121,7 +121,7 @@ def test_fast_equals_naive_random():
     rng = np.random.default_rng(3)
     for _ in range(20):
         gt, pred = random_pair(rng, 100)
-        fast = ib_all_fast(gt, pred)
+        fast = ib_all_fast(contingency(gt, pred))
         naive = ib_all_naive(gt, pred)
         np.testing.assert_allclose(fast.ib, naive.ib, rtol=0, atol=1e-12)
         assert fast.ib_g == pytest.approx(naive.ib_g, abs=1e-12)
@@ -135,14 +135,14 @@ def test_range_and_permutation_invariance(data):
     l2 = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     gt = Partition.from_labels(l1)
     pred = Partition.from_labels(l2)
-    rep = ib_all_fast(gt, pred)
+    rep = ib_all_fast(contingency(gt, pred))
     assert np.all(rep.ib >= 0.0)
     assert np.all(rep.ib < 1.0)
     assert 0.0 <= rep.ib_g <= 0.5
     # relabeling either side leaves every value unchanged
     shift1 = [(x + 3) % 17 for x in l1]
     shift2 = [(x * 7 + 5) % 23 for x in l2]
-    rep2 = ib_all_fast(Partition.from_labels(shift1), Partition.from_labels(shift2))
+    rep2 = ib_all_fast(contingency(Partition.from_labels(shift1), Partition.from_labels(shift2)))
     np.testing.assert_array_equal(rep.ib, rep2.ib)
 
 
@@ -178,7 +178,7 @@ def test_shrink_monotone_concave_up():
 def test_report_serialization():
     gt = Partition.from_labels([0, 0, 1, 1])
     pred = Partition.from_labels([0, 1, 1, 1])
-    rep = ib_all_fast(gt, pred)
+    rep = ib_all_fast(contingency(gt, pred))
     buf = io.StringIO()
     rep.write_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -197,6 +197,6 @@ def test_report_serialization():
 def test_community_mean_ib():
     gt = Partition.from_labels([0] * 2 + [1] * 8)
     pred = Partition.from_labels([0] * 10)
-    rep = ib_all_fast(gt, pred)
+    rep = ib_all_fast(contingency(gt, pred))
     assert set(rep.community_mean_ib) == {0, 1}
     assert rep.community_mean_ib[0] == pytest.approx(1 - math.sqrt(0.2), abs=1e-12)

@@ -7,11 +7,17 @@ to pytest tmp_path directories.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfair.cli import derive_cell_seed, main
+from cdfair.graph import Graph, load_edge_list, write_edge_list
+from cdfair.partition import Partition, load_partition, write_partition
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -228,6 +234,61 @@ class TestEvaluate:
         ])
         assert rc == 2
 
+    def test_duplicate_detector_labels_exit_1(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", "louvain:seed=1", "--detector", "louvain:resolution=3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "louvain:seed=1" in err and "louvain:resolution=3" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_external_partitions_sharing_a_stem_exit_1(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        copies = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            copies.append(tmp_path / sub / "p.gt")
+            shutil.copy(gt, copies[-1])
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", f"external:path={copies[0]}", "--detector", f"external:path={copies[1]}",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(copies[0]) in err and str(copies[1]) in err
+
+    def test_trailing_isolated_node_comes_from_ground_truth(self, tmp_path):
+        edges, gt = tmp_path / "t.edges", tmp_path / "t.gt"
+        edges.write_text("0 1\n1 2\n0 2\n")
+        gt.write_text("0 0\n1 0\n2 0\n3 1\n")
+        out = tmp_path / "run"
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", f"external:path={gt}", "--detector", "louvain", "--out", str(out),
+        ])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        for label in ("external:t", "louvain"):
+            assert doc["detectors"][label]["per_graph"][0]["error"] is None
+            assert len((out / "bias" / f"{label}_t.csv").read_text().splitlines()) == 5
+        assert doc["detectors"]["external:t"]["per_graph"][0]["ib_g"] == 0.0
+
+    def test_edge_endpoint_outside_ground_truth_exit_1(self, tmp_path, capsys):
+        edges, gt = tmp_path / "t.edges", tmp_path / "t.gt"
+        edges.write_text("0 1\n1 3\n")
+        gt.write_text("0 0\n1 0\n2 1\n")
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", "louvain", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "line 2: node id 3 outside [0, 3)" in capsys.readouterr().err
+
     def test_env_out_dir(self, tmp_path, monkeypatch):
         edges, gt = _generate(tmp_path)
         monkeypatch.setenv("CDFAIR_OUT_DIR", str(tmp_path / "envout"))
@@ -237,6 +298,42 @@ class TestEvaluate:
         ])
         assert rc == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_round_trip_keeps_isolated_nodes(data):
+    """generate -> write -> load -> evaluate, with the last nodes edgeless."""
+    n = data.draw(st.integers(4, 25))
+    connected = data.draw(st.integers(2, n - 1))  # nodes >= connected are isolated
+    node = st.integers(0, connected - 1)
+    edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                               min_size=1, max_size=3 * n))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)) + [4]
+    g, gt = Graph.from_edges(n, edges), Partition.from_labels(labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        edges_path, gt_path, out = Path(tmp) / "r.edges", Path(tmp) / "r.gt", Path(tmp) / "run"
+        with open(edges_path, "w", encoding="utf-8") as fh:
+            write_edge_list(g, fh)
+        with open(gt_path, "w", encoding="utf-8") as fh:
+            write_partition(gt, fh)
+        with open(gt_path, encoding="utf-8") as fh:
+            loaded_gt = load_partition(fh)
+        with open(edges_path, encoding="utf-8") as fh:
+            loaded = load_edge_list(fh, id_mode="raw", n=loaded_gt.n).graph
+        assert loaded_gt == gt and loaded.n == n
+        assert list(loaded.edges()) == list(g.edges())
+        rc = main([
+            "evaluate", "--graph", str(edges_path), "--gt", str(gt_path),
+            "--detector", f"external:path={gt_path}", "--detector", "louvain",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        for label in ("external:r", "louvain"):
+            assert doc["detectors"][label]["per_graph"][0]["error"] is None
+            assert len((out / "bias" / f"{label}_r.csv").read_text().splitlines()) == n + 1
+        assert doc["detectors"]["external:r"]["per_graph"][0]["ib_g"] == 0.0
 
 
 class TestSweep:

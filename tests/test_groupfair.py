@@ -11,7 +11,7 @@ from cdfair.groupfair import (
     ols_slope,
     phi,
 )
-from cdfair.partition import Partition, PartitionError
+from cdfair.partition import Partition, PartitionError, contingency
 
 
 def two_triangles():
@@ -73,7 +73,7 @@ def test_full_graph_conductance_zero():
 def test_perfect_prediction_scores():
     g = two_triangles()
     gt = Partition.from_labels([0, 0, 0, 1, 1, 1])
-    for sc in community_scores(g, gt, gt):
+    for sc in community_scores(g, contingency(gt, gt)):
         assert sc.fccn == 1.0
         assert sc.f1 == 1.0
         assert sc.fcce == 1.0
@@ -84,7 +84,7 @@ def test_split_community_scores():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
     gt = Partition.from_labels([0, 0, 0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 1, 1, 2, 2])
-    sc = community_scores(g, gt, pred)[0]
+    sc = community_scores(g, contingency(gt, pred))[0]
     assert sc.fccn == pytest.approx(0.5)
     assert sc.f1 == pytest.approx(2 * (1 * 0.5) / 1.5)
 
@@ -94,7 +94,7 @@ def test_fcce_partial_triangle():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     gt = Partition.from_labels([0, 0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 1, 2, 2])
-    sc = community_scores(g, gt, pred)[0]
+    sc = community_scores(g, contingency(gt, pred))[0]
     assert sc.fcce == pytest.approx(1 / 3)
 
 
@@ -102,7 +102,7 @@ def test_tie_breaks_smaller_predicted_id():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     gt = Partition.from_labels([0, 0, 1, 1])
     pred = Partition.from_labels([0, 1, 2, 2])  # gt 0 ties between pred 0 and 1
-    sc = community_scores(g, gt, pred)[0]
+    sc = community_scores(g, contingency(gt, pred))[0]
     assert sc.fccn == pytest.approx(0.5)  # matched to pred 0
 
 
@@ -124,7 +124,7 @@ def three_distinct_communities():
 
 def test_phi_perfect_prediction_all_zero():
     g, gt = three_distinct_communities()
-    result = phi(g, gt, gt)
+    result = phi(g, contingency(gt, gt))
     for prop, by_score in result.phi.items():
         for score, value in by_score.items():
             assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
@@ -133,7 +133,7 @@ def test_phi_perfect_prediction_all_zero():
 def test_phi_requires_two_communities():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(PartitionError):
-        phi(g, Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 0]))
+        phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 0])))
 
 
 def shatter_construction(shatter_small: bool):
@@ -152,13 +152,13 @@ def shatter_construction(shatter_small: bool):
 
 def test_phi_size_sign_shatter_small():
     g, gt, pred = shatter_construction(shatter_small=True)
-    result = phi(g, gt, pred)
+    result = phi(g, contingency(gt, pred))
     assert result.phi["size"]["fccn"] > 0.0  # favours the larger community
 
 
 def test_phi_size_sign_shatter_large():
     g, gt, pred = shatter_construction(shatter_small=False)
-    result = phi(g, gt, pred)
+    result = phi(g, contingency(gt, pred))
     assert result.phi["size"]["fccn"] < 0.0
 
 
@@ -166,7 +166,7 @@ def test_phi_degenerate_property_reported_missing():
     g = two_triangles()
     gt = Partition.from_labels([0, 0, 0, 1, 1, 1])
     pred = Partition.from_labels([0, 0, 1, 1, 2, 2])
-    result = phi(g, gt, pred)
+    result = phi(g, contingency(gt, pred))
     # both communities have identical size/density/conductance
     for prop in ("size", "conductance", "density"):
         for score in ("fccn", "f1", "fcce"):
@@ -185,7 +185,7 @@ def test_phi_affine_rescale_invariance():
 
 def test_points_csv_and_phi_json():
     g, gt, pred = shatter_construction(shatter_small=True)
-    result = phi(g, gt, pred)
+    result = phi(g, contingency(gt, pred))
     buf = io.StringIO()
     result.write_points_csv(buf)
     lines = buf.getvalue().splitlines()

@@ -1,0 +1,224 @@
+"""The vectorised library code against the pure-Python loops in ``oracles``.
+
+Integer results (tables, counts, dense ids) must match exactly, floating-point
+ones to 1e-12; error messages from the loaders must match word for word,
+including which of several problems is reported.
+"""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from cdfair.graph import EdgeListError, Graph, load_edge_list
+from cdfair.groupfair import community_scores, community_stats
+from cdfair.partition import Partition, PartitionError, contingency, load_partition
+from cdfair.quality import nf1
+
+TOL = 1e-12
+
+
+def labels_pair(max_n=50):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        )
+    )
+
+
+@st.composite
+def graph_and_pair(draw, max_n=30):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    gt = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pred = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), Partition.from_labels(gt), Partition.from_labels(pred)
+
+
+@st.composite
+def tied_pair(draw):
+    """Every ground-truth community splits into `parts` equal predicted pieces,
+    and every predicted community of a merge covers `parts` equal gt pieces."""
+    k = draw(st.integers(1, 4))
+    parts = draw(st.integers(2, 3))
+    size = draw(st.integers(1, 3))
+    n = k * parts * size
+    gt = [i // (parts * size) for i in range(n)]
+    pred = [c * parts + (i % parts) for i, c in enumerate(gt)]
+    order = draw(st.permutations(range(n)))
+    gt = [gt[i] for i in order]
+    pred = [pred[i] for i in order]
+    return Partition.from_labels(gt), Partition.from_labels(pred)
+
+
+# ---------------------------------------------------------------- partitions
+
+
+@given(st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    st.lists(st.text(max_size=3), min_size=1, max_size=40),
+    st.lists(st.one_of(st.integers(0, 2), st.sampled_from(["0", "1", "a"])), min_size=1, max_size=40),
+))
+@settings(max_examples=150, deadline=None)
+def test_from_labels_first_seen_order(raw):
+    dense, original = oracles.from_labels(raw)
+    for labels in (raw, np.array(raw) if all(type(x) is int for x in raw) else raw):
+        p = Partition.from_labels(labels)
+        assert p.labels.tolist() == dense
+        assert p.original_ids == original
+        assert p.k == len(original)
+        assert p.sizes.tolist() == np.bincount(dense).tolist()
+
+
+def test_from_labels_keeps_string_and_int_labels_apart():
+    p = Partition.from_labels(["1", 1, "a\x00", "a", 1])
+    assert p.labels.tolist() == [0, 1, 2, 3, 1]
+    assert p.original_ids == ("1", 1, "a\x00", "a")
+
+
+@given(labels_pair())
+@settings(max_examples=100, deadline=None)
+def test_contingency_matches_counter(pair):
+    gt, pred = Partition.from_labels(pair[0]), Partition.from_labels(pair[1])
+    ct = contingency(gt, pred)
+    cells = dict(zip(zip(ct.rows.tolist(), ct.cols.tolist()), ct.overlap.tolist()))
+    assert cells == oracles.contingency(gt, pred)
+    assert len(ct.overlap) == len(cells)
+    keys = (ct.rows * pred.k + ct.cols).tolist()
+    assert keys == sorted(set(keys))
+    # every node points at its own cell
+    assert ct.rows[ct.node_cell].tolist() == gt.labels.tolist()
+    assert ct.cols[ct.node_cell].tolist() == pred.labels.tolist()
+
+
+# ---------------------------------------------------------------- metrics
+
+
+@given(labels_pair())
+@settings(max_examples=100, deadline=None)
+def test_nf1_matches_oracle(pair):
+    gt, pred = Partition.from_labels(pair[0]), Partition.from_labels(pair[1])
+    assert nf1(contingency(gt, pred)) == pytest.approx(oracles.nf1(gt, pred), abs=TOL)
+
+
+def _assert_stats_equal(got, want):
+    assert [s.size for s in got] == [s.size for s in want]
+    for g, w in zip(got, want):
+        assert g.density == pytest.approx(w.density, abs=TOL)
+        assert g.conductance == pytest.approx(w.conductance, abs=TOL)
+
+
+def _assert_scores_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.fccn == pytest.approx(w.fccn, abs=TOL)
+        assert g.f1 == pytest.approx(w.f1, abs=TOL)
+        assert g.fcce == pytest.approx(w.fcce, abs=TOL)
+
+
+@given(graph_and_pair())
+@settings(max_examples=100, deadline=None)
+def test_community_stats_and_scores_match_oracle(case):
+    g, gt, pred = case
+    _assert_stats_equal(community_stats(g, gt), oracles.community_stats(g, gt))
+    _assert_stats_equal(community_stats(g, pred), oracles.community_stats(g, pred))
+    _assert_scores_equal(community_scores(g, contingency(gt, pred)), oracles.community_scores(g, gt, pred))
+
+
+@given(tied_pair(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_max_overlap_ties_go_to_smaller_id(pair, data):
+    split_gt, split_pred = pair
+    n = split_gt.n
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    g = Graph.from_edges(n, edges)
+    # gt -> pred ties (a split) and pred -> gt ties (the same pair reversed, a merge)
+    for gt, pred in ((split_gt, split_pred), (split_pred, split_gt)):
+        ct = contingency(gt, pred)
+        assert nf1(ct) == pytest.approx(oracles.nf1(gt, pred), abs=TOL)
+        _assert_scores_equal(community_scores(g, ct), oracles.community_scores(g, gt, pred))
+    ct = contingency(split_gt, split_pred)
+    best = ct.best_cells()
+    for a in range(split_gt.k):
+        in_row = ct.cols[ct.rows == a]
+        assert ct.cols[best[a]] == in_row.min()
+    best_gt = contingency(split_pred, split_gt).best_cells(by_gt=False)
+    assert best_gt.tolist() == sorted(best_gt.tolist())
+
+
+# ---------------------------------------------------------------- loaders
+
+EDGE_LINES = ["0 1", "1 2\n", " 3\t4 ", "2 0", "1 0", "2 2", "# note", "", "   ",
+              "a b", "1", "1 2 3", "-1 2", "+3 1", "7 5", "b a"]
+
+
+@given(st.lists(st.sampled_from(EDGE_LINES), max_size=12), st.sampled_from(["raw", "remap"]))
+@settings(max_examples=300, deadline=None)
+def test_load_edge_list_matches_line_loop(lines, id_mode):
+    try:
+        n, edges, dup, loops = oracles.load_edge_list(lines, id_mode)
+    except EdgeListError as exc:
+        with pytest.raises(EdgeListError) as got:
+            load_edge_list(lines, id_mode=id_mode)
+        assert str(got.value) == str(exc)
+        return
+    res = load_edge_list(lines, id_mode=id_mode)
+    assert res.graph.n == n
+    assert set(res.graph.edges()) == edges
+    assert list(res.graph.edges()) == sorted(edges)
+    assert (res.duplicates_dropped, res.self_loops_dropped) == (dup, loops)
+    adjacency = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
+    assert res.graph.neighbor_lists() == adjacency
+
+
+PARTITION_LINES = ["0 a", "1 a\n", "2 b", "1 b", "3 x", "-1 a", "x a", "0", "0 a b",
+                   "# c", "", " 2\t07 ", "+1 7"]
+
+
+@given(st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_load_partition_matches_line_loop(lines, n):
+    try:
+        want = oracles.load_partition(lines, n)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as got:
+            load_partition(lines, n)
+        assert str(got.value) == str(exc)
+        return
+    p = load_partition(lines, n)
+    assert p.labels.tolist() == want.labels.tolist()
+    assert p.original_ids == want.original_ids
+
+
+def test_load_partition_infers_n_from_largest_id():
+    p = load_partition(io.StringIO("1 x\n0 y\n2 x\n"))
+    assert p.n == 3
+    assert p.labels.tolist() == [0, 1, 1]
+    assert p.original_ids == ("y", "x")
+    with pytest.raises(PartitionError, match="node 1 unassigned"):
+        load_partition(io.StringIO("0 a\n2 a\n"))
+
+
+def test_load_edge_list_with_node_count():
+    res = load_edge_list(io.StringIO("0 1\n1 2\n"), id_mode="raw", n=5)
+    assert res.graph.n == 5
+    assert res.graph.degree(4) == 0
+    with pytest.raises(EdgeListError, match=r"line 2: node id 5 outside \[0, 5\)"):
+        load_edge_list(io.StringIO("0 1\n1 5\n"), id_mode="raw", n=5)
+    with pytest.raises(ValueError):
+        load_edge_list(io.StringIO("a b\n"), id_mode="remap", n=2)
+
+
+def test_from_edges_errors_name_the_first_bad_edge():
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 1), (0, 3), (2, 2)])
+    with pytest.raises(ValueError, match="self-loop at node 2"):
+        Graph.from_edges(3, [(0, 1), (2, 2), (0, 3)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdfair.bias import ib_all_fast
+from cdfair.partition import contingency
 from cdfair.perturb import (
     SweepConfig,
     perturb_change,
@@ -17,7 +18,7 @@ from cdfair.synthgen import two_block_partition
 
 
 def focal_ib(gt, pred, focal):
-    return float(ib_all_fast(gt, pred).ib[focal])
+    return float(ib_all_fast(contingency(gt, pred)).ib[focal])
 
 
 def test_round_half_away():

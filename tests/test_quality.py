@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdfair.graph import Graph
-from cdfair.partition import Partition
+from cdfair.partition import Partition, contingency
 from cdfair.quality import ari, modularity, nf1, nmi
 
 
@@ -67,43 +67,43 @@ def test_modularity_matches_pairwise_oracle():
 
 def test_nmi_identical():
     p = Partition.from_labels([0, 0, 1, 1, 2])
-    assert nmi(p, p) == pytest.approx(1.0, abs=1e-12)
+    assert nmi(contingency(p, p)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nmi_independent_labels():
     # halves vs parity on n=100: exactly independent
     gt = Partition.from_labels([0] * 50 + [1] * 50)
     pred = Partition.from_labels([i % 2 for i in range(100)])
-    assert nmi(gt, pred) == pytest.approx(0.0, abs=1e-12)
+    assert nmi(contingency(gt, pred)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nmi_one_side_single_community():
     gt = Partition.from_labels([0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 0, 0])
-    assert nmi(gt, pred) == 0.0
+    assert nmi(contingency(gt, pred)) == 0.0
 
 
 def test_nmi_both_single_community():
     p = Partition.from_labels([0, 0, 0])
-    assert nmi(p, p) == 1.0
+    assert nmi(contingency(p, p)) == 1.0
 
 
 def test_nmi_symmetric():
     rng = np.random.default_rng(5)
     gt = Partition.from_labels(rng.integers(0, 4, 40).tolist())
     pred = Partition.from_labels(rng.integers(0, 3, 40).tolist())
-    assert nmi(gt, pred) == pytest.approx(nmi(pred, gt), abs=1e-12)
+    assert nmi(contingency(gt, pred)) == pytest.approx(nmi(contingency(pred, gt)), abs=1e-12)
 
 
 def test_nmi_normalizer_variants():
     rng = np.random.default_rng(6)
     gt = Partition.from_labels(rng.integers(0, 4, 40).tolist())
     pred = Partition.from_labels(rng.integers(0, 9, 40).tolist())
-    values = {norm: nmi(gt, pred, norm=norm) for norm in ("arithmetic", "max", "min", "geometric")}
+    values = {norm: nmi(contingency(gt, pred), norm=norm) for norm in ("arithmetic", "max", "min", "geometric")}
     assert values["max"] <= values["geometric"] <= values["min"]
     assert values["max"] <= values["arithmetic"] <= values["min"]
     with pytest.raises(ValueError):
-        nmi(gt, pred, norm="bogus")
+        nmi(contingency(gt, pred), norm="bogus")
 
 
 # ---------------------------------------------------------------- ARI
@@ -111,18 +111,18 @@ def test_nmi_normalizer_variants():
 
 def test_ari_identical():
     p = Partition.from_labels([0, 0, 1, 1, 2, 2])
-    assert ari(p, p) == pytest.approx(1.0)
+    assert ari(contingency(p, p)) == pytest.approx(1.0)
 
 
 def test_ari_four_node_example():
     gt = Partition.from_labels([0, 0, 1, 1])
     pred = Partition.from_labels([0, 1, 0, 1])
-    assert ari(gt, pred) == pytest.approx(-0.5, abs=1e-12)
+    assert ari(contingency(gt, pred)) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ari_requires_two_nodes():
     with pytest.raises(ValueError):
-        ari(Partition.from_labels([0]), Partition.from_labels([0]))
+        ari(contingency(Partition.from_labels([0]), Partition.from_labels([0])))
 
 
 def ari_pair_oracle(gt: Partition, pred: Partition) -> float:
@@ -155,7 +155,7 @@ def test_ari_matches_exhaustive_pair_oracle():
         n = int(rng.integers(2, 13))
         gt = Partition.from_labels(rng.integers(0, n, n).tolist())
         pred = Partition.from_labels(rng.integers(0, n, n).tolist())
-        assert ari(gt, pred) == pytest.approx(ari_pair_oracle(gt, pred), abs=1e-12)
+        assert ari(contingency(gt, pred)) == pytest.approx(ari_pair_oracle(gt, pred), abs=1e-12)
 
 
 # ---------------------------------------------------------------- NF1
@@ -163,21 +163,21 @@ def test_ari_matches_exhaustive_pair_oracle():
 
 def test_nf1_identical():
     p = Partition.from_labels([0, 0, 1, 1, 2, 2])
-    assert nf1(p, p) == pytest.approx(1.0, abs=1e-12)
+    assert nf1(contingency(p, p)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nf1_all_in_one_vs_three_equal():
     gt = Partition.from_labels([0, 0, 1, 1, 2, 2])
     pred = Partition.from_labels([0] * 6)
     # mean F1 = 0.5, coverage = 1/3, redundancy = 1
-    assert nf1(gt, pred) == pytest.approx(1 / 6, abs=1e-12)
+    assert nf1(contingency(gt, pred)) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_nf1_coarse_prediction():
     gt2 = Partition.from_labels([0, 0, 1, 1])
     pred2 = Partition.from_labels([0, 0, 0, 0])
     # F1 = 2*(1/2*1)/(3/2) = 2/3, coverage = 1/2, redundancy = 1 -> 1/3
-    assert nf1(gt2, pred2) == pytest.approx(1 / 3, abs=1e-12)
+    assert nf1(contingency(gt2, pred2)) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_nf1_matching_oracle_small():
@@ -188,18 +188,18 @@ def test_nf1_matching_oracle_small():
     # pred 2 -> gt 1 (o=3): F1 = 1
     # mean = (0.8+0.5+1)/3, coverage = 1, redundancy = 3/2
     expected = ((0.8 + 0.5 + 1.0) / 3) / 1.5
-    assert nf1(gt, pred) == pytest.approx(expected, abs=1e-12)
+    assert nf1(contingency(gt, pred)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nf1_not_symmetric():
     gt = Partition.from_labels([0, 0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 0, 0, 0])
     # forward: single predicted community, half the ground truth covered
-    assert nf1(gt, pred) == pytest.approx(0.75 * 0.5, abs=1e-12)
+    assert nf1(contingency(gt, pred)) == pytest.approx(0.75 * 0.5, abs=1e-12)
     # reverse direction matches both communities but pays the redundancy cost
     expected = ((0.75 + 2 * 2 / 7) / 2) / 2
-    assert nf1(pred, gt) == pytest.approx(expected, abs=1e-12)
-    assert nf1(gt, pred) != pytest.approx(nf1(pred, gt))
+    assert nf1(contingency(pred, gt)) == pytest.approx(expected, abs=1e-12)
+    assert nf1(contingency(gt, pred)) != pytest.approx(nf1(contingency(pred, gt)))
 
 
 # ---------------------------------------------------------------- shared
@@ -213,6 +213,6 @@ def test_relabeling_invariance_all_metrics():
     gt_r = Partition.from_labels([5, 5, 5, 2, 2, 2])
     pred_r = Partition.from_labels([9, 9, 4, 4, 4, 9])
     assert modularity(g, pred) == modularity(g, pred_r)
-    assert nmi(gt, pred) == nmi(gt_r, pred_r)
-    assert ari(gt, pred) == ari(gt_r, pred_r)
-    assert nf1(gt, pred) == nf1(gt_r, pred_r)
+    assert nmi(contingency(gt, pred)) == nmi(contingency(gt_r, pred_r))
+    assert ari(contingency(gt, pred)) == ari(contingency(gt_r, pred_r))
+    assert nf1(contingency(gt, pred)) == nf1(contingency(gt_r, pred_r))
