@@ -5,7 +5,7 @@ Runs every (scenario, target) sweep at several graph sizes and writes one CSV
 per combination, plus a combined long-format CSV for plotting.
 
 Usage:
-    python3 scripts/run_behaviour_sweeps.py --out results/sweeps [--runs 100]
+    python3 scripts/run_behaviour_sweeps.py --out results/sweeps [--sizes 100,1000]
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--sizes", default="100,1000,10000", help="comma list of graph sizes")
-    ap.add_argument("--runs", type=int, default=100)
     ap.add_argument("--minority", type=float, default=0.2)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -38,8 +36,7 @@ def main() -> int:
                 for target in TARGETS:
                     cfg = SweepConfig(
                         scenario=scenario, target=target, ratios=ratios,
-                        runs=args.runs, n=n, minority_frac=args.minority,
-                        seed=args.seed,
+                        n=n, minority_frac=args.minority,
                     )
                     result = run_sweep(cfg)
                     path = out / f"sweep_{scenario}_{target}_n{n}.csv"

@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .bias import BiasReport, cosine_distance, ib_all_fast, ib_all_naive, ib_node_fast
 from .graph import Graph, load_edge_list
 from .partition import ContingencyTable, Partition, cc_row, contingency, load_partition
-from .quality import QualityScores, ari, modularity, nf1, nmi
+from .quality import ari, modularity, nf1, nmi
 from .groupfair import GroupFairnessResult, community_scores, community_stats, ols_slope, phi
 from .detectors import DetectorSpec, greedy_agglomerative, label_propagation, louvain, run_detector
 from .synthgen import AbcdParams, generate_abcd_lite, generate_two_community, two_block_partition
@@ -19,7 +19,6 @@ __all__ = [
     "Graph",
     "GroupFairnessResult",
     "Partition",
-    "QualityScores",
     "SweepConfig",
     "SweepResult",
     "ari",

@@ -2,22 +2,20 @@
 
 Exit codes: 0 success (possibly with per-detector warnings), 1 config or
 parse error, 2 I/O error. All randomness flows from the run seed through the
-documented derivations in `derive_cell_seed` / `perturb.derive_seed`, so any
-command re-run with the same config produces byte-identical outputs.
+documented derivation in `derive_cell_seed`, and sweeps use no randomness, so
+any command re-run with the same config produces byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bias import ib_all_fast, ib_all_naive
@@ -59,11 +57,9 @@ def _fmt(x) -> str:
 
 
 def _phi_flat(phi_result) -> dict[str, float | None]:
-    return {
-        f"phi_{prop}_{score}": phi_result.phi[prop][score]
-        for prop in PROPERTIES
-        for score in SCORES
-    }
+    # PHI_METRICS names the (property, score) pairs in this order
+    slopes = (phi_result.phi[prop][score] for prop in PROPERTIES for score in SCORES)
+    return dict(zip(PHI_METRICS, slopes))
 
 
 def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
@@ -172,19 +168,21 @@ def evaluate_run(cfg: RunConfig) -> dict:
 
 def _write_results_csv(doc: dict, path: Path) -> None:
     cols = ["graph", "detector", "stat", "error"] + list(_AGG_KEYS)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+    # csv.writer quotes a field holding a comma, quote or newline (a graph path,
+    # an error message), so every row keeps the header's field count
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(cols)
         for det, entry in sorted(doc["detectors"].items()):
             for row in entry["per_graph"]:
                 cells = [row["graph"], det, "value", row["error"] or ""]
-                cells += [_fmt(row.get(k)) for k in _AGG_KEYS]
-                fh.write(",".join(cells) + "\n")
+                out.writerow(cells + [_fmt(row.get(k)) for k in _AGG_KEYS])
             agg = entry["aggregate"]
             if agg is not None and len(entry["per_graph"]) > 1:
                 for stat in ("mean", "std"):
                     cells = ["ALL", det, stat, ""]
                     cells += [_fmt(agg[k][stat] if agg[k] is not None else None) for k in _AGG_KEYS]
-                    fh.write(",".join(cells) + "\n")
+                    out.writerow(cells)
 
 
 # ---------------------------------------------------------------- generate
@@ -320,7 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for target in targets:
             cfg = SweepConfig(
                 scenario=scenario, target=target, ratios=ratios, runs=args.runs,
-                n=args.n, minority_frac=args.minority, seed=args.seed,
+                n=args.n, minority_frac=args.minority,
             )
             result = run_sweep(cfg)
             path = out / f"sweep_{scenario}_{target}.csv"
@@ -396,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n", type=int, default=1000)
     sw.add_argument("--minority", type=float, default=0.2)
     sw.add_argument("--ratios", default=",".join(str(r / 10) for r in range(11)))
-    sw.add_argument("--runs", type=int, default=100)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--runs", type=int, default=100,
+                    help="rows per ratio in the --per-run CSVs (the bias is exact)")
+    sw.add_argument("--seed", type=int, default=0,
+                    help="accepted for old command lines; sweeps use no randomness")
     sw.add_argument("--per-run", action="store_true", help="also write long-format per-run CSVs")
     sw.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
     sw.set_defaults(func=cmd_sweep)

@@ -5,18 +5,22 @@ pulled in), shrinkage (members other than the focal node are pushed out) and
 change (both at once; at ratio 1 the predicted community is the complement
 plus the focal node). The focal node never leaves its own community, so its
 overlap cell stays positive by construction.
+
+The focal node's bias 1 - o/sqrt(s*s') depends only on how many nodes move,
+not on which, so `run_sweep` computes it in closed form from the move counts.
+The random `perturb_*` functions build one such perturbed partition; they are
+the reference the closed form is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
-from .bias import ib_all_fast
-from .partition import Partition, contingency
+from .partition import Partition
 from .synthgen import two_block_partition
 
 SCENARIOS = ("expand", "shrink", "change")
@@ -33,10 +37,9 @@ class SweepConfig:
     scenario: str
     target: str
     ratios: tuple[float, ...] = tuple(r / 10 for r in range(11))
-    runs: int = 100
+    runs: int = 100  # rows per ratio in the per-run CSV
     n: int = 1000
     minority_frac: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -54,9 +57,8 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
-    mean_ib: tuple[float, ...]  # one entry per ratio
-    std_ib: tuple[float, ...]
-    raw: tuple[tuple[float, ...], ...]  # raw[ratio_index][run_index]
+    mean_ib: tuple[float, ...]  # one entry per ratio: the exact focal bias
+    std_ib: tuple[float, ...]  # always 0.0: every run moves the same counts
 
     def write_csv(self, sink: TextIO) -> None:
         sink.write("scenario,target,n,ratio,mean_ib,std_ib\n")
@@ -67,8 +69,8 @@ class SweepResult:
     def write_runs_csv(self, sink: TextIO) -> None:
         sink.write("scenario,target,n,ratio,run,ib\n")
         c = self.config
-        for ratio, vals in zip(c.ratios, self.raw):
-            for r, v in enumerate(vals):
+        for ratio, v in zip(c.ratios, self.mean_ib):
+            for r in range(c.runs):
                 sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{r},{v!r}\n")
 
 
@@ -134,37 +136,20 @@ def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Pa
     return Partition.from_labels(labels)
 
 
-_PERTURBATIONS = {
-    "expand": perturb_expand,
-    "shrink": perturb_shrink,
-    "change": perturb_change,
-}
-
-
-def derive_seed(base: int, ratio_index: int, run_index: int) -> int:
-    """Documented per-point seed derivation so sweeps are schedule-independent."""
-    return base + 7919 * ratio_index + run_index
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Mean/std of the focal node's bias per ratio, over seeded repetitions.
+    """The focal node's bias per ratio, in closed form from the move counts.
 
+    The counts are the ones the `perturb_*` functions round: k_out members
+    leave (capped at s - 1 so the focal node stays) and k_in outsiders join.
     Bias depends only on the planted labels, so no graph is built here; the
     two-block partition supplies the minority/majority structure.
     """
     gt = two_block_partition(cfg.n, cfg.minority_frac)
-    focal = 0 if cfg.target == "minority" else int(gt.sizes[0])
-    perturb = _PERTURBATIONS[cfg.scenario]
+    s = int(gt.sizes[0 if cfg.target == "minority" else 1])
     means: list[float] = []
-    stds: list[float] = []
-    raw: list[tuple[float, ...]] = []
-    for ri, ratio in enumerate(cfg.ratios):
-        vals = []
-        for run in range(cfg.runs):
-            pred = perturb(gt, focal, ratio, seed=derive_seed(cfg.seed, ri, run))
-            vals.append(float(ib_all_fast(contingency(gt, pred)).ib[focal]))
-        arr = np.array(vals)
-        means.append(float(arr.mean()))
-        stds.append(float(arr.std()))
-        raw.append(tuple(vals))
-    return SweepResult(config=cfg, mean_ib=tuple(means), std_ib=tuple(stds), raw=tuple(raw))
+    for ratio in cfg.ratios:
+        k_out = min(round_half_away(ratio * s), s - 1) if cfg.scenario != "expand" else 0
+        k_in = round_half_away(ratio * (cfg.n - s)) if cfg.scenario != "shrink" else 0
+        o = s - k_out
+        means.append(1.0 - o / math.sqrt(float(s) * float(s - k_out + k_in)))
+    return SweepResult(config=cfg, mean_ib=tuple(means), std_ib=(0.0,) * len(means))

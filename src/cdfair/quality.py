@@ -7,22 +7,13 @@ prediction) pair, so one table built per pair serves all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .partition import ContingencyTable, Partition, PartitionError, contingency
+from .partition import ContingencyTable, Partition, PartitionError
 
 NMI_NORMS = ("arithmetic", "max", "min", "geometric")
-
-
-@dataclass(frozen=True)
-class QualityScores:
-    modularity: float | None
-    nmi: float
-    ari: float
-    nf1: float
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -123,12 +114,3 @@ def nf1(ct: ContingencyTable) -> float:
     redundancy = k_pred / n_matched
     return mean_f1 * coverage / redundancy
 
-
-def all_scores(g: Graph | None, gt: Partition, pred: Partition, nmi_norm: str = "arithmetic") -> QualityScores:
-    ct = contingency(gt, pred)
-    return QualityScores(
-        modularity=modularity(g, pred) if g is not None else None,
-        nmi=nmi(ct, norm=nmi_norm),
-        ari=ari(ct),
-        nf1=nf1(ct),
-    )

@@ -5,12 +5,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .groupfair import PROPERTIES, SCORES
+
 QUALITY_METRICS = ("modularity", "nmi", "ari", "nf1")
-PHI_METRICS = tuple(
-    f"phi_{prop}_{score}"
-    for prop in ("size", "conductance", "density")
-    for score in ("fccn", "f1", "fcce")
-)
+PHI_METRICS = tuple(f"phi_{prop}_{score}" for prop in PROPERTIES for score in SCORES)
 REPORT_SCHEMA_VERSION = 1
 
 

@@ -6,6 +6,7 @@ to pytest tmp_path directories.
 
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 import tempfile
@@ -149,6 +150,29 @@ class TestEvaluate:
         assert doc["detectors"]["cnm"]["per_graph"][0]["error"] is None
         assert any("missing" in w for w in doc["warnings"])
         assert "warning:" in capsys.readouterr().err
+
+    def test_results_csv_quotes_fields_with_commas(self, tmp_path):
+        # an error message and a graph path may both hold commas
+        edges, gt = _generate(tmp_path / "data,1")
+        bad = tmp_path / "bad.gt"
+        bad.write_text("0 0\n1 a x\n")
+        out = tmp_path / "run"
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", f"external:path={bad}", "--detector", "louvain", "--out", str(out),
+        ])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        error = doc["detectors"]["external:bad"]["per_graph"][0]["error"]
+        assert error == "PartitionError: line 2: expected two tokens, got 3"
+        with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        by_detector = {row[1]: dict(zip(header, row)) for row in rows}
+        assert by_detector["external:bad"]["error"] == error
+        assert by_detector["louvain"]["error"] == ""
+        assert {row["graph"] for row in by_detector.values()} == {str(edges)}
 
     def test_config_file_with_flag_override(self, tmp_path):
         edges, gt = _generate(tmp_path)

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdfair.bias import ib_all_fast
 from cdfair.partition import contingency
 from cdfair.perturb import (
+    SCENARIOS,
+    TARGETS,
     SweepConfig,
     perturb_change,
     perturb_expand,
@@ -122,7 +126,7 @@ def test_sweep_zero_ratio_only():
 def test_sweep_expand_minority_concave_down_increasing():
     cfg = SweepConfig(
         scenario="expand", target="minority",
-        ratios=tuple(r / 10 for r in range(11)), runs=5, n=100, seed=1,
+        ratios=tuple(r / 10 for r in range(11)), runs=5, n=100,
     )
     res = run_sweep(cfg)
     d1 = np.diff(res.mean_ib)
@@ -138,7 +142,7 @@ def test_sweep_shrink_concave_up_increasing():
     for target in ("minority", "majority"):
         cfg = SweepConfig(
             scenario="shrink", target=target,
-            ratios=tuple(r / 10 for r in range(11)), runs=5, n=1000, seed=1,
+            ratios=tuple(r / 10 for r in range(11)), runs=5, n=1000,
         )
         res = run_sweep(cfg)
         d1 = np.diff(res.mean_ib)
@@ -147,15 +151,45 @@ def test_sweep_shrink_concave_up_increasing():
         assert np.all(d2 >= -1e-4)
 
 
+PERTURBATIONS = {"expand": perturb_expand, "shrink": perturb_shrink, "change": perturb_change}
+GRID = [r / 10 for r in range(11)]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@settings(max_examples=40, deadline=None)
+@given(
+    size_m=st.integers(1, 30),
+    size_rest=st.integers(1, 30),
+    ratios=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(GRID)), max_size=4),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+)
+@example(size_m=1, size_rest=7, ratios=GRID, seeds=[0, 1])
+@example(size_m=7, size_rest=1, ratios=GRID, seeds=[0, 1])
+@example(size_m=1, size_rest=1, ratios=[0.5], seeds=[3])
+def test_sweep_equals_sampled_perturbations(scenario, target, size_m, size_rest, ratios, seeds):
+    # the closed form must reproduce every random perturbation bit for bit
+    n = size_m + size_rest
+    ratios = tuple(sorted({0.0, 1.0, *ratios}))
+    cfg = SweepConfig(scenario=scenario, target=target, ratios=ratios, runs=1, n=n,
+                      minority_frac=size_m / n)
+    res = run_sweep(cfg)
+    gt = two_block_partition(n, size_m / n)
+    assert gt.sizes.tolist() == [size_m, size_rest]
+    focal = 0 if target == "minority" else size_m
+    for ratio, value in zip(ratios, res.mean_ib):
+        for seed in seeds:
+            pred = PERTURBATIONS[scenario](gt, focal, ratio, seed=seed)
+            assert value == focal_ib(gt, pred, focal), (ratio, seed)
+    assert res.std_ib == (0.0,) * len(ratios)
+
+
 def test_sweep_counts_make_std_zero():
     # focal bias depends only on counts, which the ratio fixes -> zero spread
     cfg = SweepConfig(
-        scenario="change", target="minority", ratios=(0.3, 0.6), runs=10, n=200, seed=5,
+        scenario="change", target="minority", ratios=(0.3, 0.6), runs=10, n=200,
     )
     res = run_sweep(cfg)
-    for vals in res.raw:
-        assert len(set(vals)) == 1  # identical across runs
-    # np.mean over identical floats may round in the last bit
     assert max(res.std_ib) <= 1e-12
 
 
