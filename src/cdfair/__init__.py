@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bias import BiasReport, cosine_distance, ib_all_fast, ib_all_naive, ib_node_fast
+from .bias import BiasReport, cosine_distance, ib_all_fast, ib_all_naive
 from .graph import Graph, load_edge_list
 from .partition import ContingencyTable, Partition, cc_row, contingency, load_partition
 from .quality import ari, modularity, nf1, nmi
@@ -32,7 +32,6 @@ __all__ = [
     "greedy_agglomerative",
     "ib_all_fast",
     "ib_all_naive",
-    "ib_node_fast",
     "label_propagation",
     "load_edge_list",
     "load_partition",

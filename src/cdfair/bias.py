@@ -77,14 +77,6 @@ class BiasReport:
         sink.write("\n")
 
 
-def ib_node_fast(ct: ContingencyTable, gt_label: int, pred_label: int) -> float:
-    """Closed-form bias for any node whose communities are (gt_label, pred_label)."""
-    o = ct.cell(gt_label, pred_label)
-    # a node's own cell always contains at least the node itself
-    assert o >= 1, "empty overlap cell for an occupied label pair"
-    return 1.0 - o / math.sqrt(float(ct.row_sums[gt_label]) * float(ct.col_sums[pred_label]))
-
-
 def ib_all_fast(ct: ContingencyTable) -> BiasReport:
     """Per-node bias for all nodes in O(n + cells) from the contingency table.
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .bias import ib_all_fast, ib_all_naive
-from .detectors import DetectorSpec, run_detector
+from .detectors import DETECTOR_PARAMS, DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from .groupfair import PROPERTIES, SCORES, phi
 from .partition import Partition, PartitionError, contingency, load_partition, write_partition
@@ -65,7 +65,7 @@ def _phi_flat(phi_result) -> dict[str, float | None]:
 def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
     """All requested metrics for one (graph, detector) pair."""
     params = dict(spec.params)
-    if spec.name in ("louvain", "label_propagation") and "seed" not in params:
+    if "seed" in DETECTOR_PARAMS[spec.name] and "seed" not in params:
         params["seed"] = seed
     pred = run_detector(DetectorSpec(spec.name, params), g)
     ct = contingency(gt, pred)  # the one table every external metric reads
@@ -239,6 +239,8 @@ def _parse_detector(text: str) -> DetectorSpec:
             key, _, value = item.partition("=")
             if not _:
                 raise ConfigError(f"bad detector parameter {item!r} (expected key=value)")
+            if key in params:
+                raise ConfigError(f"detector parameter {key!r} given twice in {text!r}")
             params[key] = value
     return DetectorSpec(name, params)
 

@@ -15,17 +15,41 @@ from pathlib import Path
 from .graph import Graph
 from .partition import Partition, load_partition
 
-DETECTOR_NAMES = ("label_propagation", "louvain", "cnm", "external")
+# each detector's parameters and the type its value is converted to
+DETECTOR_PARAMS: dict[str, dict[str, type]] = {
+    "label_propagation": {"seed": int, "max_sweeps": int},
+    "louvain": {"seed": int, "resolution": float},
+    "cnm": {},
+    "external": {"path": str},
+}
+DETECTOR_NAMES = tuple(DETECTOR_PARAMS)
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # kept as given; converted when run
 
     def __post_init__(self):
         if self.name not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector {self.name!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"detector {self.name!r}: parameters must be key=value pairs")
+        types = DETECTOR_PARAMS[self.name]
+        for key, value in self.params.items():
+            if key not in types:
+                accepted = ", ".join(types) or "none"
+                raise ValueError(
+                    f"detector {self.name!r} has no parameter {key!r} (given {value!r}); "
+                    f"it accepts: {accepted}"
+                )
+            try:
+                types[key](value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"detector {self.name!r}: parameter {key!r} must be "
+                    f"{types[key].__name__}, got {value!r}"
+                ) from None
 
     def label(self) -> str:
         if self.name == "external":
@@ -199,27 +223,23 @@ def greedy_agglomerative(g: Graph) -> Partition:
     return Partition.from_labels(comm)
 
 
+def _external_partition(g: Graph, path: str = "") -> Partition:
+    """Load a partition of `g`'s nodes computed outside this package."""
+    if not path:
+        raise ValueError("external detector requires a 'path' parameter")
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_partition(fh, g.n)
+
+
+DETECTORS = {
+    "label_propagation": label_propagation,
+    "louvain": louvain,
+    "cnm": greedy_agglomerative,
+    "external": _external_partition,
+}
+
+
 def run_detector(spec: DetectorSpec, g: Graph) -> Partition:
-    """Dispatch to a named detector or load an external partition file."""
-    params = spec.params
-    if spec.name == "label_propagation":
-        return label_propagation(
-            g,
-            seed=int(params.get("seed", 0)),
-            max_sweeps=int(params.get("max_sweeps", 100)),
-        )
-    if spec.name == "louvain":
-        return louvain(
-            g,
-            seed=int(params.get("seed", 0)),
-            resolution=float(params.get("resolution", 1.0)),
-        )
-    if spec.name == "cnm":
-        return greedy_agglomerative(g)
-    if spec.name == "external":
-        path = params.get("path")
-        if not path:
-            raise ValueError("external detector requires a 'path' parameter")
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_partition(fh, g.n)
-    raise ValueError(f"unknown detector {spec.name!r}")
+    """Run the named detector with the spec's parameters, converted to their types."""
+    types = DETECTOR_PARAMS[spec.name]
+    return DETECTORS[spec.name](g, **{key: types[key](v) for key, v in spec.params.items()})

@@ -18,42 +18,28 @@ import numpy as np
 
 from .graph import Graph
 from .partition import ContingencyTable, Partition, PartitionError
+from .quality import community_edges
 
 PROPERTIES = ("size", "conductance", "density")
 SCORES = ("fccn", "f1", "fcce")
 
 
 @dataclass(frozen=True)
-class CommunityStats:
-    size: int
-    density: float  # 2 e_c / (s (s-1)); 1.0 for singletons by convention
-    conductance: float  # cut / min(vol, vol_complement); 0 for the full graph
-
-
-@dataclass(frozen=True)
-class CommunityScores:
-    fccn: float
-    f1: float
-    fcce: float
-
-
-@dataclass(frozen=True)
 class GroupFairnessResult:
     # phi[property][score] -> OLS slope, or None when the property is degenerate
     phi: dict[str, dict[str, float | None]]
-    stats: list[CommunityStats]
-    scores: list[CommunityScores]
+    stats: dict[str, np.ndarray]  # PROPERTIES -> one value per ground-truth community
+    scores: dict[str, np.ndarray]  # SCORES -> one value per ground-truth community
 
     def write_points_csv(self, sink: TextIO) -> None:
         sink.write("community,property,property_norm,fccn,f1,fcce\n")
+        scores = zip(*(self.scores[score].tolist() for score in SCORES))
+        score_cells = [",".join(map(repr, sc)) for sc in scores]
         for prop in PROPERTIES:
-            raw = [getattr(st, prop) for st in self.stats]
-            norm = _minmax(raw)
-            for c, (st, sc) in enumerate(zip(self.stats, self.scores)):
-                nv = "" if norm is None else repr(norm[c])
-                sink.write(
-                    f"{c},{prop},{nv},{sc.fccn!r},{sc.f1!r},{sc.fcce!r}\n"
-                )
+            norm = _minmax(self.stats[prop])
+            norm_cells = [""] * len(score_cells) if norm is None else map(repr, norm.tolist())
+            for c, (nv, sc) in enumerate(zip(norm_cells, score_cells)):
+                sink.write(f"{c},{prop},{nv},{sc}\n")
 
     def write_phi_json(self, sink: TextIO) -> None:
         json.dump(self.phi, sink, sort_keys=True, indent=2)
@@ -61,77 +47,75 @@ class GroupFairnessResult:
 
 
 def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Slope of the least-squares line through (x, y)."""
+    """Slope of the least-squares line through (x, y).
+
+    Each sum adds one term at a time in point order, so the slope is the one
+    the textbook loop gives, bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     n = len(x)
     if n != len(y) or n < 2:
         raise ValueError("need at least two paired points")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((xi - mx) ** 2 for xi in x)
+    dx = x - sum(x.tolist()) / n
+    # float_power calls C pow() as Python's ** does; numpy's dx ** 2 multiplies,
+    # which rounds differently in about one term in a thousand
+    sxx = sum(np.float_power(dx, 2).tolist())
     if sxx == 0.0:
         raise ValueError("slope undefined: all x values equal")
-    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
-    return sxy / sxx
+    return sum((dx * (y - sum(y.tolist()) / n)).tolist()) / sxx
 
 
-def _minmax(values: Sequence[float]) -> list[float] | None:
-    lo, hi = min(values), max(values)
+def _minmax(values) -> np.ndarray | None:
+    values = np.asarray(values)
+    lo, hi = values.min(), values.max()
     if lo == hi:
         return None
-    return [(v - lo) / (hi - lo) for v in values]
+    return (values - lo) / (hi - lo)
 
 
-def community_stats(g: Graph, p: Partition) -> list[CommunityStats]:
-    """Size, density, conductance per community of `p`."""
-    if p.n != g.n:
-        raise PartitionError(f"partition covers {p.n} nodes, graph has {g.n}")
-    lu, lv = p.labels[g.edge_array].T
-    same = lu == lv
-    intra = np.bincount(lu[same], minlength=p.k)
-    cut = np.bincount(lu[~same], minlength=p.k) + np.bincount(lv[~same], minlength=p.k)
-    vol = np.bincount(lu, minlength=p.k) + np.bincount(lv, minlength=p.k)
+def community_stats(g: Graph, p: Partition) -> dict[str, np.ndarray]:
+    """Size, conductance and density of each community of `p`.
+
+    Density is 2 e_c / (s (s-1)), 1.0 for singletons by convention;
+    conductance is cut / min(vol, vol of the complement), 0 for the full graph.
+    """
+    intra, vol = community_edges(g, p)
     s = p.sizes
     pairs = s * (s - 1)
     density = np.where(s == 1, 1.0, 2.0 * intra / np.maximum(pairs, 1))
     denom = np.minimum(vol, 2 * g.num_edges - vol)
-    conductance = np.where(denom == 0, 0.0, cut / np.maximum(denom, 1))
-    return [
-        CommunityStats(size=size, density=d, conductance=c)
-        for size, d, c in zip(s.tolist(), density.tolist(), conductance.tolist())
-    ]
+    # each cut edge adds 1 to its community's volume, each internal edge 2
+    conductance = np.where(denom == 0, 0.0, (vol - 2 * intra) / np.maximum(denom, 1))
+    return {"size": s, "conductance": conductance, "density": density}
 
 
-def community_scores(g: Graph, ct: ContingencyTable) -> list[CommunityScores]:
-    """FCCN / F1 / FCCE per ground-truth community.
+def community_scores(g: Graph, ct: ContingencyTable) -> dict[str, np.ndarray]:
+    """FCCN / F1 / FCCE of each ground-truth community.
 
     Each ground-truth community is mapped to the predicted community of
     maximum overlap, ties broken towards the smaller predicted id. FCCE of an
     edgeless community is 1.0 by convention (nothing to misclassify).
     """
     gt = ct.gt
-    if gt.n != g.n:
-        raise PartitionError(f"partition covers {gt.n} nodes, graph has {g.n}")
+    intra_edges, _ = community_edges(g, gt)
     best = ct.best_cells()  # one cell per ground-truth community
     o = ct.overlap[best]
     s = gt.sizes
     sp = ct.col_sums[ct.cols[best]]
-    lu, lv = gt.labels[g.edge_array].T
-    intra_edges = np.bincount(lu[lu == lv], minlength=gt.k)
     # an edge is kept when both ends share one cell and it is their row's best
     cu, cv = ct.node_cell[g.edge_array].T
     is_best = np.zeros(len(ct.overlap), dtype=bool)
     is_best[best] = True
     kept = (cu == cv) & is_best[cu]
     kept_edges = np.bincount(ct.rows[cu[kept]], minlength=gt.k)
-    fccn = o / s
     precision = o / sp
     recall = o / s
-    f1 = 2 * precision * recall / (precision + recall)
-    fcce = np.where(intra_edges == 0, 1.0, kept_edges / np.maximum(intra_edges, 1))
-    return [
-        CommunityScores(fccn=a, f1=b, fcce=c)
-        for a, b, c in zip(fccn.tolist(), f1.tolist(), fcce.tolist())
-    ]
+    return {
+        "fccn": o / s,
+        "f1": 2 * precision * recall / (precision + recall),
+        "fcce": np.where(intra_edges == 0, 1.0, kept_edges / np.maximum(intra_edges, 1)),
+    }
 
 
 def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
@@ -142,12 +126,8 @@ def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
     scores = community_scores(g, ct)
     result: dict[str, dict[str, float | None]] = {}
     for prop in PROPERTIES:
-        norm = _minmax([getattr(st, prop) for st in stats])
-        result[prop] = {}
-        for score in SCORES:
-            if norm is None:
-                result[prop][score] = None
-            else:
-                ys = [getattr(sc, score) for sc in scores]
-                result[prop][score] = ols_slope(norm, ys)
+        norm = _minmax(stats[prop])
+        result[prop] = {
+            score: None if norm is None else ols_slope(norm, scores[score]) for score in SCORES
+        }
     return GroupFairnessResult(phi=result, stats=stats, scores=scores)

@@ -58,9 +58,6 @@ class Partition:
         sizes = np.bincount(dense, minlength=k)
         return cls(labels=dense, sizes=sizes, k=k, original_ids=original_ids)
 
-    def members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented

@@ -16,18 +16,24 @@ from .partition import ContingencyTable, Partition, PartitionError
 NMI_NORMS = ("arithmetic", "max", "min", "geometric")
 
 
+def community_edges(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Per community of `p`: the edges inside it and its volume (degree sum)."""
+    if p.n != g.n:
+        raise PartitionError(f"partition covers {p.n} nodes, graph has {g.n}")
+    ends = p.labels[g.edge_array]
+    intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=p.k)
+    vol = np.bincount(ends.reshape(-1), minlength=p.k)
+    return intra, vol
+
+
 def modularity(g: Graph, p: Partition) -> float:
     """Newman-Girvan modularity Q = sum_c [e_c/m - (d_c/2m)^2]."""
     m = g.num_edges
     if m == 0:
         raise ValueError("modularity undefined on an edgeless graph")
-    if p.n != g.n:
-        raise PartitionError(f"partition covers {p.n} nodes, graph has {g.n}")
-    lu, lv = p.labels[g.edge_array].T
-    intra = np.bincount(lu[lu == lv], minlength=p.k)
-    deg_tot = np.bincount(lu, minlength=p.k) + np.bincount(lv, minlength=p.k)
+    intra, vol = community_edges(g, p)
     # summed in community order, one term at a time
-    return sum((intra / m - (deg_tot / (2.0 * m)) ** 2).tolist())
+    return sum((intra / m - (vol / (2.0 * m)) ** 2).tolist())
 
 
 def _entropy(sizes, n: int) -> float:

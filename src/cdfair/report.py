@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -10,6 +11,10 @@ from .groupfair import PROPERTIES, SCORES
 QUALITY_METRICS = ("modularity", "nmi", "ari", "nf1")
 PHI_METRICS = tuple(f"phi_{prop}_{score}" for prop in PROPERTIES for score in SCORES)
 REPORT_SCHEMA_VERSION = 1
+# what xml.sax.saxutils.escape replaces, without the urllib/ssl imports it pulls in
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+POINT_COLUMNS = ("detector", "graph_group", "ib_g", "ib_g_std", "metric_name", "metric_value",
+                 "metric_std")
 
 
 class ReportSchemaError(ValueError):
@@ -61,12 +66,10 @@ def collect_points(reports: list[dict]) -> list[dict]:
 
 
 def write_points_csv(points: list[dict], sink) -> None:
-    sink.write("detector,graph_group,ib_g,ib_g_std,metric_name,metric_value,metric_std\n")
-    for pt in points:
-        sink.write(
-            f"{pt['detector']},{pt['graph_group']},{pt['ib_g']!r},{pt['ib_g_std']!r},"
-            f"{pt['metric_name']},{pt['metric_value']!r},{pt['metric_std']!r}\n"
-        )
+    """One row per point; open `sink` with newline="", as the csv module asks."""
+    out = csv.writer(sink, lineterminator="\n")
+    out.writerow(POINT_COLUMNS)
+    out.writerows([pt[col] for col in POINT_COLUMNS] for pt in points)
 
 
 def _svg_scatter(points: list[dict], metric: str, width: int = 640, height: int = 480) -> str:
@@ -104,7 +107,7 @@ def _svg_scatter(points: list[dict], metric: str, width: int = 640, height: int 
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" font-size="14">IB_G</text>',
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{metric}</text>',
+        f'transform="rotate(-90 18 {height / 2:.1f})">{metric.translate(_XML_ESCAPES)}</text>',
     ]
     if x_lo <= 0.0 <= x_hi:
         parts.append(
@@ -124,9 +127,8 @@ def _svg_scatter(points: list[dict], metric: str, width: int = 640, height: int 
                 f'x2="{cx:.2f}" y2="{sy(p["metric_value"] + p["metric_std"]):.2f}" stroke="gray"/>'
             )
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="steelblue"/>')
-        parts.append(
-            f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="10">{p["detector"]}</text>'
-        )
+        label = p["detector"].translate(_XML_ESCAPES)
+        parts.append(f'<text x="{cx + 6:.2f}" y="{cy - 6:.2f}" font-size="10">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -139,7 +141,7 @@ def write_report_outputs(report_paths: list[str | Path], out_dir: str | Path) ->
     out.mkdir(parents=True, exist_ok=True)
     written = []
     csv_path = out / "scatter_points.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         write_points_csv(points, fh)
     written.append(csv_path)
     metrics = sorted({p["metric_name"] for p in points})

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 
 from cdfair.graph import EdgeListError, Graph
-from cdfair.groupfair import CommunityScores, CommunityStats
 from cdfair.partition import Partition, PartitionError
 
 
@@ -48,7 +47,8 @@ def nf1(gt: Partition, pred: Partition) -> float:
     return (f1_sum / pred.k) * (len(matched_gt) / gt.k) / (pred.k / len(matched_gt))
 
 
-def community_stats(g: Graph, p: Partition) -> list[CommunityStats]:
+def community_stats(g: Graph, p: Partition) -> dict[str, list]:
+    """Size, conductance and density per community, one list per property."""
     adjacency = g.neighbor_lists()
     labels = p.labels.tolist()
     intra = [0] * p.k
@@ -64,17 +64,20 @@ def community_stats(g: Graph, p: Partition) -> list[CommunityStats]:
             else:
                 cut[cu] += 1
     total_vol = sum(vol)
-    out = []
+    out: dict[str, list] = {"size": [], "conductance": [], "density": []}
     for c in range(p.k):
         s = int(p.sizes[c])
         density = 1.0 if s == 1 else 2.0 * intra[c] / (s * (s - 1))
         denom = min(vol[c], total_vol - vol[c])
         conductance = 0.0 if denom == 0 else cut[c] / denom
-        out.append(CommunityStats(size=s, density=density, conductance=conductance))
+        out["size"].append(s)
+        out["conductance"].append(conductance)
+        out["density"].append(density)
     return out
 
 
-def community_scores(g: Graph, gt: Partition, pred: Partition) -> list[CommunityScores]:
+def community_scores(g: Graph, gt: Partition, pred: Partition) -> dict[str, list]:
+    """FCCN, F1 and FCCE per ground-truth community, one list per score."""
     best: dict[int, tuple[int, int]] = {}  # gt id -> (overlap, pred id)
     for (a, b), o in contingency(gt, pred).items():
         cur = best.get(a)
@@ -93,7 +96,7 @@ def community_scores(g: Graph, gt: Partition, pred: Partition) -> list[Community
                 intra_edges[a] += 1
                 if labels_pred[u] == target and labels_pred[v] == target:
                     kept_edges[a] += 1
-    out = []
+    out: dict[str, list] = {"fccn": [], "f1": [], "fcce": []}
     for a in range(gt.k):
         o, b = best[a]
         s = int(gt.sizes[a])
@@ -102,8 +105,47 @@ def community_scores(g: Graph, gt: Partition, pred: Partition) -> list[Community
         recall = o / s
         f1 = 2 * precision * recall / (precision + recall)
         fcce = 1.0 if intra_edges[a] == 0 else kept_edges[a] / intra_edges[a]
-        out.append(CommunityScores(fccn=o / s, f1=f1, fcce=fcce))
+        out["fccn"].append(o / s)
+        out["f1"].append(f1)
+        out["fcce"].append(fcce)
     return out
+
+
+def ols_slope(x, y) -> float:
+    n = len(x)
+    if n != len(y) or n < 2:
+        raise ValueError("need at least two paired points")
+    mx = sum(x) / n
+    my = sum(y) / n
+    sxx = sum((xi - mx) ** 2 for xi in x)
+    if sxx == 0.0:
+        raise ValueError("slope undefined: all x values equal")
+    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
+    return sxy / sxx
+
+
+def _minmax(values) -> list[float] | None:
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return None
+    return [(v - lo) / (hi - lo) for v in values]
+
+
+def phi(g: Graph, gt: Partition, pred: Partition) -> dict[str, dict[str, float | None]]:
+    """phi[property][score]: OLS slope of the score on the min-max normalised
+    property, None when the property is the same for every community."""
+    stats = community_stats(g, gt)
+    scores = community_scores(g, gt, pred)
+    result: dict[str, dict[str, float | None]] = {}
+    for prop in ("size", "conductance", "density"):
+        norm = _minmax(stats[prop])
+        result[prop] = {}
+        for score in ("fccn", "f1", "fcce"):
+            if norm is None:
+                result[prop][score] = None
+            else:
+                result[prop][score] = ols_slope(norm, scores[score])
+    return result
 
 
 def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int, int]:

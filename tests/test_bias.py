@@ -12,7 +12,6 @@ from cdfair.bias import (
     cosine_distance,
     ib_all_fast,
     ib_all_naive,
-    ib_node_fast,
 )
 from cdfair.partition import Partition, contingency
 
@@ -55,7 +54,7 @@ def test_cosine_length_mismatch():
 def test_ib_node_identical_communities():
     p = Partition.from_labels([0] * 20)
     ct = contingency(p, p)
-    assert ib_node_fast(ct, 0, 0) == 0.0
+    assert ib_all_fast(ct).ib[0] == 0.0
 
 
 def test_ib_node_minority_expansion_ceiling():
@@ -63,8 +62,9 @@ def test_ib_node_minority_expansion_ceiling():
     gt = Partition.from_labels([0] * 20 + [1] * 80)
     pred = Partition.from_labels([0] * 100)
     ct = contingency(gt, pred)
-    assert ib_node_fast(ct, 0, 0) == pytest.approx(1 - math.sqrt(0.2), abs=1e-12)
-    assert ib_node_fast(ct, 1, 0) == pytest.approx(1 - math.sqrt(0.8), abs=1e-12)
+    ib = ib_all_fast(ct).ib
+    assert ib[0] == pytest.approx(1 - math.sqrt(0.2), abs=1e-12)  # a node of gt 0
+    assert ib[20] == pytest.approx(1 - math.sqrt(0.8), abs=1e-12)  # a node of gt 1
 
 
 def test_ib_node_shrink_to_singleton():
@@ -72,7 +72,7 @@ def test_ib_node_shrink_to_singleton():
     gt = Partition.from_labels([0] * s)
     pred = Partition.from_labels([0] + [1] * (s - 1))
     ct = contingency(gt, pred)
-    assert ib_node_fast(ct, 0, 0) == pytest.approx(1 - 1 / math.sqrt(s), abs=1e-12)
+    assert ib_all_fast(ct).ib[0] == pytest.approx(1 - 1 / math.sqrt(s), abs=1e-12)
 
 
 # ---------------------------------------------------------------- all nodes

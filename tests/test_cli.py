@@ -11,6 +11,7 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,38 @@ class TestEvaluate:
         assert "louvain:seed=1" in err and "louvain:resolution=3" in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("detector, named", [
+        ("louvain:sed=5", ("louvain", "sed", "5")),
+        ("label_propagation:max_sweep=1", ("label_propagation", "max_sweep", "1")),
+        ("cnm:resolution=2", ("cnm", "resolution", "2")),
+        ("louvain:seed=x", ("louvain", "seed", "x")),
+        ("label_propagation:max_sweeps=1.5", ("label_propagation", "max_sweeps", "1.5")),
+        ("louvain:resolution=high", ("louvain", "resolution", "high")),
+        ("louvain:seed=2,seed=3", ("seed", "louvain:seed=2,seed=3")),
+    ])
+    def test_bad_detector_parameter_exit_1(self, tmp_path, capsys, detector, named):
+        edges, gt = _generate(tmp_path)
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", "louvain:seed=1", "--detector", detector, "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert all(repr(word) in err for word in named)
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_detector_parameter_in_config_exit_1(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graphs": [[str(edges), str(gt)]],
+            "detectors": [{"name": "louvain", "params": {"seed": None}}],
+            "out": str(tmp_path / "o"),
+        }))
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_external_partitions_sharing_a_stem_exit_1(self, tmp_path, capsys):
         edges, gt = _generate(tmp_path)
         copies = []
@@ -421,6 +454,29 @@ class TestReport:
         svgs = list(out.glob("scatter_ibg_vs_*.svg"))
         assert svgs, "expected at least one SVG scatter"
         assert (out / "scatter_ibg_vs_modularity.svg").read_text().startswith("<svg")
+
+    def test_report_escapes_labels_and_keeps_csv_columns(self, tmp_path):
+        # a group holding a comma and a detector label holding & and <
+        edges, gt = _generate(tmp_path)
+        part = tmp_path / "x&y<z.part"
+        shutil.copy(gt, part)
+        run = tmp_path / "run"
+        assert main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt), "--group", "xi=0.2,n=60",
+            "--detector", f"external:path={part}", "--detector", "louvain", "--out", str(run),
+        ]) == 0
+        out = tmp_path / "rep"
+        assert main(["report", str(run / "report.json"), "--out", str(out)]) == 0
+        with open(out / "scatter_points.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[0] for row in rows} == {"external:x&y<z", "louvain"}
+        assert {row[1] for row in rows} == {"xi=0.2,n=60"}
+        svgs = sorted(out.glob("scatter_ibg_vs_*.svg"))
+        assert svgs
+        for svg in svgs:
+            texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+            assert "external:x&y<z" in texts
 
     def test_report_rejects_bad_schema(self, tmp_path):
         bad = tmp_path / "report.json"

@@ -11,12 +11,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cdfair.graph import EdgeListError, Graph, load_edge_list
-from cdfair.groupfair import community_scores, community_stats
+from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition
 from cdfair.quality import nf1
 
@@ -109,18 +109,14 @@ def test_nf1_matches_oracle(pair):
 
 
 def _assert_stats_equal(got, want):
-    assert [s.size for s in got] == [s.size for s in want]
-    for g, w in zip(got, want):
-        assert g.density == pytest.approx(w.density, abs=TOL)
-        assert g.conductance == pytest.approx(w.conductance, abs=TOL)
+    assert got["size"].tolist() == want["size"]
+    for key in ("density", "conductance"):
+        assert got[key].tolist() == pytest.approx(want[key], abs=TOL)
 
 
 def _assert_scores_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.fccn == pytest.approx(w.fccn, abs=TOL)
-        assert g.f1 == pytest.approx(w.f1, abs=TOL)
-        assert g.fcce == pytest.approx(w.fcce, abs=TOL)
+    for key in ("fccn", "f1", "fcce"):
+        assert got[key].tolist() == pytest.approx(want[key], abs=TOL)
 
 
 @given(graph_and_pair())
@@ -152,6 +148,37 @@ def test_max_overlap_ties_go_to_smaller_id(pair, data):
         assert ct.cols[best[a]] == in_row.min()
     best_gt = contingency(split_pred, split_gt).best_cells(by_gt=False)
     assert best_gt.tolist() == sorted(best_gt.tolist())
+
+
+@st.composite
+def phi_case(draw):
+    """Few small communities: singletons, communities without internal edges,
+    and predictions whose best overlaps tie (a split, or a merge read backwards)."""
+    if draw(st.booleans()):
+        return draw(graph_and_pair(max_n=20))
+    split_gt, split_pred = draw(tied_pair())
+    n = split_gt.n
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    gt, pred = (split_gt, split_pred) if draw(st.booleans()) else (split_pred, split_gt)
+    return Graph.from_edges(n, edges), gt, pred
+
+
+@given(phi_case())
+@settings(max_examples=200, deadline=None)
+def test_phi_equals_oracle_exactly(case):
+    g, gt, pred = case
+    assume(gt.k >= 2)
+    assert phi(g, contingency(gt, pred)).phi == oracles.phi(g, gt, pred)
+
+
+def test_ols_slope_squares_like_the_loop():
+    # with x = (0, 2d) the slope is d / (2 d^2), so it shows how d^2 was
+    # rounded: C pow() (Python's **) and d * d differ in about 1 of 1000 draws
+    rng = np.random.default_rng(0)
+    for d in rng.random(5000).tolist():
+        x, y = [0.0, 2 * d], [0.0, 1.0]
+        assert ols_slope(x, y) == oracles.ols_slope(x, y)
 
 
 # ---------------------------------------------------------------- loaders
