@@ -8,12 +8,17 @@ the pipeline as an externally computed partition file.
 
 from __future__ import annotations
 
+import heapq
+import logging
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graph import Graph
 from .partition import Partition, load_partition
+
+log = logging.getLogger(__name__)
 
 # each detector's parameters and the type its value is converted to
 DETECTOR_PARAMS: dict[str, dict[str, type]] = {
@@ -23,6 +28,11 @@ DETECTOR_PARAMS: dict[str, dict[str, type]] = {
     "external": {"path": str},
 }
 DETECTOR_NAMES = tuple(DETECTOR_PARAMS)
+# parameters whose converted value must also lie in a range: (check, what it must be)
+_PARAM_RANGES = {
+    "max_sweeps": (lambda v: v >= 1, "at least 1"),
+    "resolution": (math.isfinite, "finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,17 @@ class DetectorSpec:
                     f"it accepts: {accepted}"
                 )
             try:
-                types[key](value)
+                converted = types[key](value)
             except (TypeError, ValueError):
                 raise ValueError(
                     f"detector {self.name!r}: parameter {key!r} must be "
                     f"{types[key].__name__}, got {value!r}"
                 ) from None
+            in_range, must_be = _PARAM_RANGES.get(key, (None, ""))
+            if in_range is not None and not in_range(converted):
+                raise ValueError(
+                    f"detector {self.name!r}: parameter {key!r} must be {must_be}, got {value!r}"
+                )
 
     def label(self) -> str:
         if self.name == "external":
@@ -63,7 +78,11 @@ def _require_edges(g: Graph) -> None:
 
 
 def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partition:
-    """Asynchronous label propagation with seeded order and tie-breaking."""
+    """Asynchronous label propagation with seeded order and tie-breaking.
+
+    Stops when a sweep changes no label, or after `max_sweeps` sweeps, which
+    is logged as a warning.
+    """
     _require_edges(g)
     rng = random.Random(seed)
     adj = g.neighbor_lists()
@@ -86,6 +105,8 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
                 changed = True
         if not changed:
             break
+    else:
+        log.warning("label propagation stopped after %d sweep(s) without converging", max_sweeps)
     return Partition.from_labels(labels)
 
 
@@ -174,53 +195,72 @@ def louvain(g: Graph, seed: int = 0, resolution: float = 1.0) -> Partition:
 
 
 def greedy_agglomerative(g: Graph) -> Partition:
-    """CNM-style greedy merging; fully deterministic (ties -> smallest pair)."""
+    """Greedy modularity merging (Clauset, Newman & Moore 2004), deterministic.
+
+    Each step merges the linked pair of communities (a, b), a < b, with the
+    largest modularity gain; b joins a, so a community keeps the smallest id
+    of its nodes. The gain is compared as the exact integer
+    ΔQ·2m² = 2m·w_ab − d_a·d_b (w_ab the edges between a and b, d the degree
+    sums), ties going to the smallest (a, b); merging stops when no pair has
+    a positive gain. For m < 707,106 distinct gains differ by more than
+    1e-12, so this is the pair a float comparison with a 1e-12 tie tolerance
+    picks; on larger graphs such a comparison would tie distinct gains, and
+    the integer order is the defined one.
+
+    Pairs wait in a lazy min-heap of packed ints (−gain·n² + a·n + b). The
+    invariant is that every linked pair has an entry no larger than its true
+    one. Merging b into a grows d_a, which strictly lowers the gain of each
+    pair (a, c) whose c was a neighbour of only one of them, so their old
+    entries stay below; for a common neighbour c the joined pair may gain,
+    and its new entry is pushed. The top entry is mapped to its current
+    communities and replaced by the true entry when stale, so a top entry
+    that is current is the best pair. Each push joins two pairs into one, so
+    the heap never holds more than 2m entries.
+    """
     _require_edges(g)
-    m = g.num_edges
-    comm = list(range(g.n))
-    deg = {c: float(d) for c, d in enumerate(g.degrees.tolist())}
-    # inter-community edge weight, keyed by sorted community pair
-    links: dict[tuple[int, int], float] = {}
-    for u, v in g.edges():
-        links[(u, v)] = links.get((u, v), 0.0) + 1.0
-    alive = set(range(g.n))
-    neighbors: dict[int, set[int]] = {c: set() for c in alive}
-    for a, b in links:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    two_m_sq = (2.0 * m) ** 2
-    while len(alive) > 1:
-        best_pair = None
-        best_gain = 0.0
-        for (a, b), w in links.items():
-            gain = w / m - 2.0 * deg[a] * deg[b] / two_m_sq
-            if gain > best_gain + 1e-12 or (
-                abs(gain - best_gain) <= 1e-12
-                and best_gain > 0.0
-                and best_pair is not None
-                and (a, b) < best_pair
-            ):
-                best_gain = gain
-                best_pair = (a, b)
-        if best_pair is None or best_gain <= 0.0:
-            break
-        a, b = best_pair  # merge b into a
-        deg[a] += deg.pop(b)
-        for c in list(neighbors[b]):
-            w = links.pop((min(b, c), max(b, c)))
-            neighbors[c].discard(b)
-            if c != a:
-                key = (min(a, c), max(a, c))
-                links[key] = links.get(key, 0.0) + w
-                neighbors[a].add(c)
-                neighbors[c].add(a)
-        neighbors.pop(b)
-        neighbors[a].discard(b)
-        alive.discard(b)
-        for i in range(len(comm)):
-            if comm[i] == b:
-                comm[i] = a
-    return Partition.from_labels(comm)
+    n, two_m = g.n, 2 * g.num_edges
+    nn = n * n
+    deg = g.degrees.tolist()
+    links = [dict.fromkeys(row, 1) for row in g.neighbor_lists()]  # community -> {neighbour: w}
+    heap = [(deg[a] * deg[b] - two_m) * nn + a * n + b for a, b in g.edges()]
+    heapq.heapify(heap)
+    root = list(range(n))  # union-find towards the smaller id, so root[i] <= i
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    while heap and heap[0] < 0:
+        a, b = divmod(heap[0] % nn, n)
+        a, b = find(a), find(b)
+        if a == b:
+            heapq.heappop(heap)
+            continue
+        if a > b:
+            a, b = b, a
+        row_a = links[a]
+        entry = (deg[a] * deg[b] - two_m * row_a[b]) * nn + a * n + b
+        if entry != heap[0]:
+            heapq.heapreplace(heap, entry)
+            continue
+        heapq.heappop(heap)
+        root[b] = a
+        deg[a] += deg[b]
+        row_b, links[b] = links[b], {}
+        del row_a[b], row_b[a]
+        for c, w in row_b.items():
+            row_c = links[c]
+            del row_c[b]
+            if c in row_a:
+                w += row_a[c]
+                lo, hi = (a, c) if a < c else (c, a)
+                heapq.heappush(heap, (deg[a] * deg[c] - two_m * w) * nn + lo * n + hi)
+            row_a[c] = row_c[a] = w
+    for i in range(n):  # ascending, so root[root[i]] is already final
+        root[i] = root[root[i]]
+    return Partition.from_labels(root)
 
 
 def _external_partition(g: Graph, path: str = "") -> Partition:

@@ -80,7 +80,10 @@ def community_stats(g: Graph, p: Partition) -> dict[str, np.ndarray]:
     Density is 2 e_c / (s (s-1)), 1.0 for singletons by convention;
     conductance is cut / min(vol, vol of the complement), 0 for the full graph.
     """
-    intra, vol = community_edges(g, p)
+    return _stats(g, p, *community_edges(g, p))
+
+
+def _stats(g: Graph, p: Partition, intra: np.ndarray, vol: np.ndarray) -> dict[str, np.ndarray]:
     s = p.sizes
     pairs = s * (s - 1)
     density = np.where(s == 1, 1.0, 2.0 * intra / np.maximum(pairs, 1))
@@ -97,8 +100,11 @@ def community_scores(g: Graph, ct: ContingencyTable) -> dict[str, np.ndarray]:
     maximum overlap, ties broken towards the smaller predicted id. FCCE of an
     edgeless community is 1.0 by convention (nothing to misclassify).
     """
+    return _scores(g, ct, community_edges(g, ct.gt)[0])
+
+
+def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str, np.ndarray]:
     gt = ct.gt
-    intra_edges, _ = community_edges(g, gt)
     best = ct.best_cells()  # one cell per ground-truth community
     o = ct.overlap[best]
     s = gt.sizes
@@ -122,8 +128,9 @@ def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
     """Fairness slopes for all (property, score) combinations."""
     if ct.gt.k < 2:
         raise PartitionError("group fairness needs at least two ground-truth communities")
-    stats = community_stats(g, ct.gt)
-    scores = community_scores(g, ct)
+    intra, vol = community_edges(g, ct.gt)  # shared by the properties and the scores
+    stats = _stats(g, ct.gt, intra, vol)
+    scores = _scores(g, ct, intra)
     result: dict[str, dict[str, float | None]] = {}
     for prop in PROPERTIES:
         norm = _minmax(stats[prop])

@@ -93,13 +93,6 @@ class ContingencyTable:
     def col_sums(self) -> np.ndarray:
         return self.pred.sizes
 
-    def cell(self, a: int, b: int) -> int:
-        if not (0 <= a < self.gt.k and 0 <= b < self.pred.k):
-            return 0
-        keys = self.rows * self.pred.k + self.cols
-        i = int(np.searchsorted(keys, a * self.pred.k + b))
-        return int(self.overlap[i]) if i < len(keys) and keys[i] == a * self.pred.k + b else 0
-
     def best_cells(self, by_gt: bool = True) -> np.ndarray:
         """Largest cell of each ground-truth row (or predicted column).
 

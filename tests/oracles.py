@@ -1,9 +1,10 @@
 """Pure-Python reference implementations of the vectorised library code.
 
 These are the per-node and per-line loops the package used before its
-arrays-first rewrite (CSR graph, one contingency table per pair). They are
-slow but obviously correct, and the property tests in ``test_oracles.py``
-compare the package against them.
+arrays-first rewrite (CSR graph, one contingency table per pair), and the
+CNM loop that rescans every link per merge, which the heap replaced. They
+are slow but obviously correct, and the property tests in
+``test_oracles.py`` compare the package against them.
 """
 
 from __future__ import annotations
@@ -146,6 +147,58 @@ def phi(g: Graph, gt: Partition, pred: Partition) -> dict[str, dict[str, float |
             else:
                 result[prop][score] = ols_slope(norm, scores[score])
     return result
+
+
+def greedy_agglomerative(g: Graph) -> Partition:
+    """CNM greedy merging that rescans every inter-community link per merge
+    and relabels every node after it; ties within 1e-12 go to the smallest pair."""
+    if g.num_edges == 0:
+        raise ValueError("detector requires a graph with at least one edge")
+    m = g.num_edges
+    comm = list(range(g.n))
+    deg = {c: float(d) for c, d in enumerate(g.degrees.tolist())}
+    # inter-community edge weight, keyed by sorted community pair
+    links: dict[tuple[int, int], float] = {}
+    for u, v in g.edges():
+        links[(u, v)] = links.get((u, v), 0.0) + 1.0
+    alive = set(range(g.n))
+    neighbors: dict[int, set[int]] = {c: set() for c in alive}
+    for a, b in links:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    two_m_sq = (2.0 * m) ** 2
+    while len(alive) > 1:
+        best_pair = None
+        best_gain = 0.0
+        for (a, b), w in links.items():
+            gain = w / m - 2.0 * deg[a] * deg[b] / two_m_sq
+            if gain > best_gain + 1e-12 or (
+                abs(gain - best_gain) <= 1e-12
+                and best_gain > 0.0
+                and best_pair is not None
+                and (a, b) < best_pair
+            ):
+                best_gain = gain
+                best_pair = (a, b)
+        if best_pair is None or best_gain <= 0.0:
+            break
+        a, b = best_pair  # merge b into a
+        deg[a] += deg.pop(b)
+        for c in list(neighbors[b]):
+            w = links.pop((min(b, c), max(b, c)))
+            neighbors[c].discard(b)
+            if c != a:
+                key = (min(a, c), max(a, c))
+                links[key] = links.get(key, 0.0) + w
+                neighbors[a].add(c)
+                neighbors[c].add(a)
+        neighbors.pop(b)
+        neighbors[a].discard(b)
+        alive.discard(b)
+        for i in range(len(comm)):
+            if comm[i] == b:
+                comm[i] = a
+    return Partition.from_labels(comm)
 
 
 def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int, int]:

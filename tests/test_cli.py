@@ -279,6 +279,10 @@ class TestEvaluate:
         ("label_propagation:max_sweeps=1.5", ("label_propagation", "max_sweeps", "1.5")),
         ("louvain:resolution=high", ("louvain", "resolution", "high")),
         ("louvain:seed=2,seed=3", ("seed", "louvain:seed=2,seed=3")),
+        ("label_propagation:max_sweeps=0", ("label_propagation", "max_sweeps", "0")),
+        ("label_propagation:max_sweeps=-3", ("label_propagation", "max_sweeps", "-3")),
+        ("louvain:resolution=nan", ("louvain", "resolution", "nan")),
+        ("louvain:resolution=inf", ("louvain", "resolution", "inf")),
     ])
     def test_bad_detector_parameter_exit_1(self, tmp_path, capsys, detector, named):
         edges, gt = _generate(tmp_path)

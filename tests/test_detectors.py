@@ -1,4 +1,5 @@
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_lpa_recovers_planting():
         if ari(contingency(gt, pred)) >= 0.9:
             hits += 1
     assert hits >= 9
+
+
+def test_lpa_warns_when_it_stops_at_max_sweeps(caplog):
+    g, _ = planted(60, 2, 0.5, 0.01, seed=100)
+    with caplog.at_level(logging.WARNING, logger="cdfair.detectors"):
+        label_propagation(g, seed=0)
+    assert caplog.records == []
+    with caplog.at_level(logging.WARNING, logger="cdfair.detectors"):
+        label_propagation(g, seed=0, max_sweeps=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "label propagation stopped after 1 sweep(s) without converging"
+    ]
 
 
 def test_lpa_requires_edges():

@@ -15,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cdfair.detectors import greedy_agglomerative
 from cdfair.graph import EdgeListError, Graph, load_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition
 from cdfair.quality import nf1
+from cdfair.synthgen import AbcdParams, generate_abcd_lite
 
 TOL = 1e-12
 
@@ -179,6 +181,59 @@ def test_ols_slope_squares_like_the_loop():
     for d in rng.random(5000).tolist():
         x, y = [0.0, 2 * d], [0.0, 1.0]
         assert ols_slope(x, y) == oracles.ols_slope(x, y)
+
+
+# ---------------------------------------------------------------- detectors
+
+
+@st.composite
+def cnm_graph(draw):
+    """Random graphs, and families whose merge gains tie everywhere: rings,
+    stars, paths, grids and cliques joined by single edges."""
+    kind = draw(st.sampled_from(["random", "ring", "star", "path", "grid", "cliques"]))
+    if kind == "random":
+        n = draw(st.integers(2, 40))
+        node = st.integers(0, n - 1)
+        pair = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, min_size=1, max_size=3 * n))
+    elif kind == "grid":
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+        n = rows * cols
+        edges = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+        edges += [(i, i + cols) for i in range(n - cols)]
+    elif kind == "cliques":
+        k, size = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        n = k * size
+        edges = [(c * size + i, c * size + j)
+                 for c in range(k) for i in range(size) for j in range(i + 1, size)]
+        edges += [(c * size, (c + 1) * size) for c in range(k - 1)]
+    else:
+        n = draw(st.integers(3, 64))
+        edges = {
+            "ring": [(i, (i + 1) % n) for i in range(n)],
+            "star": [(0, i) for i in range(1, n)],
+            "path": [(i, i + 1) for i in range(n - 1)],
+        }[kind]
+    if draw(st.booleans()):  # renumber the nodes, so ties fall on other pairs
+        order = draw(st.permutations(range(n)))
+        edges = [(order[u], order[v]) for u, v in edges]
+    return Graph.from_edges(n, edges)
+
+
+@given(cnm_graph())
+@settings(max_examples=400, deadline=None)
+def test_cnm_heap_equals_scan_oracle(g):
+    got, want = greedy_agglomerative(g), oracles.greedy_agglomerative(g)
+    assert got == want
+    assert got.original_ids == want.original_ids
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cnm_heap_equals_scan_oracle_on_abcd(seed):
+    g, _, _ = generate_abcd_lite(AbcdParams(n=600, c_min=20, c_max=100, xi=0.3, seed=seed))
+    got, want = greedy_agglomerative(g), oracles.greedy_agglomerative(g)
+    assert got == want
+    assert got.original_ids == want.original_ids
 
 
 # ---------------------------------------------------------------- loaders
