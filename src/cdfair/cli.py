@@ -26,7 +26,7 @@ from .partition import Partition, PartitionError, contingency, load_partition, w
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
 from .quality import NMI_NORMS, ari, modularity, nf1, nmi
 from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_report_outputs
-from .synthgen import AbcdParams, generate_abcd_lite, generate_two_community
+from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
 
 ALL_METRICS = ("ib", "modularity", "nmi", "ari", "nf1", "phi")
 
@@ -224,7 +224,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
         write_partition(p, fh)
     _write_provenance(out / f"{prefix}.json", provenance)
-    print(f"wrote {out / prefix}.edges / .gt / .json  (n={g.n}, |E|={g.num_edges})")
+    summary = f"n={g.n}, |E|={g.num_edges}"
+    if args.model == "abcd":
+        summary += (f", dropped_stubs={info['dropped_stubs']}, "
+                    f"realized_inter_fraction={info['realized_inter_fraction']:.4f}")
+    print(f"wrote {out / prefix}.edges / .gt / .json  ({summary})")
     return 0
 
 
@@ -416,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EdgeListError, PartitionError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, EdgeListError, PartitionError, GenerationError, ValueError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

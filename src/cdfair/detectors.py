@@ -35,6 +35,20 @@ _PARAM_RANGES = {
 }
 
 
+def _check_param(detector: str, key: str, value, given=None) -> None:
+    """Raise ValueError when `value` lies outside the range of parameter `key`.
+
+    The message names the detector and shows `given`, the value as the caller
+    wrote it, when there is one.
+    """
+    in_range, must_be = _PARAM_RANGES.get(key, (None, ""))
+    if in_range is not None and not in_range(value):
+        shown = value if given is None else given
+        raise ValueError(
+            f"detector {detector!r}: parameter {key!r} must be {must_be}, got {shown!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     name: str
@@ -60,11 +74,7 @@ class DetectorSpec:
                     f"detector {self.name!r}: parameter {key!r} must be "
                     f"{types[key].__name__}, got {value!r}"
                 ) from None
-            in_range, must_be = _PARAM_RANGES.get(key, (None, ""))
-            if in_range is not None and not in_range(converted):
-                raise ValueError(
-                    f"detector {self.name!r}: parameter {key!r} must be {must_be}, got {value!r}"
-                )
+            _check_param(self.name, key, converted, given=value)
 
     def label(self) -> str:
         if self.name == "external":
@@ -83,6 +93,7 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     Stops when a sweep changes no label, or after `max_sweeps` sweeps, which
     is logged as a warning.
     """
+    _check_param("label_propagation", "max_sweeps", max_sweeps)
     _require_edges(g)
     rng = random.Random(seed)
     adj = g.neighbor_lists()
@@ -162,6 +173,7 @@ def _louvain_local_move(level: _LouvainLevel, rng: random.Random, resolution: fl
 
 def louvain(g: Graph, seed: int = 0, resolution: float = 1.0) -> Partition:
     """Two-phase Louvain; node order and tie handling are seeded."""
+    _check_param("louvain", "resolution", resolution)
     _require_edges(g)
     rng = random.Random(seed)
     level = _LouvainLevel.from_graph(g)

@@ -43,6 +43,10 @@ class AbcdParams:
             raise ValueError("need 1 <= c_min <= c_max <= n")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
+            raise ValueError("gamma and beta must be finite")
+        if self.d_max_iter < 1 or self.c_max_iter < 1:
+            raise ValueError("need d_max_iter >= 1 and c_max_iter >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -84,6 +88,16 @@ def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
     raise GenerationError("degree sampling failed after d_max_iter attempts")
 
 
+def _can_pair(stubs: list[int], edges: set[tuple[int, int]], labels: list[int] | None) -> bool:
+    """Whether two distinct nodes among `stubs` may still be joined by an edge."""
+    nodes = sorted(set(stubs))
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if (u, v) not in edges and (labels is None or labels[u] != labels[v]):
+                return True
+    return False
+
+
 def _pair_stubs(
     rng: np.random.Generator,
     stubs: np.ndarray,
@@ -93,37 +107,44 @@ def _pair_stubs(
 ) -> int:
     """Configuration-model pairing with rejection of self-loops/multi-edges.
 
-    When `labels` is given, pairs falling inside one community are rejected
-    too, so the background pass yields inter-community edges only and the
-    realized mixing fraction tracks xi instead of undershooting it by the
-    same-community collision rate.
+    Each round shuffles the pool and pairs it off in order; rejected pairs
+    go back to the pool, behind the odd stub out. When `labels` is given,
+    pairs falling inside one community are rejected too, so the background
+    pass yields inter-community edges only and the realized mixing fraction
+    tracks xi instead of undershooting it by the same-community collision
+    rate.
+
+    After a round that adds no edge, the pool may hold no pair that can ever
+    be joined; every later round would only shuffle it. Those shuffles are
+    drawn in one ``permuted`` call, which takes the same numbers from `rng`
+    (Fisher-Yates draws depend on the pool's length only), so the stream
+    that later pairings read is the same as if every round had run.
 
     Adds accepted edges to `edges` in place; returns the number of stubs
     dropped as irreparable.
     """
+    community_of = labels.tolist() if labels is not None else None
     pool = stubs.copy()
-    for _ in range(max_rounds):
+    for done in range(1, max_rounds + 1):
         if len(pool) < 2:
             break
         rng.shuffle(pool)
-        if len(pool) % 2 == 1:
-            leftover = pool[-1:]
-            pool = pool[:-1]
-        else:
-            leftover = pool[:0]
-        bad: list[int] = list(leftover)
-        for i in range(0, len(pool), 2):
-            u, v = int(pool[i]), int(pool[i + 1])
-            if u == v or (labels is not None and labels[u] == labels[v]):
-                bad.extend((u, v))
-                continue
+        items = pool.tolist()
+        bad = items[-1:] if len(items) % 2 else []
+        for i in range(0, len(items) - 1, 2):
+            u, v = items[i], items[i + 1]
             key = (u, v) if u < v else (v, u)
-            if key in edges:
-                bad.extend((u, v))
-                continue
-            edges.add(key)
+            if (u == v or key in edges
+                    or (community_of is not None and community_of[u] == community_of[v])):
+                bad += (u, v)
+            else:
+                edges.add(key)
         if not bad:
             return 0
+        if len(bad) == len(items) and not _can_pair(bad, edges, community_of):
+            if done < max_rounds:
+                rng.permuted(np.zeros((max_rounds - done, len(bad)), np.int64), axis=1)
+            return len(bad)
         pool = np.array(bad, dtype=np.int64)
     return len(pool)
 
@@ -150,7 +171,6 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     community_size = np.array(sizes, dtype=np.int64)
 
     # split each node's stubs between its community and the background
-    intra_target = np.empty(p.n, dtype=np.int64)
     frac = (1.0 - p.xi) * degrees
     base = np.floor(frac).astype(np.int64)
     extra = (rng.random(p.n) < (frac - base)).astype(np.int64)
@@ -166,9 +186,13 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         dropped += int(background.sum())
         background = np.zeros_like(background)
 
-    edges: set[tuple[int, int]] = set()
+    # each community's members in ascending node order; the intra edges of
+    # disjoint communities cannot collide, so each gets its own edge set
+    by_community = np.argsort(labels, kind="stable")
+    bounds = np.cumsum([0, *sizes]).tolist()
+    edge_sets: list[set[tuple[int, int]]] = []
     for c in range(len(sizes)):
-        members = np.flatnonzero(labels == c)
+        members = by_community[bounds[c] : bounds[c + 1]]
         counts = intra_target[members]
         if counts.sum() % 2 == 1:
             if p.xi == 0.0:
@@ -182,7 +206,8 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
                 counts[j] -= 1
                 background[members[j]] += 1
         stubs = np.repeat(members, counts)
-        dropped += _pair_stubs(rng, stubs, edges)
+        edge_sets.append(set())
+        dropped += _pair_stubs(rng, stubs, edge_sets[-1])
 
     if background.sum() > 0:
         if background.sum() % 2 == 1:
@@ -190,20 +215,26 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
             background[j] -= 1
             dropped += 1
         stubs = np.repeat(np.arange(p.n), background)
-        # with a single community no inter-community pair exists; fall back
-        # to unconstrained pairing instead of dropping every stub
-        bg_labels = labels if len(sizes) > 1 else None
-        dropped += _pair_stubs(rng, stubs, edges, labels=bg_labels)
+        if len(sizes) > 1:
+            # inter-community edges only, so none collides with an intra edge
+            edge_sets.append(set())
+            dropped += _pair_stubs(rng, stubs, edge_sets[-1], labels=labels)
+        else:
+            # no inter-community pair exists; pair unconstrained instead of
+            # dropping every stub, sharing the one community's edge set
+            dropped += _pair_stubs(rng, stubs, edge_sets[0])
 
+    edges = np.array([e for s in edge_sets for e in s], dtype=np.int64).reshape(-1, 2)
     graph = Graph.from_edges(p.n, edges)
     partition = Partition.from_labels(labels)
-    inter = sum(1 for u, v in edges if labels[u] != labels[v])
+    m = len(edges)
+    inter = int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))
     info = {
         "dropped_stubs": int(dropped),
-        "num_edges": len(edges),
+        "num_edges": m,
         "num_communities": len(sizes),
-        "realized_inter_fraction": inter / len(edges) if edges else 0.0,
-        "mean_degree": 2 * len(edges) / p.n,
+        "realized_inter_fraction": inter / m if m else 0.0,
+        "mean_degree": 2 * m / p.n,
     }
     return graph, partition, info
 

@@ -1,8 +1,9 @@
 """Pure-Python reference implementations of the vectorised library code.
 
 These are the per-node and per-line loops the package used before its
-arrays-first rewrite (CSR graph, one contingency table per pair), and the
-CNM loop that rescans every link per merge, which the heap replaced. They
+arrays-first rewrite (CSR graph, one contingency table per pair), the
+CNM loop that rescans every link per merge, which the heap replaced, and the
+ABCD generator that re-shuffles stub pools which can no longer pair. They
 are slow but obviously correct, and the property tests in
 ``test_oracles.py`` compare the package against them.
 """
@@ -11,8 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from cdfair.graph import EdgeListError, Graph
 from cdfair.partition import Partition, PartitionError
+from cdfair.synthgen import AbcdParams, _sample_community_sizes, _sample_degrees
 
 
 def from_labels(raw_labels) -> tuple[list[int], tuple]:
@@ -265,3 +269,127 @@ def load_partition(lines, n: int) -> Partition:
     if missing:
         raise PartitionError(f"node {missing[0]} unassigned")
     return Partition.from_labels([assigned[i] for i in range(n)])
+
+
+def pair_stubs(
+    rng: np.random.Generator,
+    stubs: np.ndarray,
+    edges: set[tuple[int, int]],
+    max_rounds: int = 50,
+    labels: np.ndarray | None = None,
+) -> int:
+    """Configuration-model pairing with rejection of self-loops/multi-edges.
+
+    When `labels` is given, pairs falling inside one community are rejected
+    too, so the background pass yields inter-community edges only and the
+    realized mixing fraction tracks xi instead of undershooting it by the
+    same-community collision rate.
+
+    Adds accepted edges to `edges` in place; returns the number of stubs
+    dropped as irreparable.
+    """
+    pool = stubs.copy()
+    for _ in range(max_rounds):
+        if len(pool) < 2:
+            break
+        rng.shuffle(pool)
+        if len(pool) % 2 == 1:
+            leftover = pool[-1:]
+            pool = pool[:-1]
+        else:
+            leftover = pool[:0]
+        bad: list[int] = list(leftover)
+        for i in range(0, len(pool), 2):
+            u, v = int(pool[i]), int(pool[i + 1])
+            if u == v or (labels is not None and labels[u] == labels[v]):
+                bad.extend((u, v))
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                bad.extend((u, v))
+                continue
+            edges.add(key)
+        if not bad:
+            return 0
+        pool = np.array(bad, dtype=np.int64)
+    return len(pool)
+
+
+def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
+    """Generate a planted-partition graph; returns (graph, partition, info).
+
+    The info dict records realized quantities (dropped stubs, realized mixing)
+    for the provenance sidecar.
+    """
+    p.validate()
+    rng = np.random.default_rng(p.seed)
+
+    sizes = _sample_community_sizes(rng, p)
+    degrees = _sample_degrees(rng, p)
+
+    # assign shuffled nodes to communities sequentially
+    order = rng.permutation(p.n)
+    labels = np.empty(p.n, dtype=np.int64)
+    pos = 0
+    for c, s in enumerate(sizes):
+        labels[order[pos : pos + s]] = c
+        pos += s
+    community_size = np.array(sizes, dtype=np.int64)
+
+    # split each node's stubs between its community and the background
+    intra_target = np.empty(p.n, dtype=np.int64)
+    frac = (1.0 - p.xi) * degrees
+    base = np.floor(frac).astype(np.int64)
+    extra = (rng.random(p.n) < (frac - base)).astype(np.int64)
+    intra_target = base + extra
+    # a community of size s can host at most s-1 distinct neighbors
+    cap = community_size[labels] - 1
+    overflow = np.maximum(intra_target - cap, 0)
+    intra_target -= overflow
+    background = degrees - intra_target
+    dropped = 0
+    if p.xi == 0.0:
+        # keep the graph purely intra-community: drop the excess stubs
+        dropped += int(background.sum())
+        background = np.zeros_like(background)
+
+    edges: set[tuple[int, int]] = set()
+    for c in range(len(sizes)):
+        members = np.flatnonzero(labels == c)
+        counts = intra_target[members]
+        if counts.sum() % 2 == 1:
+            if p.xi == 0.0:
+                # drop one stub from the highest-count member
+                j = int(np.argmax(counts))
+                counts[j] -= 1
+                dropped += 1
+            else:
+                # divert one stub to the background pass
+                j = int(np.argmax(counts))
+                counts[j] -= 1
+                background[members[j]] += 1
+        stubs = np.repeat(members, counts)
+        dropped += pair_stubs(rng, stubs, edges)
+
+    if background.sum() > 0:
+        if background.sum() % 2 == 1:
+            j = int(np.argmax(background))
+            background[j] -= 1
+            dropped += 1
+        stubs = np.repeat(np.arange(p.n), background)
+        # with a single community no inter-community pair exists; fall back
+        # to unconstrained pairing instead of dropping every stub
+        bg_labels = labels if len(sizes) > 1 else None
+        dropped += pair_stubs(rng, stubs, edges, labels=bg_labels)
+
+    graph = Graph.from_edges(p.n, edges)
+    partition = Partition.from_labels(labels)
+    inter = sum(1 for u, v in edges if labels[u] != labels[v])
+    info = {
+        "dropped_stubs": int(dropped),
+        "num_edges": len(edges),
+        "num_communities": len(sizes),
+        "realized_inter_fraction": inter / len(edges) if edges else 0.0,
+        "mean_degree": 2 * len(edges) / p.n,
+    }
+    return graph, partition, info

@@ -74,6 +74,38 @@ class TestGenerate:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--d-max-iter", "0"], "d_max_iter >= 1"),
+        (["--c-max-iter", "0"], "c_max_iter >= 1"),
+        (["--gamma", "nan"], "gamma and beta must be finite"),
+        (["--beta", "inf"], "gamma and beta must be finite"),
+        # every degree is 5 and n is odd, so no parity fix can succeed
+        (["--n", "101", "--d-min", "5", "--d-max", "5", "--d-max-iter", "3"],
+         "degree sampling failed after d_max_iter attempts"),
+    ])
+    def test_bad_abcd_input_exit_1(self, tmp_path, capsys, flags, message):
+        rc = main(["generate", "abcd", "--n", "100", "--c-min", "10", "--c-max", "50",
+                   *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "graph.edges").exists()
+
+    def test_abcd_summary_line_reports_dropped_stubs_and_mixing(self, tmp_path, capsys):
+        rc = main([
+            "generate", "abcd", "--n", "400", "--c-min", "5", "--c-max", "20",
+            "--xi", "0.3", "--seed", "4", "--out", str(tmp_path), "--prefix", "a",
+        ])
+        assert rc == 0
+        realized = json.loads((tmp_path / "a.json").read_text())["realized"]
+        assert realized["dropped_stubs"] > 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(
+            f"(n=400, |E|={realized['num_edges']}, dropped_stubs={realized['dropped_stubs']}, "
+            f"realized_inter_fraction={realized['realized_inter_fraction']:.4f})"
+        )
+
 
 class TestEvaluate:
     def test_full_run_outputs(self, tmp_path):

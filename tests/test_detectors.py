@@ -79,6 +79,18 @@ def test_lpa_requires_edges():
         label_propagation(Graph.from_edges(3, []), seed=0)
 
 
+@pytest.mark.parametrize("detector, kwargs, message", [
+    (label_propagation, {"max_sweeps": 0}, "parameter 'max_sweeps' must be at least 1, got 0"),
+    (label_propagation, {"max_sweeps": -3}, "parameter 'max_sweeps' must be at least 1, got -3"),
+    (louvain, {"resolution": float("nan")}, "parameter 'resolution' must be finite, got nan"),
+    (louvain, {"resolution": float("inf")}, "parameter 'resolution' must be finite, got inf"),
+    (louvain, {"resolution": float("-inf")}, "parameter 'resolution' must be finite, got -inf"),
+])
+def test_direct_call_rejects_parameter_out_of_range(detector, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        detector(two_triangles(), **kwargs)
+
+
 # ------------------------------------------------------- louvain
 
 

@@ -20,7 +20,7 @@ from cdfair.graph import EdgeListError, Graph, load_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition
 from cdfair.quality import nf1
-from cdfair.synthgen import AbcdParams, generate_abcd_lite
+from cdfair.synthgen import AbcdParams, GenerationError, generate_abcd_lite
 
 TOL = 1e-12
 
@@ -234,6 +234,52 @@ def test_cnm_heap_equals_scan_oracle_on_abcd(seed):
     got, want = greedy_agglomerative(g), oracles.greedy_agglomerative(g)
     assert got == want
     assert got.original_ids == want.original_ids
+
+
+# ---------------------------------------------------------------- generator
+
+
+@st.composite
+def abcd_params(draw):
+    """Small ABCD settings: tiny communities (whose pools get stuck), a single
+    community (whose background pass shares its edge set) and xi at 0, 1 or
+    in between."""
+    n = draw(st.integers(2, 400))
+    d_min = draw(st.integers(1, min(5, n - 1)))
+    d_max = draw(st.integers(d_min, min(40, n - 1)))
+    if draw(st.booleans()):
+        c_min = c_max = n
+    else:
+        c_min = draw(st.integers(1, min(3, n)))
+        c_max = draw(st.integers(c_min, min(c_min + 8, n)))
+    xi = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return AbcdParams(
+        n=n, d_min=d_min, d_max=d_max, c_min=c_min, c_max=c_max, xi=xi,
+        gamma=draw(st.floats(1.5, 3.5)), beta=draw(st.floats(1.0, 2.5)),
+        d_max_iter=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _generated(generate, p):
+    """(edges, labels, info) of one generator run, or its error."""
+    try:
+        g, part, info = generate(p)
+    except GenerationError as exc:
+        return str(exc)
+    return g.n, g.edge_array.tolist(), part.labels.tolist(), part.original_ids, info
+
+
+@given(abcd_params())
+@settings(max_examples=300, deadline=None)
+def test_abcd_generator_equals_oracle(p):
+    assert _generated(generate_abcd_lite, p) == _generated(oracles.generate_abcd_lite, p)
+
+
+def test_abcd_generator_equals_oracle_at_scale():
+    p = AbcdParams(n=10_000, c_min=5, c_max=30, xi=0.3, seed=77)
+    got = _generated(generate_abcd_lite, p)
+    assert got == _generated(oracles.generate_abcd_lite, p)
+    assert got[4]["dropped_stubs"] > 0
 
 
 # ---------------------------------------------------------------- loaders

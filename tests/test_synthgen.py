@@ -32,6 +32,30 @@ def test_param_validation():
         AbcdParams(n=100, xi=1.5).validate()
     with pytest.raises(ValueError):
         AbcdParams(n=100, c_min=200, c_max=300).validate()
+    for bad in ({"d_max_iter": 0}, {"c_max_iter": 0}, {"gamma": float("nan")},
+                {"beta": float("inf")}, {"gamma": float("-inf")}):
+        with pytest.raises(ValueError):
+            AbcdParams(n=100, c_min=10, c_max=50, **bad).validate()
+
+
+def test_permuted_replays_shuffle_draws():
+    """The generator skips the rounds of a stub pool that cannot pair by
+    drawing them with one ``permuted`` call; that must leave the generator
+    exactly where as many ``shuffle`` calls on a pool of that length would."""
+    for length in range(2, 41):
+        for rounds in range(1, 50):
+            shuffled = np.random.default_rng([length, rounds])
+            replayed = np.random.default_rng([length, rounds])
+            # an odd number of 32-bit draws leaves half a 64-bit word buffered
+            shuffled.integers(0, 7, dtype=np.uint32)
+            replayed.integers(0, 7, dtype=np.uint32)
+            pool = np.arange(length, dtype=np.int64)
+            for _ in range(rounds):
+                shuffled.shuffle(pool)
+            replayed.permuted(np.zeros((rounds, length), np.int64), axis=1)
+            assert replayed.bit_generator.state == shuffled.bit_generator.state, (length, rounds)
+            after = shuffled.integers(0, 1 << 40, 4).tolist()
+            assert replayed.integers(0, 1 << 40, 4).tolist() == after
 
 
 def test_xi_zero_all_intra():
