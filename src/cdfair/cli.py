@@ -1,9 +1,11 @@
 """Command-line pipeline: generate, evaluate, sweep, report.
 
 Exit codes: 0 success (possibly with per-detector warnings), 1 config or
-parse error, 2 I/O error. All randomness flows from the run seed through the
-documented derivation in `derive_cell_seed`, and sweeps use no randomness, so
-any command re-run with the same config produces byte-identical outputs.
+parse error, or an evaluate worker process that ended abruptly, 2 I/O error.
+All randomness flows from the run seed through the documented derivation in
+`derive_cell_seed`, and sweeps use no randomness, so any command re-run with
+the same config produces byte-identical outputs, whatever the number of
+evaluate workers.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -33,6 +36,10 @@ ALL_METRICS = ("ib", "modularity", "nmi", "ari", "nf1", "phi")
 
 class ConfigError(ValueError):
     pass
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended before returning the cells it was given."""
 
 
 @dataclass
@@ -104,8 +111,87 @@ def _aggregate(rows: list[dict]) -> dict:
     return agg
 
 
+# the run whose cells are being evaluated: (config, [(graph path, graph, ground
+# truth)]); forked workers inherit it, so no graph is pickled
+_RUN: tuple[RunConfig, list[tuple[str, Graph, Partition]]] | None = None
+
+
+def _run_cell(cell: tuple[int, int]) -> dict:
+    """The row of cell (detector index, graph index) of the current run."""
+    di, gi = cell
+    cfg, loaded = _RUN
+    _, g, gt = loaded[gi]
+    try:
+        return evaluate_cell(cfg, g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
+    except Exception as exc:  # failure of one cell must not abort the run
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+class _KeepRecords(logging.Handler):
+    """Holds a worker's log records, message formatted, until its row is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # the formatted text pickles even where the arguments would not
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = None
+        self.records.append(record)
+
+
+def _run_cell_in_worker(cell: tuple[int, int]) -> tuple[dict, list[logging.LogRecord]]:
+    """The cell's row and the records it logged, which the worker does not print."""
+    kept = _KeepRecords()
+    logging.root.handlers = [kept]
+    return _run_cell(cell), kept.records
+
+
+def _worker_count(cells: int) -> int:
+    """One worker per CPU this process may run on, and no more than there are cells."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return 1
+    return min(cells, cpus)
+
+
+def _map_cells(cells: list[tuple[int, int]]):
+    """Yield the row of each cell in order, from forked workers when two or more
+    CPUs are available.
+
+    Worker log records are handled here as each row arrives, so stderr and
+    log handlers see them in the order a serial run gives them.
+    """
+    workers = _worker_count(len(cells))
+    if workers <= 1:
+        yield from map(_run_cell, cells)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for row, records in pool.map(_run_cell_in_worker, cells):
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            yield row
+    except BrokenProcessPool:
+        raise WorkerError("a worker process ended abruptly while evaluating cells") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def evaluate_run(cfg: RunConfig) -> dict:
-    """Run every detector on every graph; failures are isolated per cell."""
+    """Run every detector on every graph; failures are isolated per cell.
+
+    The cells run in forked worker processes, one per CPU in this process's
+    affinity mask, or in this process when that is one CPU. Every output
+    byte is the same either way.
+    """
+    global _RUN
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     loaded = []
@@ -119,28 +205,32 @@ def evaluate_run(cfg: RunConfig) -> dict:
 
     detectors_block: dict = {}
     warnings = []
-    for di, spec in enumerate(cfg.detectors):
-        label = spec.label()
-        per_graph = []
-        for gi, (graph_path, g, gt) in enumerate(loaded):
-            try:
-                row = evaluate_cell(cfg, g, gt, spec, derive_cell_seed(cfg.seed, di, gi))
-            except Exception as exc:  # failure of one cell must not abort the run
-                row = {"error": f"{type(exc).__name__}: {exc}"}
-                warnings.append(f"{label} on {graph_path}: {row['error']}")
-            report = row.pop("_bias_report", None)
-            if report is not None:
-                bias_dir = out_dir / "bias"
-                bias_dir.mkdir(exist_ok=True)
-                stem = Path(graph_path).stem
-                with open(bias_dir / f"{label}_{stem}.csv", "w", encoding="utf-8") as fh:
-                    report.write_csv(fh)
-            per_graph.append({"graph": str(graph_path), **row})
-        ok_rows = [r for r in per_graph if r["error"] is None]
-        detectors_block[label] = {
-            "per_graph": per_graph,
-            "aggregate": _aggregate(ok_rows) if ok_rows else None,
-        }
+    _RUN = (cfg, loaded)
+    rows = _map_cells([(di, gi) for di in range(len(cfg.detectors)) for gi in range(len(loaded))])
+    try:
+        for spec in cfg.detectors:
+            label = spec.label()
+            per_graph = []
+            for graph_path, _, _ in loaded:
+                row = next(rows)
+                if row["error"] is not None:
+                    warnings.append(f"{label} on {graph_path}: {row['error']}")
+                report = row.pop("_bias_report", None)
+                if report is not None:
+                    bias_dir = out_dir / "bias"
+                    bias_dir.mkdir(exist_ok=True)
+                    stem = Path(graph_path).stem
+                    with open(bias_dir / f"{label}_{stem}.csv", "w", encoding="utf-8") as fh:
+                        report.write_csv(fh)
+                per_graph.append({"graph": str(graph_path), **row})
+            ok_rows = [r for r in per_graph if r["error"] is None]
+            detectors_block[label] = {
+                "per_graph": per_graph,
+                "aggregate": _aggregate(ok_rows) if ok_rows else None,
+            }
+    finally:
+        rows.close()  # stops the workers now, also when a write failed
+        _RUN = None
 
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -421,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, EdgeListError, PartitionError, GenerationError, ValueError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -92,6 +92,11 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
 
     Stops when a sweep changes no label, or after `max_sweeps` sweeps, which
     is logged as a warning.
+
+    A node whose last visit found a single most frequent neighbour label is
+    settled until a neighbour's label changes. Its neighbourhood is then as
+    it was, so a visit would pick the same label and draw nothing from the
+    random stream; settled nodes are skipped without counting.
     """
     _check_param("label_propagation", "max_sweeps", max_sweeps)
     _require_edges(g)
@@ -99,21 +104,29 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     adj = g.neighbor_lists()
     labels = list(range(g.n))
     order = list(range(g.n))
+    settled = [not nbrs for nbrs in adj]  # an isolated node never changes
     for _ in range(max_sweeps):
         rng.shuffle(order)
         changed = False
         for u in order:
-            if not adj[u]:
+            if settled[u]:
                 continue
+            nbrs = adj[u]
             counts: dict[int, int] = {}
-            for v in adj[u]:
+            for v in nbrs:
                 counts[labels[v]] = counts.get(labels[v], 0) + 1
             top = max(counts.values())
             winners = [lab for lab, c in counts.items() if c == top]
-            new = winners[0] if len(winners) == 1 else rng.choice(winners)
+            if len(winners) == 1:
+                new = winners[0]
+                settled[u] = True
+            else:
+                new = rng.choice(winners)
             if new != labels[u]:
                 labels[u] = new
                 changed = True
+                for v in nbrs:
+                    settled[v] = False
         if not changed:
             break
     else:

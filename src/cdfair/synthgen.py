@@ -52,27 +52,39 @@ class AbcdParams:
         return dataclasses.asdict(self)
 
 
+def _power_law_weights(exponent: float, lo: int, hi: int) -> np.ndarray:
+    """P(v) proportional to v^-exponent for the integers v in [lo, hi]."""
+    weights = np.arange(lo, hi + 1, dtype=np.float64) ** (-exponent)
+    return weights / weights.sum()
+
+
 def truncated_power_law(rng: np.random.Generator, exponent: float, lo: int, hi: int, size: int) -> np.ndarray:
     """Sample integers in [lo, hi] with P(v) proportional to v^-exponent."""
-    values = np.arange(lo, hi + 1, dtype=np.float64)
-    weights = values ** (-exponent)
-    weights /= weights.sum()
-    return rng.choice(np.arange(lo, hi + 1), size=size, p=weights)
+    return rng.choice(np.arange(lo, hi + 1), size=size, p=_power_law_weights(exponent, lo, hi))
 
 
 def _sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int]:
-    for _ in range(p.c_max_iter):
-        sizes: list[int] = []
-        total = 0
-        while total < p.n:
-            s = int(truncated_power_law(rng, p.beta, p.c_min, p.c_max, 1)[0])
-            sizes.append(s)
-            total += s
-        overshoot = total - p.n
-        if sizes[-1] - overshoot >= 1:
-            sizes[-1] -= overshoot
-            return sizes
-    raise GenerationError("community-size sampling failed after c_max_iter attempts")
+    """Power-law sizes in [c_min, c_max] until they cover n; the last is trimmed.
+
+    The sizes are the ones that one ``truncated_power_law(rng, beta, c_min,
+    c_max, 1)`` call per community gives, and `rng` ends in the same state:
+    ``Generator.choice`` maps one ``random()`` per sample through ``cdf``,
+    built here once by the same arithmetic. A batch of
+    ceil((n − total) / c_max) draws cannot reach n before its last draw, so
+    the per-community loop would have consumed all of it. The trimmed size
+    is at least 1, because the sizes before it sum to less than n.
+    """
+    cdf = _power_law_weights(p.beta, p.c_min, p.c_max).cumsum()
+    cdf /= cdf[-1]
+    sizes: list[int] = []
+    total = 0
+    while total < p.n:
+        draws = rng.random(-(-(p.n - total) // p.c_max))
+        batch = (cdf.searchsorted(draws, side="right") + p.c_min).tolist()
+        sizes += batch
+        total += sum(batch)
+    sizes[-1] -= total - p.n
+    return sizes
 
 
 def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:

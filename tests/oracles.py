@@ -2,21 +2,24 @@
 
 These are the per-node and per-line loops the package used before its
 arrays-first rewrite (CSR graph, one contingency table per pair), the
-CNM loop that rescans every link per merge, which the heap replaced, and the
-ABCD generator that re-shuffles stub pools which can no longer pair. They
-are slow but obviously correct, and the property tests in
-``test_oracles.py`` compare the package against them.
+CNM loop that rescans every link per merge, which the heap replaced, label
+propagation that recounts every node's neighbourhood on every visit, and the
+ABCD generator that re-shuffles stub pools which can no longer pair and
+draws each community size with its own ``choice`` call. They are slow but
+obviously correct, and the property tests in ``test_oracles.py`` compare the
+package against them.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
 
 from cdfair.graph import EdgeListError, Graph
 from cdfair.partition import Partition, PartitionError
-from cdfair.synthgen import AbcdParams, _sample_community_sizes, _sample_degrees
+from cdfair.synthgen import AbcdParams, GenerationError, _sample_degrees
 
 
 def from_labels(raw_labels) -> tuple[list[int], tuple]:
@@ -205,6 +208,33 @@ def greedy_agglomerative(g: Graph) -> Partition:
     return Partition.from_labels(comm)
 
 
+def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> tuple[Partition, bool]:
+    """Asynchronous label propagation that counts every visited node's
+    neighbourhood; returns the partition and whether a sweep changed no label."""
+    rng = random.Random(seed)
+    adj = g.neighbor_lists()
+    labels = list(range(g.n))
+    order = list(range(g.n))
+    for _ in range(max_sweeps):
+        rng.shuffle(order)
+        changed = False
+        for u in order:
+            if not adj[u]:
+                continue
+            counts: dict[int, int] = {}
+            for v in adj[u]:
+                counts[labels[v]] = counts.get(labels[v], 0) + 1
+            top = max(counts.values())
+            winners = [lab for lab, c in counts.items() if c == top]
+            new = winners[0] if len(winners) == 1 else rng.choice(winners)
+            if new != labels[u]:
+                labels[u] = new
+                changed = True
+        if not changed:
+            return Partition.from_labels(labels), True
+    return Partition.from_labels(labels), False
+
+
 def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int, int]:
     """(n, edge set, duplicates dropped, self-loops dropped), line by line."""
     id_map: dict[str, int] = {}
@@ -315,6 +345,25 @@ def pair_stubs(
     return len(pool)
 
 
+def sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int]:
+    """One ``Generator.choice`` draw per community until the sizes cover n."""
+    values = np.arange(p.c_min, p.c_max + 1, dtype=np.float64)
+    weights = values ** (-p.beta)
+    weights /= weights.sum()
+    for _ in range(p.c_max_iter):
+        sizes: list[int] = []
+        total = 0
+        while total < p.n:
+            s = int(rng.choice(np.arange(p.c_min, p.c_max + 1), size=1, p=weights)[0])
+            sizes.append(s)
+            total += s
+        overshoot = total - p.n
+        if sizes[-1] - overshoot >= 1:
+            sizes[-1] -= overshoot
+            return sizes
+    raise GenerationError("community-size sampling failed after c_max_iter attempts")
+
+
 def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     """Generate a planted-partition graph; returns (graph, partition, info).
 
@@ -324,7 +373,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     p.validate()
     rng = np.random.default_rng(p.seed)
 
-    sizes = _sample_community_sizes(rng, p)
+    sizes = sample_community_sizes(rng, p)
     degrees = _sample_degrees(rng, p)
 
     # assign shuffled nodes to communities sequentially

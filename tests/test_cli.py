@@ -6,9 +6,12 @@ to pytest tmp_path directories.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 from xml.etree import ElementTree
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfair import cli
 from cdfair.cli import derive_cell_seed, main
 from cdfair.graph import Graph, load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
@@ -24,6 +28,21 @@ from cdfair.partition import Partition, load_partition, write_partition
 
 def _read_bytes(path: Path) -> bytes:
     return path.read_bytes()
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, instead of hanging, when the block takes longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _generate(tmp_path: Path, prefix: str = "g", seed: int = 3) -> tuple[Path, Path]:
@@ -381,6 +400,69 @@ class TestEvaluate:
         ])
         assert rc == 1
         assert "line 2: node id 3 outside [0, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detectors", [
+        ["louvain", "label_propagation", "cnm", "external:path=missing.gt"],
+        ["label_propagation:max_sweeps=1", "louvain"],  # a logged warning per cell
+    ])
+    def test_parallel_run_matches_serial_run(self, tmp_path, monkeypatch, capsys, caplog,
+                                             detectors):
+        graphs = []
+        for prefix, seed in (("g1", 3), ("g2", 4), ("g3", 5)):
+            edges, gt = _generate(tmp_path, prefix, seed=seed)
+            graphs += ["--graph", str(edges), "--gt", str(gt)]
+        capsys.readouterr()
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_worker_count", lambda cells, w=workers: w)
+            caplog.clear()
+            out = tmp_path / f"workers{workers}"
+            with _deadline(120):
+                rc = main(["evaluate", *graphs, *(f"--detector={d}" for d in detectors),
+                           "--seed", "7", "--out", str(out)])
+            assert rc == 0
+            files = {str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            logged = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+            runs.append((files, capsys.readouterr().err, logged))
+        assert runs[0] == runs[1]
+        files, err, logged = runs[0]
+        assert len(files) > 2  # report.json, results.csv and bias CSVs
+        if "cnm" in detectors:
+            assert err.count("warning: external:missing on ") == 3
+        else:
+            assert [m for _, _, m in logged] == [
+                "label propagation stopped after 1 sweep(s) without converging"] * 3
+
+    def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys):
+        edges, gt = _generate(tmp_path)
+        evaluate_cell = cli.evaluate_cell
+
+        def die_on_cnm(cfg, g, gt, spec, seed):
+            if spec.name == "cnm":
+                os._exit(3)  # as a worker killed by the OOM killer would end
+            return evaluate_cell(cfg, g, gt, spec, seed)
+
+        # forked workers inherit both patches
+        monkeypatch.setattr(cli, "evaluate_cell", die_on_cnm)
+        monkeypatch.setattr(cli, "_worker_count", lambda cells: 2)
+        out = tmp_path / "run"
+        with _deadline(120):
+            rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                       "--detector", "louvain", "--detector", "cnm",
+                       "--detector", "label_propagation", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly while evaluating cells\n")
+        assert not (out / "report.json").exists()
+        assert not (out / "results.csv").exists()
+
+    def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(1000) == cpus
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms without it
+        assert cli._worker_count(1000) == 1
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         edges, gt = _generate(tmp_path)

@@ -8,6 +8,7 @@ including which of several problems is reported.
 from __future__ import annotations
 
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdfair.detectors import greedy_agglomerative
+from cdfair.detectors import greedy_agglomerative, label_propagation
 from cdfair.graph import EdgeListError, Graph, load_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition
 from cdfair.quality import nf1
-from cdfair.synthgen import AbcdParams, GenerationError, generate_abcd_lite
+from cdfair.synthgen import AbcdParams, GenerationError, _sample_community_sizes, generate_abcd_lite
 
 TOL = 1e-12
 
@@ -236,7 +237,62 @@ def test_cnm_heap_equals_scan_oracle_on_abcd(seed):
     assert got.original_ids == want.original_ids
 
 
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _lpa_against_oracle(g, seed, max_sweeps):
+    """Labels equal to the oracle's, and the max_sweeps warning exactly when
+    the oracle did not converge."""
+    handler = _Messages()
+    logger = logging.getLogger("cdfair.detectors")
+    logger.addHandler(handler)
+    try:
+        got = label_propagation(g, seed=seed, max_sweeps=max_sweeps)
+    finally:
+        logger.removeHandler(handler)
+    want, converged = oracles.label_propagation(g, seed=seed, max_sweeps=max_sweeps)
+    assert got == want
+    assert got.original_ids == want.original_ids
+    assert bool(handler.messages) == (not converged)
+
+
+@given(cnm_graph(), st.sampled_from([1, 2, 5, 100]), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_lpa_skipping_settled_nodes_equals_oracle(g, max_sweeps, seed):
+    _lpa_against_oracle(g, seed, max_sweeps)
+
+
+@pytest.mark.parametrize("xi, seed", [(0.3, 0), (0.3, 1), (0.6, 2)])
+def test_lpa_skipping_settled_nodes_equals_oracle_on_abcd(xi, seed):
+    # these runs converge within 100 sweeps, so 1 and 5 stop at the cap
+    g, _, _ = generate_abcd_lite(AbcdParams(n=1000, c_min=20, c_max=100, xi=xi, seed=seed))
+    for max_sweeps in (1, 5, 100):
+        _lpa_against_oracle(g, seed, max_sweeps)
+
+
 # ---------------------------------------------------------------- generator
+
+
+@st.composite
+def size_params(draw):
+    n = draw(st.integers(1, 3000))
+    c_min = draw(st.integers(1, n))
+    return AbcdParams(n=n, c_min=c_min, c_max=draw(st.integers(c_min, n)),
+                      beta=draw(st.floats(0.5, 3.5)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(size_params())
+@settings(max_examples=300, deadline=None)
+def test_community_sizes_equal_per_community_choice(p):
+    rng, ref = np.random.default_rng(p.seed), np.random.default_rng(p.seed)
+    assert _sample_community_sizes(rng, p) == oracles.sample_community_sizes(ref, p)
+    assert rng.random() == ref.random()  # the stream is left where the loop leaves it
 
 
 @st.composite
