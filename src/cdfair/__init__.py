@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .bias import BiasReport, cosine_distance, ib_all_fast, ib_all_naive
+from .bias import BiasReport, ib_all_fast
 from .graph import Graph, load_edge_list
-from .partition import ContingencyTable, Partition, cc_row, contingency, load_partition
+from .partition import ContingencyTable, Partition, contingency, load_partition
 from .quality import ari, modularity, nf1, nmi
 from .groupfair import GroupFairnessResult, community_scores, community_stats, ols_slope, phi
 from .detectors import DetectorSpec, greedy_agglomerative, label_propagation, louvain, run_detector
@@ -22,16 +22,13 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "ari",
-    "cc_row",
     "community_scores",
     "community_stats",
     "contingency",
-    "cosine_distance",
     "generate_abcd_lite",
     "generate_two_community",
     "greedy_agglomerative",
     "ib_all_fast",
-    "ib_all_naive",
     "label_propagation",
     "load_edge_list",
     "load_partition",

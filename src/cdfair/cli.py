@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bias import ib_all_fast, ib_all_naive
-from .detectors import DETECTOR_PARAMS, DetectorSpec, run_detector
+from .bias import ib_all_fast
+from .detectors import PARAM_TYPES, DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from .groupfair import PROPERTIES, SCORES, phi
 from .partition import Partition, PartitionError, contingency, load_partition, write_partition
@@ -50,7 +50,6 @@ class RunConfig:
     metrics: tuple[str, ...] = ALL_METRICS
     nmi_norm: str = "arithmetic"
     seed: int = 0
-    oracle: bool = False  # use the O(n^2) verification path for bias
     graph_group: str = "run"
 
 
@@ -72,13 +71,13 @@ def _phi_flat(phi_result) -> dict[str, float | None]:
 def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
     """All requested metrics for one (graph, detector) pair."""
     params = dict(spec.params)
-    if "seed" in DETECTOR_PARAMS[spec.name] and "seed" not in params:
+    if "seed" in PARAM_TYPES[spec.name] and "seed" not in params:
         params["seed"] = seed
     pred = run_detector(DetectorSpec(spec.name, params), g)
     ct = contingency(gt, pred)  # the one table every external metric reads
     row: dict = {"error": None, "k_pred": pred.k}
     if "ib" in cfg.metrics:
-        report = ib_all_naive(gt, pred) if cfg.oracle else ib_all_fast(ct)
+        report = ib_all_fast(ct)
         row["ib_g"] = report.ib_g
         row["mean_ib"] = report.mean_ib
         row["_bias_report"] = report
@@ -200,7 +199,7 @@ def evaluate_run(cfg: RunConfig) -> dict:
         with open(gt_path, "r", encoding="utf-8") as fh:
             gt = load_partition(fh)
         with open(graph_path, "r", encoding="utf-8") as fh:
-            g = load_edge_list(fh, id_mode="raw", n=gt.n).graph
+            g = load_edge_list(fh, n=gt.n).graph
         loaded.append((graph_path, g, gt))
 
     detectors_block: dict = {}
@@ -243,7 +242,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
                 "metrics": list(cfg.metrics),
                 "nmi_norm": cfg.nmi_norm,
                 "seed": cfg.seed,
-                "oracle": cfg.oracle,
             },
         },
         "warnings": warnings,
@@ -292,7 +290,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         params = AbcdParams(
             n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
             beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
-            d_max_iter=args.d_max_iter, c_max_iter=args.c_max_iter, seed=args.seed,
+            d_max_iter=args.d_max_iter, seed=args.seed,
         )
         g, p, info = generate_abcd_lite(params)
         provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
@@ -344,11 +342,43 @@ def _spec_text(spec: DetectorSpec) -> str:
     return f"{spec.name}:{params}" if params else spec.name
 
 
+# the keys a config file may hold and the JSON type of each value
+_CONFIG_KEYS = {"graphs": "array", "detectors": "array", "metrics": "array",
+                "nmi_norm": "string", "seed": "integer", "graph_group": "string", "out": "string"}
+_JSON_TYPES = {"array": list, "string": str, "integer": int}
+
+
+def _read_config(path: str) -> dict:
+    """The settings of a config file, each checked for its key and JSON type."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got {cfg!r}")
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(
+                f"{path}: unknown config key {key!r} (accepted: {', '.join(_CONFIG_KEYS)})"
+            )
+        kind = _CONFIG_KEYS[key]
+        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
+            raise ConfigError(f"{path}: config key {key!r} must be a JSON {kind}, got {value!r}")
+    for pair in cfg.get("graphs", []):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)):
+            raise ConfigError(
+                f"{path}: each graph must be an [edge-list path, ground-truth path] pair, "
+                f"got {pair!r}"
+            )
+    for det in cfg.get("detectors", []):
+        if not (isinstance(det, dict) and "name" in det and det.keys() <= {"name", "params"}):
+            raise ConfigError(
+                f'{path}: each detector must be an object {{"name": ..., "params": {{...}}}}, '
+                f"got {det!r}"
+            )
+    return cfg
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+    file_cfg = _read_config(args.config) if args.config else {}
     graphs = [tuple(pair) for pair in file_cfg.get("graphs", [])]
     if args.graph or args.gt:
         if len(args.graph or []) != len(args.gt or []):
@@ -356,6 +386,17 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         graphs = list(zip(args.graph, args.gt))
     if not graphs:
         raise ConfigError("no input graphs: pass --graph/--gt or a config file")
+    # a graph's file stem names its bias CSVs, so two graphs sharing one would
+    # silently overwrite each other's
+    by_stem: dict[str, str] = {}
+    for graph_path, _ in graphs:
+        stem = Path(graph_path).stem
+        if stem in by_stem:
+            raise ConfigError(
+                f"graphs {by_stem[stem]!r} and {graph_path!r} share the file stem {stem!r}; "
+                "their bias CSVs would overwrite each other"
+            )
+        by_stem[stem] = graph_path
     detectors = [DetectorSpec(d["name"], d.get("params", {})) for d in file_cfg.get("detectors", [])]
     if args.detector:
         detectors = [_parse_detector(d) for d in args.detector]
@@ -377,6 +418,9 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     for mname in metrics:
         if mname not in ALL_METRICS:
             raise ConfigError(f"unknown metric {mname!r}")
+    nmi_norm = args.nmi_norm or file_cfg.get("nmi_norm", "arithmetic")
+    if nmi_norm not in NMI_NORMS:
+        raise ConfigError(f"unknown nmi_norm {nmi_norm!r}")
     out_dir = args.out or file_cfg.get("out") or os.environ.get("CDFAIR_OUT_DIR")
     if not out_dir:
         raise ConfigError("no output directory: pass --out (or CDFAIR_OUT_DIR)")
@@ -385,9 +429,8 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         detectors=detectors,
         out_dir=out_dir,
         metrics=metrics,
-        nmi_norm=args.nmi_norm or file_cfg.get("nmi_norm", "arithmetic"),
-        seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-        oracle=bool(args.oracle or file_cfg.get("oracle", False)),
+        nmi_norm=nmi_norm,
+        seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
         graph_group=args.group or file_cfg.get("graph_group", "run"),
     )
 
@@ -454,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     abcd.add_argument("--c-max", type=int, default=1000)
     abcd.add_argument("--xi", type=float, default=0.2)
     abcd.add_argument("--d-max-iter", type=int, default=1000)
-    abcd.add_argument("--c-max-iter", type=int, default=1000)
     abcd.add_argument("--seed", type=int, default=0)
     abcd.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
     abcd.add_argument("--prefix", default="graph")
@@ -478,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--metrics", help=f"comma list from {','.join(ALL_METRICS)}")
     ev.add_argument("--nmi-norm", choices=NMI_NORMS)
     ev.add_argument("--seed", type=int)
-    ev.add_argument("--oracle", action="store_true",
-                    help="use the O(n^2) bias oracle instead of the fast path")
     ev.add_argument("--group", help="graph group label used in reports")
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_evaluate)

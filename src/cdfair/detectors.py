@@ -9,6 +9,7 @@ the pipeline as an externally computed partition file.
 from __future__ import annotations
 
 import heapq
+import inspect
 import logging
 import math
 import random
@@ -20,14 +21,6 @@ from .partition import Partition, load_partition
 
 log = logging.getLogger(__name__)
 
-# each detector's parameters and the type its value is converted to
-DETECTOR_PARAMS: dict[str, dict[str, type]] = {
-    "label_propagation": {"seed": int, "max_sweeps": int},
-    "louvain": {"seed": int, "resolution": float},
-    "cnm": {},
-    "external": {"path": str},
-}
-DETECTOR_NAMES = tuple(DETECTOR_PARAMS)
 # parameters whose converted value must also lie in a range: (check, what it must be)
 _PARAM_RANGES = {
     "max_sweeps": (lambda v: v >= 1, "at least 1"),
@@ -59,7 +52,7 @@ class DetectorSpec:
             raise ValueError(f"unknown detector {self.name!r}")
         if not isinstance(self.params, dict):
             raise ValueError(f"detector {self.name!r}: parameters must be key=value pairs")
-        types = DETECTOR_PARAMS[self.name]
+        types = PARAM_TYPES[self.name]
         for key, value in self.params.items():
             if key not in types:
                 accepted = ", ".join(types) or "none"
@@ -302,9 +295,17 @@ DETECTORS = {
     "cnm": greedy_agglomerative,
     "external": _external_partition,
 }
+DETECTOR_NAMES = tuple(DETECTORS)
+# each detector's parameters, from its signature after the graph, and the type
+# a given value is converted to: that of the parameter's default
+PARAM_TYPES: dict[str, dict[str, type]] = {
+    name: {key: type(param.default)
+           for key, param in inspect.signature(fn).parameters.items() if key != "g"}
+    for name, fn in DETECTORS.items()
+}
 
 
 def run_detector(spec: DetectorSpec, g: Graph) -> Partition:
     """Run the named detector with the spec's parameters, converted to their types."""
-    types = DETECTOR_PARAMS[spec.name]
+    types = PARAM_TYPES[spec.name]
     return DETECTORS[spec.name](g, **{key: types[key](v) for key, v in spec.params.items()})

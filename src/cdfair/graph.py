@@ -119,58 +119,39 @@ class LoadedEdgeList:
     """Result of parsing an edge-list file."""
 
     graph: Graph
-    id_map: dict[str, int]  # original token -> dense index
     duplicates_dropped: int
     self_loops_dropped: int
 
 
-def load_edge_list(
-    source: TextIO | Iterable[str], id_mode: str = "remap", n: int | None = None
-) -> LoadedEdgeList:
+def load_edge_list(source: TextIO | Iterable[str], *, n: int | None = None) -> LoadedEdgeList:
     """Parse a whitespace-separated edge list into a validated Graph.
 
-    Lines starting with '#' are comments. Duplicate edges and self-loops are
-    dropped (counted, warned), never fatal. When the input has several
-    problems, the one on the earliest line is reported.
-
-    id_mode:
-      "raw"   - tokens must be non-negative integers used directly as indices;
-                n is max index + 1 unless given, in which case every id must
-                lie in [0, n) (nodes without edges are isolated).
-      "remap" - arbitrary tokens, mapped to dense indices in first-seen order.
+    Node ids are non-negative integers, used directly as indices. n is the
+    largest id plus one unless given, in which case every id must lie in
+    [0, n) (nodes without edges are isolated). Lines starting with '#' are
+    comments. Duplicate edges and self-loops are dropped (counted, warned),
+    never fatal. When the input has several problems, the one on the
+    earliest line is reported.
     """
-    if id_mode not in ("raw", "remap"):
-        raise ValueError(f"unknown id_mode {id_mode!r}")
-    if n is not None and id_mode != "raw":
-        raise ValueError("a node count can only be given with raw ids")
-
     linenos, tokens, malformed = read_pairs(source)
     error = None
     if malformed is not None:
         error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
-    if id_mode == "raw":
-        ids, stop = parse_ints(tokens)
-        if stop is not None:
-            error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r} in raw mode"
-        bad = first_true((ids < 0) | (ids >= (n if n is not None else np.inf)))
-        if bad is not None:
-            node = int(tokens[bad])
-            where = f"line {linenos[bad // 2]}"
-            error = f"{where}: negative node id {node}" if node < 0 else f"{where}: node id {node} outside [0, {n})"
-    else:
-        id_map = {tok: i for i, tok in enumerate(dict.fromkeys(tokens))}
-        ids = np.fromiter(map(id_map.__getitem__, tokens), np.int64, len(tokens))
+    ids, stop = parse_ints(tokens)
+    if stop is not None:
+        error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
+    bad = first_true((ids < 0) | (ids >= (n if n is not None else np.inf)))
+    if bad is not None:
+        node = int(tokens[bad])
+        where = f"line {linenos[bad // 2]}"
+        error = f"{where}: negative node id {node}" if node < 0 else f"{where}: node id {node} outside [0, {n})"
     if error is not None:
         raise EdgeListError(error)
     if not tokens:
         raise EdgeListError("empty edge-list input")
 
-    if id_mode == "raw":
-        if n is None:
-            n = int(ids.max()) + 1
-        id_map = {str(i): i for i in range(n)}
-    else:
-        n = len(id_map)
+    if n is None:
+        n = int(ids.max()) + 1
     u, v = ids[0::2], ids[1::2]
     loop = u == v
     lo, hi = np.minimum(u, v)[~loop], np.maximum(u, v)[~loop]
@@ -181,7 +162,6 @@ def load_edge_list(
         log.warning("dropped %d duplicate edge(s) and %d self-loop(s)", dup, loops)
     return LoadedEdgeList(
         graph=Graph._from_keys(n, keys),
-        id_map=id_map,
         duplicates_dropped=dup,
         self_loops_dropped=loops,
     )
@@ -192,9 +172,3 @@ def write_edge_list(g: Graph, sink: TextIO) -> None:
     u, v = g.edge_array.T.tolist()
     sink.write("".join(map("{} {}\n".format, u, v)))
 
-
-def write_id_map(id_map: dict[str, int], sink: TextIO) -> None:
-    """Persist the token->index mapping as CSV 'token,index'."""
-    sink.write("token,index\n")
-    for tok, idx in sorted(id_map.items(), key=lambda kv: kv[1]):
-        sink.write(f"{tok},{idx}\n")

@@ -10,9 +10,8 @@ communities are favoured.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -30,20 +29,6 @@ class GroupFairnessResult:
     phi: dict[str, dict[str, float | None]]
     stats: dict[str, np.ndarray]  # PROPERTIES -> one value per ground-truth community
     scores: dict[str, np.ndarray]  # SCORES -> one value per ground-truth community
-
-    def write_points_csv(self, sink: TextIO) -> None:
-        sink.write("community,property,property_norm,fccn,f1,fcce\n")
-        scores = zip(*(self.scores[score].tolist() for score in SCORES))
-        score_cells = [",".join(map(repr, sc)) for sc in scores]
-        for prop in PROPERTIES:
-            norm = _minmax(self.stats[prop])
-            norm_cells = [""] * len(score_cells) if norm is None else map(repr, norm.tolist())
-            for c, (nv, sc) in enumerate(zip(norm_cells, score_cells)):
-                sink.write(f"{c},{prop},{nv},{sc}\n")
-
-    def write_phi_json(self, sink: TextIO) -> None:
-        json.dump(self.phi, sink, sort_keys=True, indent=2)
-        sink.write("\n")
 
 
 def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:

@@ -1,9 +1,8 @@
 """Community assignments and the contingency table linking two of them.
 
 The binary co-occurrence matrix of a partition (row i = indicator of the set
-{j : c_j = c_i}) is never stored in production code: every quantity that
-needs it reduces to overlap counts between two partitions. ``cc_row`` exists
-only as the materialized oracle for tests.
+{j : c_j = c_i}) is never stored: every quantity that needs it reduces to
+overlap counts between two partitions.
 """
 
 from __future__ import annotations
@@ -116,13 +115,6 @@ def contingency(gt: Partition, pred: Partition) -> ContingencyTable:
     return ContingencyTable(
         gt=gt, pred=pred, rows=rows, cols=cols, overlap=overlap, node_cell=node_cell.reshape(-1)
     )
-
-
-def cc_row(p: Partition, i: int) -> np.ndarray:
-    """Materialized co-occurrence row: v[j] = 1 iff c_j = c_i. Oracle only."""
-    if not 0 <= i < p.n:
-        raise IndexError(f"node index {i} out of range for n={p.n}")
-    return (p.labels == p.labels[i]).astype(np.float64)
 
 
 def load_partition(source: TextIO | Iterable[str], n: int | None = None) -> Partition:

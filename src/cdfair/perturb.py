@@ -8,8 +8,7 @@ overlap cell stays positive by construction.
 
 The focal node's bias 1 - o/sqrt(s*s') depends only on how many nodes move,
 not on which, so `run_sweep` computes it in closed form from the move counts.
-The random `perturb_*` functions build one such perturbed partition; they are
-the reference the closed form is tested against.
+The tests check it against random perturbations that move those counts.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-import numpy as np
-
-from .partition import Partition
 from .synthgen import two_block_partition
 
 SCENARIOS = ("expand", "shrink", "change")
@@ -74,73 +70,11 @@ class SweepResult:
                 sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{r},{v!r}\n")
 
 
-def _fresh_label(p: Partition) -> int:
-    return p.k
-
-
-def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
-    """Relabel round(ratio * |outside|) random outsiders into the focal community."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    focal_c = int(gt.labels[focal])
-    outside = np.flatnonzero(gt.labels != focal_c)
-    k = round_half_away(ratio * len(outside))
-    labels = gt.labels.copy()
-    if k > 0:
-        joiners = rng.choice(outside, size=k, replace=False)
-        labels[joiners] = focal_c
-    return Partition.from_labels(labels)
-
-
-def perturb_shrink(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
-    """Move round(ratio * s) random members (never the focal node) to a fresh community.
-
-    The count is based on the full community size s and capped at s - 1 so
-    the focal node always stays: interior grid ratios then remove the same
-    fraction regardless of s (size-invariant curves), while ratio 1 still
-    leaves the singleton {focal} with bias 1 - 1/sqrt(s).
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    focal_c = int(gt.labels[focal])
-    members = np.flatnonzero(gt.labels == focal_c)
-    members = members[members != focal]
-    k = min(round_half_away(ratio * (len(members) + 1)), len(members))
-    labels = gt.labels.copy()
-    if k > 0:
-        leavers = rng.choice(members, size=k, replace=False)
-        labels[leavers] = _fresh_label(gt)
-    return Partition.from_labels(labels)
-
-
-def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
-    """Proportional swap: members leave and outsiders join, both at `ratio`."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    focal_c = int(gt.labels[focal])
-    members = np.flatnonzero(gt.labels == focal_c)
-    members = members[members != focal]
-    outside = np.flatnonzero(gt.labels != focal_c)
-    k_out = min(round_half_away(ratio * (len(members) + 1)), len(members))
-    k_in = round_half_away(ratio * len(outside))
-    labels = gt.labels.copy()
-    if k_out > 0:
-        leavers = rng.choice(members, size=k_out, replace=False)
-        labels[leavers] = _fresh_label(gt)
-    if k_in > 0:
-        joiners = rng.choice(outside, size=k_in, replace=False)
-        labels[joiners] = focal_c
-    return Partition.from_labels(labels)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """The focal node's bias per ratio, in closed form from the move counts.
 
-    The counts are the ones the `perturb_*` functions round: k_out members
-    leave (capped at s - 1 so the focal node stays) and k_in outsiders join.
+    k_out members leave (capped at s - 1 so the focal node stays) and k_in
+    outsiders join, each count rounded with halves away from zero.
     Bias depends only on the planted labels, so no graph is built here; the
     two-block partition supplies the minority/majority structure.
     """

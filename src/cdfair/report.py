@@ -22,13 +22,34 @@ class ReportSchemaError(ValueError):
 
 
 def load_run_report(path: str | Path) -> dict:
+    """A run report, checked for every part that `collect_points` reads."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ReportSchemaError(f"{path}: a run report must be a JSON object")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ReportSchemaError(
             f"{path}: schema_version {doc.get('schema_version')!r}, "
             f"expected {REPORT_SCHEMA_VERSION}"
         )
+    if not isinstance(doc.get("detectors"), dict):
+        raise ReportSchemaError(f"{path}: no 'detectors' object")
+    for det, entry in doc["detectors"].items():
+        agg = entry.get("aggregate") if isinstance(entry, dict) else None
+        if not isinstance(entry, dict) or not isinstance(agg, (dict, type(None))):
+            raise ReportSchemaError(
+                f"{path}: detector {det!r}: expected an object with an 'aggregate' object or null"
+            )
+        for metric in ("ib_g",) + QUALITY_METRICS + PHI_METRICS:
+            cell = agg.get(metric) if agg else None
+            if cell is not None and not (
+                isinstance(cell, dict)
+                and all(isinstance(cell.get(stat), (int, float)) for stat in ("mean", "std"))
+            ):
+                raise ReportSchemaError(
+                    f"{path}: detector {det!r}: aggregate {metric!r} must be null "
+                    f"or hold a numeric 'mean' and 'std', got {cell!r}"
+                )
     return doc
 
 
@@ -49,7 +70,7 @@ def collect_points(reports: list[dict]) -> list[dict]:
             ib_g_std = agg["ib_g"]["std"]
             for metric in QUALITY_METRICS + PHI_METRICS:
                 cell = agg.get(metric)
-                if cell is None or cell.get("mean") is None:
+                if cell is None:
                     continue
                 points.append(
                     {

@@ -33,7 +33,6 @@ class AbcdParams:
     c_max: int = 1000
     xi: float = 0.2  # fraction of stubs routed to the background graph
     d_max_iter: int = 1000
-    c_max_iter: int = 1000
     seed: int = 0
 
     def validate(self) -> None:
@@ -45,8 +44,8 @@ class AbcdParams:
             raise ValueError("xi must lie in [0, 1]")
         if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
             raise ValueError("gamma and beta must be finite")
-        if self.d_max_iter < 1 or self.c_max_iter < 1:
-            raise ValueError("need d_max_iter >= 1 and c_max_iter >= 1")
+        if self.d_max_iter < 1:
+            raise ValueError("need d_max_iter >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -8,18 +8,121 @@ ABCD generator that re-shuffles stub pools which can no longer pair and
 draws each community size with its own ``choice`` call. They are slow but
 obviously correct, and the property tests in ``test_oracles.py`` compare the
 package against them.
+
+The bias itself has two references here: ``ib_all_naive`` materializes each
+node's co-occurrence rows (``cc_row``) and takes their cosine distance, as
+the measure is defined, and the ``perturb_*`` functions build the random
+perturbations whose focal bias the closed-form sweep must reproduce.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
+from cdfair.bias import BiasReport
 from cdfair.graph import EdgeListError, Graph
 from cdfair.partition import Partition, PartitionError
-from cdfair.synthgen import AbcdParams, GenerationError, _sample_degrees
+from cdfair.perturb import round_half_away
+from cdfair.synthgen import AbcdParams, _sample_degrees
+
+NAIVE_NODE_CAP = 5000
+
+
+def cc_row(p: Partition, i: int) -> np.ndarray:
+    """Materialized co-occurrence row: v[j] = 1 iff c_j = c_i."""
+    if not 0 <= i < p.n:
+        raise IndexError(f"node index {i} out of range for n={p.n}")
+    return (p.labels == p.labels[i]).astype(np.float64)
+
+
+def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
+    """1 - cos(u, v). For non-negative inputs the result lies in [0, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError("vector length mismatch")
+    nu = math.sqrt(float(u @ u))
+    nv = math.sqrt(float(v @ v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine distance undefined for zero-norm vector")
+    return 1.0 - float(u @ v) / (nu * nv)
+
+
+def ib_all_naive(gt: Partition, pred: Partition, cap: int = NAIVE_NODE_CAP) -> BiasReport:
+    """Row-materializing O(n^2) bias. Refuses to run above `cap` nodes."""
+    if gt.n != pred.n:
+        raise PartitionError(f"partition sizes differ: {gt.n} vs {pred.n}")
+    if gt.n > cap:
+        raise ValueError(
+            f"naive path capped at {cap} nodes (got {gt.n}); use ib_all_fast"
+        )
+    ib = np.empty(gt.n, dtype=np.float64)
+    for i in range(gt.n):
+        ib[i] = cosine_distance(cc_row(gt, i), cc_row(pred, i))
+    return BiasReport.from_values(ib)
+
+
+def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
+    """Relabel round(ratio * |outside|) random outsiders into the focal community."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    focal_c = int(gt.labels[focal])
+    outside = np.flatnonzero(gt.labels != focal_c)
+    k = round_half_away(ratio * len(outside))
+    labels = gt.labels.copy()
+    if k > 0:
+        joiners = rng.choice(outside, size=k, replace=False)
+        labels[joiners] = focal_c
+    return Partition.from_labels(labels)
+
+
+def perturb_shrink(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
+    """Move round(ratio * s) random members (never the focal node) to a fresh community.
+
+    The count is based on the full community size s and capped at s - 1 so
+    the focal node always stays: interior grid ratios then remove the same
+    fraction regardless of s (size-invariant curves), while ratio 1 still
+    leaves the singleton {focal} with bias 1 - 1/sqrt(s).
+    """
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    focal_c = int(gt.labels[focal])
+    members = np.flatnonzero(gt.labels == focal_c)
+    members = members[members != focal]
+    k = min(round_half_away(ratio * (len(members) + 1)), len(members))
+    labels = gt.labels.copy()
+    if k > 0:
+        leavers = rng.choice(members, size=k, replace=False)
+        labels[leavers] = gt.k  # a label no community has yet
+    return Partition.from_labels(labels)
+
+
+def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
+    """Proportional swap: members leave and outsiders join, both at `ratio`."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("ratio must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    focal_c = int(gt.labels[focal])
+    members = np.flatnonzero(gt.labels == focal_c)
+    members = members[members != focal]
+    outside = np.flatnonzero(gt.labels != focal_c)
+    k_out = min(round_half_away(ratio * (len(members) + 1)), len(members))
+    k_in = round_half_away(ratio * len(outside))
+    labels = gt.labels.copy()
+    if k_out > 0:
+        leavers = rng.choice(members, size=k_out, replace=False)
+        labels[leavers] = gt.k  # a label no community has yet
+    if k_in > 0:
+        joiners = rng.choice(outside, size=k_in, replace=False)
+        labels[joiners] = focal_c
+    return Partition.from_labels(labels)
 
 
 def from_labels(raw_labels) -> tuple[list[int], tuple]:
@@ -235,9 +338,8 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> tuple[P
     return Partition.from_labels(labels), False
 
 
-def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int, int]:
+def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
     """(n, edge set, duplicates dropped, self-loops dropped), line by line."""
-    id_map: dict[str, int] = {}
     pairs = []
     max_raw = -1
     for lineno, line in enumerate(lines, start=1):
@@ -249,16 +351,13 @@ def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int,
             raise EdgeListError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         ids = []
         for tok in tokens:
-            if id_mode == "raw":
-                try:
-                    i = int(tok)
-                except ValueError:
-                    raise EdgeListError(f"line {lineno}: non-integer node id {tok!r} in raw mode")
-                if i < 0:
-                    raise EdgeListError(f"line {lineno}: negative node id {i}")
-                max_raw = max(max_raw, i)
-            else:
-                i = id_map.setdefault(tok, len(id_map))
+            try:
+                i = int(tok)
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: non-integer node id {tok!r}")
+            if i < 0:
+                raise EdgeListError(f"line {lineno}: negative node id {i}")
+            max_raw = max(max_raw, i)
             ids.append(i)
         pairs.append(tuple(ids))
     if not pairs:
@@ -273,8 +372,7 @@ def load_edge_list(lines, id_mode: str) -> tuple[int, set[tuple[int, int]], int,
         if key in seen:
             dup += 1
         seen.add(key)
-    n = max_raw + 1 if id_mode == "raw" else len(id_map)
-    return n, seen, dup, loops
+    return max_raw + 1, seen, dup, loops
 
 
 def load_partition(lines, n: int) -> Partition:
@@ -350,18 +448,15 @@ def sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int]
     values = np.arange(p.c_min, p.c_max + 1, dtype=np.float64)
     weights = values ** (-p.beta)
     weights /= weights.sum()
-    for _ in range(p.c_max_iter):
-        sizes: list[int] = []
-        total = 0
-        while total < p.n:
-            s = int(rng.choice(np.arange(p.c_min, p.c_max + 1), size=1, p=weights)[0])
-            sizes.append(s)
-            total += s
-        overshoot = total - p.n
-        if sizes[-1] - overshoot >= 1:
-            sizes[-1] -= overshoot
-            return sizes
-    raise GenerationError("community-size sampling failed after c_max_iter attempts")
+    sizes: list[int] = []
+    total = 0
+    while total < p.n:
+        s = int(rng.choice(np.arange(p.c_min, p.c_max + 1), size=1, p=weights)[0])
+        sizes.append(s)
+        total += s
+    # the sizes before the last sum to less than n, so the trimmed one is >= 1
+    sizes[-1] -= total - p.n
+    return sizes
 
 
 def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:

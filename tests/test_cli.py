@@ -95,7 +95,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flags, message", [
         (["--d-max-iter", "0"], "d_max_iter >= 1"),
-        (["--c-max-iter", "0"], "c_max_iter >= 1"),
+        (["--xi", "1.5"], "xi must lie in [0, 1]"),
         (["--gamma", "nan"], "gamma and beta must be finite"),
         (["--beta", "inf"], "gamma and beta must be finite"),
         # every degree is 5 and n is odd, so no parity fix can succeed
@@ -251,20 +251,6 @@ class TestEvaluate:
         row = doc["detectors"]["louvain"]["per_graph"][0]
         assert "modularity" in row and "nmi" not in row
 
-    def test_oracle_flag_matches_fast_path(self, tmp_path):
-        edges, gt = _generate(tmp_path)
-        vals = {}
-        for flag, name in ((False, "fast"), (True, "oracle")):
-            out = tmp_path / name
-            argv = ["evaluate", "--graph", str(edges), "--gt", str(gt),
-                    "--detector", "cnm", "--metrics", "ib", "--out", str(out)]
-            if flag:
-                argv.append("--oracle")
-            assert main(argv) == 0
-            doc = json.loads((out / "report.json").read_text())
-            vals[name] = doc["detectors"]["cnm"]["per_graph"][0]["ib_g"]
-        assert vals["fast"] == pytest.approx(vals["oracle"], abs=1e-12)
-
     def test_multi_graph_aggregate_rows(self, tmp_path):
         e1, g1 = _generate(tmp_path, prefix="a", seed=1)
         e2, g2 = _generate(tmp_path, prefix="b", seed=2)
@@ -356,6 +342,43 @@ class TestEvaluate:
         }))
         assert main(["evaluate", "--config", str(cfg)]) == 1
         assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("same_file", [False, True])
+    def test_graphs_sharing_a_stem_exit_1(self, tmp_path, capsys, same_file):
+        # the bias CSVs are named after the graph's stem: both would be louvain_g.csv
+        pairs = [_generate(tmp_path / sub, "g", seed=seed) for sub, seed in (("a", 1), ("b", 2))]
+        if same_file:
+            pairs[1] = pairs[0]
+        argv = ["evaluate", "--detector", "louvain", "--out", str(tmp_path / "o")]
+        for edges, gt in pairs:
+            argv += ["--graph", str(edges), "--gt", str(gt)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(pairs[0][0]) in err and str(pairs[1][0]) in err and "'g'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ([], "a config must be a JSON object"),
+        ({"detectors": ["louvain"]}, "each detector must be an object"),
+        ({"detectors": [{"name": "louvain", "seed": 1}]}, "each detector must be an object"),
+        ({"metrics": "ib"}, "config key 'metrics' must be a JSON array"),
+        ({"oracle": True}, "unknown config key 'oracle'"),
+        ({"graphs": [["g.edges"]]}, "each graph must be an [edge-list path, ground-truth path]"),
+        ({"seed": "4"}, "config key 'seed' must be a JSON integer"),
+        ({"nmi_norm": "median"}, "unknown nmi_norm 'median'"),
+    ])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, config, message):
+        edges, gt = _generate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        if isinstance(config, dict):
+            config = {"graphs": [[str(edges), str(gt)]], "detectors": [{"name": "cnm"}],
+                      "out": str(tmp_path / "o"), **config}
+        cfg.write_text(json.dumps(config))
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
     def test_external_partitions_sharing_a_stem_exit_1(self, tmp_path, capsys):
@@ -495,7 +518,7 @@ def test_round_trip_keeps_isolated_nodes(data):
         with open(gt_path, encoding="utf-8") as fh:
             loaded_gt = load_partition(fh)
         with open(edges_path, encoding="utf-8") as fh:
-            loaded = load_edge_list(fh, id_mode="raw", n=loaded_gt.n).graph
+            loaded = load_edge_list(fh, n=loaded_gt.n).graph
         assert loaded_gt == gt and loaded.n == n
         assert list(loaded.edges()) == list(g.edges())
         rc = main([
@@ -595,6 +618,20 @@ class TestReport:
         for svg in svgs:
             texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
             assert "external:x&y<z" in texts
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "a run report must be a JSON object"),
+        ({"schema_version": 1}, "no 'detectors' object"),
+        ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {"ib_g": {"mean": 0.1}}}}},
+         "detector 'louvain': aggregate 'ib_g' must be null or hold a numeric 'mean' and 'std'"),
+    ])
+    def test_report_rejects_malformed_report(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_report_rejects_bad_schema(self, tmp_path):
         bad = tmp_path / "report.json"

@@ -1,10 +1,14 @@
 import io
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdfair.detectors import (
+    DETECTORS,
+    PARAM_TYPES,
     DetectorSpec,
     greedy_agglomerative,
     label_propagation,
@@ -196,3 +200,17 @@ def test_returned_partitions_valid():
         assert p.n == g.n
         assert sorted(set(p.labels.tolist())) == list(range(p.k))
         assert p.sizes.sum() == g.n
+
+
+def test_docs_table_lists_the_signature_parameters():
+    """The detector table of docs/file_formats.md names each detector's
+    parameters and types as its signature does."""
+    docs = (Path(__file__).parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    section = docs.split("## Detector specs", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, flags=re.M):
+        name, params = row
+        table[name] = dict(re.findall(r"`(\w+)` \((\w+)", params))
+    assert list(table) == list(DETECTORS)
+    assert table == {name: {key: t.__name__ for key, t in types.items()}
+                     for name, types in PARAM_TYPES.items()}

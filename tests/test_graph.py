@@ -2,11 +2,11 @@ import io
 
 import pytest
 
-from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list, write_id_map
+from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
 
 
 def test_path_graph():
-    res = load_edge_list(io.StringIO("0 1\n1 2\n"), id_mode="raw")
+    res = load_edge_list(io.StringIO("0 1\n1 2\n"))
     g = res.graph
     assert g.n == 3
     assert g.num_edges == 2
@@ -14,33 +14,32 @@ def test_path_graph():
     assert g.degree(0) == 1
 
 
-def test_remap_dedup_and_self_loop():
-    res = load_edge_list(io.StringIO("a b\nb a\na a\n"), id_mode="remap")
+def test_raw_dedup_and_self_loop():
+    res = load_edge_list(io.StringIO("0 1\n1 0\n0 0\n"))
     assert res.graph.n == 2
     assert res.graph.num_edges == 1
     assert res.duplicates_dropped == 1
     assert res.self_loops_dropped == 1
-    assert res.id_map == {"a": 0, "b": 1}
 
 
 def test_comments_and_blank_lines():
-    res = load_edge_list(io.StringIO("# header\n\n0 1\n"), id_mode="raw")
+    res = load_edge_list(io.StringIO("# header\n\n0 1\n"))
     assert res.graph.num_edges == 1
 
 
 def test_malformed_line_reports_number():
     with pytest.raises(EdgeListError, match="line 2"):
-        load_edge_list(io.StringIO("0 1\n0 1 2\n"), id_mode="raw")
+        load_edge_list(io.StringIO("0 1\n0 1 2\n"))
 
 
 def test_empty_input_rejected():
     with pytest.raises(EdgeListError, match="empty"):
-        load_edge_list(io.StringIO("# only comments\n"), id_mode="raw")
+        load_edge_list(io.StringIO("# only comments\n"))
 
 
 def test_raw_mode_rejects_tokens():
     with pytest.raises(EdgeListError, match="non-integer"):
-        load_edge_list(io.StringIO("a b\n"), id_mode="raw")
+        load_edge_list(io.StringIO("a b\n"))
 
 
 def test_degree_errors_and_star():
@@ -65,15 +64,8 @@ def test_adjacency_symmetric_and_edge_count():
 
 def test_round_trip_serialization():
     src = "3 1\n0 1\n1 2\n1 0\n"
-    g = load_edge_list(io.StringIO(src), id_mode="raw").graph
+    g = load_edge_list(io.StringIO(src)).graph
     buf = io.StringIO()
     write_edge_list(g, buf)
-    g2 = load_edge_list(io.StringIO(buf.getvalue()), id_mode="raw").graph
+    g2 = load_edge_list(io.StringIO(buf.getvalue())).graph
     assert set(g.edges()) == set(g2.edges())
-
-
-def test_id_map_csv():
-    res = load_edge_list(io.StringIO("x y\n"), id_mode="remap")
-    buf = io.StringIO()
-    write_id_map(res.id_map, buf)
-    assert buf.getvalue() == "token,index\nx,0\ny,1\n"

@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -182,17 +179,3 @@ def test_phi_affine_rescale_invariance():
     raw = [3.0, 7.0, 11.0]
     scaled = [10 * v + 2 for v in raw]
     assert _minmax(raw) == pytest.approx(_minmax(scaled))
-
-
-def test_points_csv_and_phi_json():
-    g, gt, pred = shatter_construction(shatter_small=True)
-    result = phi(g, contingency(gt, pred))
-    buf = io.StringIO()
-    result.write_points_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "community,property,property_norm,fccn,f1,fcce"
-    assert len(lines) == 1 + 3 * gt.k
-    buf = io.StringIO()
-    result.write_phi_json(buf)
-    doc = json.loads(buf.getvalue())
-    assert doc["size"]["fccn"] > 0

@@ -344,17 +344,17 @@ EDGE_LINES = ["0 1", "1 2\n", " 3\t4 ", "2 0", "1 0", "2 2", "# note", "", "   "
               "a b", "1", "1 2 3", "-1 2", "+3 1", "7 5", "b a"]
 
 
-@given(st.lists(st.sampled_from(EDGE_LINES), max_size=12), st.sampled_from(["raw", "remap"]))
+@given(st.lists(st.sampled_from(EDGE_LINES), max_size=12))
 @settings(max_examples=300, deadline=None)
-def test_load_edge_list_matches_line_loop(lines, id_mode):
+def test_load_edge_list_matches_line_loop(lines):
     try:
-        n, edges, dup, loops = oracles.load_edge_list(lines, id_mode)
+        n, edges, dup, loops = oracles.load_edge_list(lines)
     except EdgeListError as exc:
         with pytest.raises(EdgeListError) as got:
-            load_edge_list(lines, id_mode=id_mode)
+            load_edge_list(lines)
         assert str(got.value) == str(exc)
         return
-    res = load_edge_list(lines, id_mode=id_mode)
+    res = load_edge_list(lines)
     assert res.graph.n == n
     assert set(res.graph.edges()) == edges
     assert list(res.graph.edges()) == sorted(edges)
@@ -392,13 +392,11 @@ def test_load_partition_infers_n_from_largest_id():
 
 
 def test_load_edge_list_with_node_count():
-    res = load_edge_list(io.StringIO("0 1\n1 2\n"), id_mode="raw", n=5)
+    res = load_edge_list(io.StringIO("0 1\n1 2\n"), n=5)
     assert res.graph.n == 5
     assert res.graph.degree(4) == 0
     with pytest.raises(EdgeListError, match=r"line 2: node id 5 outside \[0, 5\)"):
-        load_edge_list(io.StringIO("0 1\n1 5\n"), id_mode="raw", n=5)
-    with pytest.raises(ValueError):
-        load_edge_list(io.StringIO("a b\n"), id_mode="remap", n=2)
+        load_edge_list(io.StringIO("0 1\n1 5\n"), n=5)
 
 
 def test_from_edges_errors_name_the_first_bad_edge():

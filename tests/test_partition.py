@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from cdfair.partition import (
     Partition,
     PartitionError,
-    cc_row,
     contingency,
     load_partition,
     write_partition,
 )
+from oracles import cc_row
 
 
 def labels_pair(max_n=60):

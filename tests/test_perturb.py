@@ -12,13 +12,11 @@ from cdfair.perturb import (
     SCENARIOS,
     TARGETS,
     SweepConfig,
-    perturb_change,
-    perturb_expand,
-    perturb_shrink,
     round_half_away,
     run_sweep,
 )
 from cdfair.synthgen import two_block_partition
+from oracles import perturb_change, perturb_expand, perturb_shrink
 
 
 def focal_ib(gt, pred, focal):

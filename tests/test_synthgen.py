@@ -32,7 +32,7 @@ def test_param_validation():
         AbcdParams(n=100, xi=1.5).validate()
     with pytest.raises(ValueError):
         AbcdParams(n=100, c_min=200, c_max=300).validate()
-    for bad in ({"d_max_iter": 0}, {"c_max_iter": 0}, {"gamma": float("nan")},
+    for bad in ({"d_max_iter": 0}, {"gamma": float("nan")},
                 {"beta": float("inf")}, {"gamma": float("-inf")}):
         with pytest.raises(ValueError):
             AbcdParams(n=100, c_min=10, c_max=50, **bad).validate()
