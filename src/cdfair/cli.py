@@ -4,7 +4,7 @@ Exit codes: 0 success (possibly with per-detector warnings), 1 config or
 parse error, or an evaluate worker process that ended abruptly, 2 I/O error.
 All randomness flows from the run seed through the documented derivation in
 `derive_cell_seed`, and sweeps use no randomness, so any command re-run with
-the same config produces byte-identical outputs, whatever the number of
+the same arguments produces byte-identical outputs, whatever the number of
 evaluate workers.
 """
 
@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +32,6 @@ from .quality import NMI_NORMS, ari, modularity, nf1, nmi
 from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_report_outputs
 from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
 
-ALL_METRICS = ("ib", "modularity", "nmi", "ari", "nf1", "phi")
-
 
 class ConfigError(ValueError):
     pass
@@ -47,7 +46,6 @@ class RunConfig:
     graphs: list[tuple[str, str]]  # (edge-list path, ground-truth path) pairs
     detectors: list[DetectorSpec]
     out_dir: str
-    metrics: tuple[str, ...] = ALL_METRICS
     nmi_norm: str = "arithmetic"
     seed: int = 0
     graph_group: str = "run"
@@ -69,29 +67,19 @@ def _phi_flat(phi_result) -> dict[str, float | None]:
 
 
 def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
-    """All requested metrics for one (graph, detector) pair."""
+    """Every metric for one (graph, detector) pair."""
     params = dict(spec.params)
     if "seed" in PARAM_TYPES[spec.name] and "seed" not in params:
         params["seed"] = seed
     pred = run_detector(DetectorSpec(spec.name, params), g)
     ct = contingency(gt, pred)  # the one table every external metric reads
-    row: dict = {"error": None, "k_pred": pred.k}
-    if "ib" in cfg.metrics:
-        report = ib_all_fast(ct)
-        row["ib_g"] = report.ib_g
-        row["mean_ib"] = report.mean_ib
-        row["_bias_report"] = report
-    if "modularity" in cfg.metrics:
-        row["modularity"] = modularity(g, pred)
-    if "nmi" in cfg.metrics:
-        row["nmi"] = nmi(ct, norm=cfg.nmi_norm)
-    if "ari" in cfg.metrics:
-        row["ari"] = ari(ct)
-    if "nf1" in cfg.metrics:
-        row["nf1"] = nf1(ct)
-    if "phi" in cfg.metrics:
-        row.update(_phi_flat(phi(g, ct)))
-    return row
+    report = ib_all_fast(ct)
+    return {
+        "error": None, "k_pred": pred.k, "ib_g": report.ib_g, "mean_ib": report.mean_ib,
+        "_bias_report": report, "modularity": modularity(g, pred),
+        "nmi": nmi(ct, norm=cfg.nmi_norm), "ari": ari(ct), "nf1": nf1(ct),
+        **_phi_flat(phi(g, ct)),
+    }
 
 
 _AGG_KEYS = ("ib_g", "mean_ib") + QUALITY_METRICS + PHI_METRICS
@@ -218,8 +206,7 @@ def evaluate_run(cfg: RunConfig) -> dict:
                 if report is not None:
                     bias_dir = out_dir / "bias"
                     bias_dir.mkdir(exist_ok=True)
-                    stem = Path(graph_path).stem
-                    with open(bias_dir / f"{label}_{stem}.csv", "w", encoding="utf-8") as fh:
+                    with open(bias_dir / _bias_name(label, graph_path), "w", encoding="utf-8") as fh:
                         report.write_csv(fh)
                 per_graph.append({"graph": str(graph_path), **row})
             ok_rows = [r for r in per_graph if r["error"] is None]
@@ -239,7 +226,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
             "config": {
                 "graphs": [list(p) for p in cfg.graphs],
                 "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
-                "metrics": list(cfg.metrics),
                 "nmi_norm": cfg.nmi_norm,
                 "seed": cfg.seed,
             },
@@ -323,11 +309,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
+# a comma starts a new parameter only when "key=" follows it, so a value such
+# as an external partition's path may hold commas
+_PARAM_SEP = re.compile(r",(?=[^,=]*=)")
+
+
 def _parse_detector(text: str) -> DetectorSpec:
     name, _, rest = text.partition(":")
     params: dict = {}
     if rest:
-        for item in rest.split(","):
+        for item in _PARAM_SEP.split(rest):
             key, _, value = item.partition("=")
             if not _:
                 raise ConfigError(f"bad detector parameter {item!r} (expected key=value)")
@@ -342,50 +333,17 @@ def _spec_text(spec: DetectorSpec) -> str:
     return f"{spec.name}:{params}" if params else spec.name
 
 
-# the keys a config file may hold and the JSON type of each value
-_CONFIG_KEYS = {"graphs": "array", "detectors": "array", "metrics": "array",
-                "nmi_norm": "string", "seed": "integer", "graph_group": "string", "out": "string"}
-_JSON_TYPES = {"array": list, "string": str, "integer": int}
-
-
-def _read_config(path: str) -> dict:
-    """The settings of a config file, each checked for its key and JSON type."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: a config must be a JSON object, got {cfg!r}")
-    for key, value in cfg.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(
-                f"{path}: unknown config key {key!r} (accepted: {', '.join(_CONFIG_KEYS)})"
-            )
-        kind = _CONFIG_KEYS[key]
-        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
-            raise ConfigError(f"{path}: config key {key!r} must be a JSON {kind}, got {value!r}")
-    for pair in cfg.get("graphs", []):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)):
-            raise ConfigError(
-                f"{path}: each graph must be an [edge-list path, ground-truth path] pair, "
-                f"got {pair!r}"
-            )
-    for det in cfg.get("detectors", []):
-        if not (isinstance(det, dict) and "name" in det and det.keys() <= {"name", "params"}):
-            raise ConfigError(
-                f'{path}: each detector must be an object {{"name": ..., "params": {{...}}}}, '
-                f"got {det!r}"
-            )
-    return cfg
+def _bias_name(label: str, graph_path: str) -> str:
+    """The file under bias/ holding the per-node bias of one (detector, graph) cell."""
+    return f"{label}_{Path(graph_path).stem}.csv"
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _read_config(args.config) if args.config else {}
-    graphs = [tuple(pair) for pair in file_cfg.get("graphs", [])]
-    if args.graph or args.gt:
-        if len(args.graph or []) != len(args.gt or []):
-            raise ConfigError("--graph and --gt must be given the same number of times")
-        graphs = list(zip(args.graph, args.gt))
+    if len(args.graph) != len(args.gt):
+        raise ConfigError("--graph and --gt must be given the same number of times")
+    graphs = list(zip(args.graph, args.gt))
     if not graphs:
-        raise ConfigError("no input graphs: pass --graph/--gt or a config file")
+        raise ConfigError("no input graphs: pass --graph and --gt")
     # a graph's file stem names its bias CSVs, so two graphs sharing one would
     # silently overwrite each other's
     by_stem: dict[str, str] = {}
@@ -397,9 +355,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
                 "their bias CSVs would overwrite each other"
             )
         by_stem[stem] = graph_path
-    detectors = [DetectorSpec(d["name"], d.get("params", {})) for d in file_cfg.get("detectors", [])]
-    if args.detector:
-        detectors = [_parse_detector(d) for d in args.detector]
+    detectors = [_parse_detector(d) for d in args.detector]
     if not detectors:
         raise ConfigError("no detectors requested")
     # a label names a report entry and the bias CSVs, so two specs sharing one
@@ -412,27 +368,21 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
                 f"detectors {_spec_text(other)!r} and {_spec_text(spec)!r} share the "
                 f"label {spec.label()!r}; their results would overwrite each other"
             )
-    metrics = tuple(file_cfg.get("metrics", ALL_METRICS))
-    if args.metrics:
-        metrics = tuple(args.metrics.split(","))
-    for mname in metrics:
-        if mname not in ALL_METRICS:
-            raise ConfigError(f"unknown metric {mname!r}")
-    nmi_norm = args.nmi_norm or file_cfg.get("nmi_norm", "arithmetic")
-    if nmi_norm not in NMI_NORMS:
-        raise ConfigError(f"unknown nmi_norm {nmi_norm!r}")
-    out_dir = args.out or file_cfg.get("out") or os.environ.get("CDFAIR_OUT_DIR")
+    # distinct labels and stems can still join to one bias file name when
+    # either holds "_": external:a on b_c.edges and external:a_b on c.edges
+    by_name: dict[str, str] = {}
+    for spec in detectors:
+        for graph_path, _ in graphs:
+            name = _bias_name(spec.label(), graph_path)
+            cell = f"detector {spec.label()!r} on graph {graph_path!r}"
+            if name in by_name:
+                raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
+            by_name[name] = cell
+    out_dir = args.out or os.environ.get("CDFAIR_OUT_DIR")
     if not out_dir:
         raise ConfigError("no output directory: pass --out (or CDFAIR_OUT_DIR)")
-    return RunConfig(
-        graphs=graphs,
-        detectors=detectors,
-        out_dir=out_dir,
-        metrics=metrics,
-        nmi_norm=nmi_norm,
-        seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
-        graph_group=args.group or file_cfg.get("graph_group", "run"),
-    )
+    return RunConfig(graphs=graphs, detectors=detectors, out_dir=out_dir,
+                     nmi_norm=args.nmi_norm, seed=args.seed, graph_group=args.group)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -512,15 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     two.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="run detectors and compute all measures")
-    ev.add_argument("--config", help="JSON config mirroring the flags; flags override")
-    ev.add_argument("--graph", action="append", help="edge-list path (repeatable)")
-    ev.add_argument("--gt", action="append", help="ground-truth partition path (repeatable)")
-    ev.add_argument("--detector", action="append",
+    ev.add_argument("--graph", action="append", default=[], help="edge-list path (repeatable)")
+    ev.add_argument("--gt", action="append", default=[],
+                    help="ground-truth partition path (repeatable)")
+    ev.add_argument("--detector", action="append", default=[],
                     help="name[:k=v,...], e.g. louvain:seed=1 or external:path=p.gt")
-    ev.add_argument("--metrics", help=f"comma list from {','.join(ALL_METRICS)}")
-    ev.add_argument("--nmi-norm", choices=NMI_NORMS)
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--group", help="graph group label used in reports")
+    ev.add_argument("--nmi-norm", choices=NMI_NORMS, default="arithmetic")
+    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--group", default="run", help="graph group label used in reports")
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -551,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, EdgeListError, PartitionError, GenerationError, ValueError,
-            json.JSONDecodeError, WorkerError) as exc:
+            WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .partition import ContingencyTable, Partition, PartitionError
+from .partition import ContingencyTable, Partition
 from .quality import community_edges
 
 PROPERTIES = ("size", "conductance", "density")
@@ -110,9 +110,11 @@ def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str
 
 
 def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
-    """Fairness slopes for all (property, score) combinations."""
-    if ct.gt.k < 2:
-        raise PartitionError("group fairness needs at least two ground-truth communities")
+    """Fairness slopes for all (property, score) combinations.
+
+    A property equal across every ground-truth community, as with a single
+    community, gives no slope: its entries are None.
+    """
     intra, vol = community_edges(g, ct.gt)  # shared by the properties and the scores
     stats = _stats(g, ct.gt, intra, vol)
     scores = _scores(g, ct, intra)

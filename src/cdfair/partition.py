@@ -36,23 +36,16 @@ class Partition:
     def from_labels(cls, raw_labels: Sequence) -> "Partition":
         """Relabel arbitrary community ids to dense ids in first-seen order.
 
-        Integer arrays go through ``np.unique``; any other sequence is
-        relabeled by Python equality, so labels such as ``1`` and ``"1"``
-        stay distinct.
+        Labels are compared by Python equality, so ``1`` and ``"1"`` stay
+        distinct; a numpy array is compared through its ``tolist()``.
         """
+        if isinstance(raw_labels, np.ndarray):
+            raw_labels = raw_labels.tolist()
         if len(raw_labels) == 0:
             raise PartitionError("empty label sequence")
-        if isinstance(raw_labels, np.ndarray) and raw_labels.ndim == 1 and raw_labels.dtype.kind in "iu":
-            uniq, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
-            order = np.argsort(first)  # distinct labels in first-seen order
-            dense_of = np.empty(len(order), dtype=np.int64)
-            dense_of[order] = np.arange(len(order))
-            dense = dense_of[inverse.reshape(-1)]
-            original_ids = tuple(uniq[order].tolist())
-        else:
-            remap = {lab: i for i, lab in enumerate(dict.fromkeys(raw_labels))}
-            dense = np.fromiter(map(remap.__getitem__, raw_labels), np.int64, len(raw_labels))
-            original_ids = tuple(remap)
+        remap = {lab: i for i, lab in enumerate(dict.fromkeys(raw_labels))}
+        dense = np.fromiter(map(remap.__getitem__, raw_labels), np.int64, len(raw_labels))
+        original_ids = tuple(remap)
         k = len(original_ids)
         sizes = np.bincount(dense, minlength=k)
         return cls(labels=dense, sizes=sizes, k=k, original_ids=original_ids)

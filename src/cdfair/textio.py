@@ -21,10 +21,13 @@ def read_pairs(source: TextIO | Iterable[str]) -> tuple[np.ndarray, list[str], t
     Reading stops at the first line holding other than two tokens, which is
     returned as ``(line number, token count)``; the lines before it are
     returned so the caller can check them first and report whichever problem
-    comes first in the file. Returns ``(line number of each data line, flat
-    token list, malformed line or None)``.
+    comes first in the file. A byte order mark that opens the first line is
+    dropped. Returns ``(line number of each data line, flat token list,
+    malformed line or None)``.
     """
     lines = list(source)
+    if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
+        lines[0] = lines[0][1:]
     text = " ".join(lines)  # a line need not end in a newline
     counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     has_comments = "#" in text

@@ -226,31 +226,6 @@ class TestEvaluate:
         assert by_detector["louvain"]["error"] == ""
         assert {row["graph"] for row in by_detector.values()} == {str(edges)}
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        edges, gt = _generate(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "graphs": [[str(edges), str(gt)]],
-            "detectors": [{"name": "louvain"}],
-            "metrics": ["ib", "nmi"],
-            "seed": 4,
-            "out": str(tmp_path / "from_cfg"),
-        }))
-        rc = main(["evaluate", "--config", str(cfg)])
-        assert rc == 0
-        doc = json.loads((tmp_path / "from_cfg" / "report.json").read_text())
-        row = doc["detectors"]["louvain"]["per_graph"][0]
-        assert "nmi" in row and "modularity" not in row
-        # flag overrides the config file's metric list and output directory
-        rc = main([
-            "evaluate", "--config", str(cfg), "--metrics", "modularity",
-            "--out", str(tmp_path / "override"),
-        ])
-        assert rc == 0
-        doc = json.loads((tmp_path / "override" / "report.json").read_text())
-        row = doc["detectors"]["louvain"]["per_graph"][0]
-        assert "modularity" in row and "nmi" not in row
-
     def test_multi_graph_aggregate_rows(self, tmp_path):
         e1, g1 = _generate(tmp_path, prefix="a", seed=1)
         e2, g2 = _generate(tmp_path, prefix="b", seed=2)
@@ -271,14 +246,6 @@ class TestEvaluate:
         rc = main(["evaluate", "--detector", "cnm", "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_unknown_metric_exit_1(self, tmp_path):
-        edges, gt = _generate(tmp_path)
-        rc = main([
-            "evaluate", "--graph", str(edges), "--gt", str(gt),
-            "--detector", "cnm", "--metrics", "ib,bogus", "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 1
 
     def test_unknown_detector_exit_1(self, tmp_path):
         edges, gt = _generate(tmp_path)
@@ -332,18 +299,6 @@ class TestEvaluate:
         assert all(repr(word) in err for word in named)
         assert not (tmp_path / "o").exists()
 
-    def test_bad_detector_parameter_in_config_exit_1(self, tmp_path, capsys):
-        edges, gt = _generate(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "graphs": [[str(edges), str(gt)]],
-            "detectors": [{"name": "louvain", "params": {"seed": None}}],
-            "out": str(tmp_path / "o"),
-        }))
-        assert main(["evaluate", "--config", str(cfg)]) == 1
-        assert "'seed'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("same_file", [False, True])
     def test_graphs_sharing_a_stem_exit_1(self, tmp_path, capsys, same_file):
         # the bias CSVs are named after the graph's stem: both would be louvain_g.csv
@@ -357,28 +312,6 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(pairs[0][0]) in err and str(pairs[1][0]) in err and "'g'" in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("config, message", [
-        ([], "a config must be a JSON object"),
-        ({"detectors": ["louvain"]}, "each detector must be an object"),
-        ({"detectors": [{"name": "louvain", "seed": 1}]}, "each detector must be an object"),
-        ({"metrics": "ib"}, "config key 'metrics' must be a JSON array"),
-        ({"oracle": True}, "unknown config key 'oracle'"),
-        ({"graphs": [["g.edges"]]}, "each graph must be an [edge-list path, ground-truth path]"),
-        ({"seed": "4"}, "config key 'seed' must be a JSON integer"),
-        ({"nmi_norm": "median"}, "unknown nmi_norm 'median'"),
-    ])
-    def test_malformed_config_exit_1(self, tmp_path, capsys, config, message):
-        edges, gt = _generate(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        if isinstance(config, dict):
-            config = {"graphs": [[str(edges), str(gt)]], "detectors": [{"name": "cnm"}],
-                      "out": str(tmp_path / "o"), **config}
-        cfg.write_text(json.dumps(config))
-        assert main(["evaluate", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
     def test_external_partitions_sharing_a_stem_exit_1(self, tmp_path, capsys):
@@ -396,6 +329,47 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(copies[0]) in err and str(copies[1]) in err
+
+    def test_bias_names_shared_across_cells_exit_1(self, tmp_path, capsys):
+        # external:a_b on c and external:a on b_c would both write external:a_b_c.csv
+        edges, gt = _generate(tmp_path)
+        graphs = []
+        for sub, stem in (("d1", "c"), ("d2", "b_c")):
+            (tmp_path / sub).mkdir()
+            graphs += ["--graph", str(shutil.copy(edges, tmp_path / sub / f"{stem}.edges")),
+                       "--gt", str(gt)]
+        parts = [shutil.copy(gt, tmp_path / name) for name in ("a_b.part", "a.part")]
+        rc = main(["evaluate", *graphs, *(f"--detector=external:path={p}" for p in parts),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: detector 'external:a_b' on graph {str(tmp_path / 'd1' / 'c.edges')!r} and "
+            f"detector 'external:a' on graph {str(tmp_path / 'd2' / 'b_c.edges')!r} "
+            "would both write bias/external:a_b_c.csv\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_single_community_ground_truth_gives_null_phi(self, tmp_path):
+        edges, gt = tmp_path / "t.edges", tmp_path / "t.gt"
+        edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n")
+        gt.write_text("".join(f"{i} 5\n" for i in range(5)))
+        out = tmp_path / "run"
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                   "--detector", "louvain", "--detector", f"external:path={gt}", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["warnings"] == []
+        for label, entry in doc["detectors"].items():
+            row = entry["per_graph"][0]
+            assert row["error"] is None
+            for name in ("ib_g", "mean_ib", "modularity", "nmi", "ari", "nf1"):
+                assert isinstance(row[name], float)
+            phis = {k: v for k, v in row.items() if k.startswith("phi_")}
+            assert len(phis) == 9 and set(phis.values()) == {None}
+            assert len((out / "bias" / f"{label}_t.csv").read_text().splitlines()) == 6
+        row = doc["detectors"]["external:t"]["per_graph"][0]
+        assert (row["ib_g"], row["nmi"], row["ari"], row["nf1"]) == (0.0, 1.0, 1.0, 1.0)
 
     def test_trailing_isolated_node_comes_from_ground_truth(self, tmp_path):
         edges, gt = tmp_path / "t.edges", tmp_path / "t.gt"
@@ -492,7 +466,7 @@ class TestEvaluate:
         monkeypatch.setenv("CDFAIR_OUT_DIR", str(tmp_path / "envout"))
         rc = main([
             "evaluate", "--graph", str(edges), "--gt", str(gt),
-            "--detector", "cnm", "--metrics", "ib",
+            "--detector", "cnm",
         ])
         assert rc == 0
         assert (tmp_path / "envout" / "report.json").exists()
@@ -638,6 +612,17 @@ class TestReport:
         bad.write_text(json.dumps({"schema_version": 999, "detectors": {}}))
         rc = main(["report", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+@pytest.mark.parametrize("text, params", [
+    ("external:path=a,b.part", {"path": "a,b.part"}),
+    ("external:path=a,b,c.part", {"path": "a,b,c.part"}),
+    ("louvain:seed=1,resolution=2", {"seed": "1", "resolution": "2"}),
+    ("cnm", {}),
+])
+def test_parse_detector_splits_only_before_a_key(text, params):
+    spec = cli._parse_detector(text)
+    assert (spec.name, spec.params) == (text.partition(":")[0], params)
 
 
 def test_derive_cell_seed_is_injective_over_small_grid():

@@ -27,6 +27,11 @@ def test_comments_and_blank_lines():
     assert res.graph.num_edges == 1
 
 
+def test_leading_byte_order_mark_is_dropped():
+    res = load_edge_list(io.StringIO("\ufeff0 1\n1 2\n"))
+    assert res.graph.edge_array.tolist() == [[0, 1], [1, 2]]
+
+
 def test_malformed_line_reports_number():
     with pytest.raises(EdgeListError, match="line 2"):
         load_edge_list(io.StringIO("0 1\n0 1 2\n"))

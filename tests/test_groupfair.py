@@ -3,12 +3,14 @@ import pytest
 
 from cdfair.graph import Graph
 from cdfair.groupfair import (
+    PROPERTIES,
+    SCORES,
     community_scores,
     community_stats,
     ols_slope,
     phi,
 )
-from cdfair.partition import Partition, PartitionError, contingency
+from cdfair.partition import Partition, contingency
 
 
 def two_triangles():
@@ -128,10 +130,11 @@ def test_phi_perfect_prediction_all_zero():
             assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
 
 
-def test_phi_requires_two_communities():
+def test_phi_of_one_community_is_null():
+    # every property is equal across a single community, so no slope exists
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(PartitionError):
-        phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 0])))
+    result = phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 1])))
+    assert result.phi == {prop: {score: None for score in SCORES} for prop in PROPERTIES}
 
 
 def shatter_construction(shatter_small: bool):

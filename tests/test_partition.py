@@ -36,6 +36,12 @@ def test_load_partition_dense_relabel():
     assert p.original_ids == ("7", "9")
 
 
+def test_load_partition_drops_leading_byte_order_mark():
+    p = load_partition(io.StringIO("\ufeff0 7\n1 7\n2 9\n"), n=3)
+    assert p.labels.tolist() == [0, 0, 1]
+    assert p.original_ids == ("7", "9")
+
+
 def test_load_partition_missing_node():
     with pytest.raises(PartitionError, match="node 2 unassigned"):
         load_partition(io.StringIO("0 0\n1 0\n"), n=3)
