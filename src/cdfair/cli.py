@@ -179,8 +179,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
     byte is the same either way.
     """
     global _RUN
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     loaded = []
     for graph_path, gt_path in cfg.graphs:
         # n comes from the ground truth: nodes without edges are in no edge list
@@ -189,6 +187,9 @@ def evaluate_run(cfg: RunConfig) -> dict:
         with open(graph_path, "r", encoding="utf-8") as fh:
             g = load_edge_list(fh, n=gt.n).graph
         loaded.append((graph_path, g, gt))
+    # made only once every input has loaded, so a bad input leaves no directory
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     detectors_block: dict = {}
     warnings = []
@@ -269,9 +270,6 @@ def _write_provenance(path: Path, payload: dict) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    prefix = args.prefix
     if args.model == "abcd":
         params = AbcdParams(
             n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
@@ -293,6 +291,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "realized": {"num_edges": g.num_edges},
             "package_version": __version__,
         }
+    out, prefix = Path(args.out), args.prefix
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{prefix}.edges", "w", encoding="utf-8") as fh:
         write_edge_list(g, fh)
     with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
@@ -398,25 +398,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ratios = tuple(float(r) for r in args.ratios.split(","))
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
     targets = TARGETS if args.target == "both" else (args.target,)
-    for scenario in scenarios:
-        for target in targets:
-            cfg = SweepConfig(
-                scenario=scenario, target=target, ratios=ratios, runs=args.runs,
-                n=args.n, minority_frac=args.minority,
-            )
-            result = run_sweep(cfg)
-            path = out / f"sweep_{scenario}_{target}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                result.write_csv(fh)
-            if args.per_run:
-                with open(out / f"sweep_{scenario}_{target}_runs.csv", "w", encoding="utf-8") as fh:
-                    result.write_runs_csv(fh)
-            print(f"wrote {path}")
+    # every sweep is computed (and its input checked) before the output
+    # directory is made, so a bad input leaves no directory
+    results = [
+        run_sweep(SweepConfig(scenario=scenario, target=target, ratios=ratios, runs=args.runs,
+                              n=args.n, minority_frac=args.minority))
+        for scenario in scenarios for target in targets
+    ]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for result in results:
+        name = f"sweep_{result.config.scenario}_{result.config.target}"
+        path = out / f"{name}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            result.write_csv(fh)
+        if args.per_run:
+            with open(out / f"{name}_runs.csv", "w", encoding="utf-8") as fh:
+                result.write_runs_csv(fh)
+        print(f"wrote {path}")
     return 0
 
 

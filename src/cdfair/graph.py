@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .textio import first_true, parse_ints, read_pairs
+from .textio import first_true, format_rows, parse_ints, read_pairs
 
 log = logging.getLogger(__name__)
 
@@ -169,6 +169,5 @@ def load_edge_list(source: TextIO | Iterable[str], *, n: int | None = None) -> L
 
 def write_edge_list(g: Graph, sink: TextIO) -> None:
     """Write one 'u v' line per edge, u < v, sorted."""
-    u, v = g.edge_array.T.tolist()
-    sink.write("".join(map("{} {}\n".format, u, v)))
+    sink.write(format_rows(g.edge_array[:, 0], g.edge_array[:, 1]))
 

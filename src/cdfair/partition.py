@@ -12,7 +12,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .textio import first_true, parse_ints, read_pairs
+from .textio import first_true, format_rows, parse_ints, read_pairs
 
 
 class PartitionError(ValueError):
@@ -149,4 +149,4 @@ def load_partition(source: TextIO | Iterable[str], n: int | None = None) -> Part
 
 def write_partition(p: Partition, sink: TextIO) -> None:
     """Write one 'node_id community_id' line per node."""
-    sink.write("".join(f"{i} {lab}\n" for i, lab in enumerate(p.labels.tolist())))
+    sink.write(format_rows(np.arange(p.n), p.labels))

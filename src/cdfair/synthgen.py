@@ -9,6 +9,7 @@ minority/majority model used by the perturbation lab.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,20 +100,21 @@ def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
     raise GenerationError("degree sampling failed after d_max_iter attempts")
 
 
-def _can_pair(stubs: list[int], edges: set[tuple[int, int]], labels: list[int] | None) -> bool:
+def _can_pair(stubs: list[int], edges: set[int], n: int, labels: list[int] | None) -> bool:
     """Whether two distinct nodes among `stubs` may still be joined by an edge."""
     nodes = sorted(set(stubs))
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
-            if (u, v) not in edges and (labels is None or labels[u] != labels[v]):
+            if u * n + v not in edges and (labels is None or labels[u] != labels[v]):
                 return True
     return False
 
 
 def _pair_stubs(
     rng: np.random.Generator,
-    stubs: np.ndarray,
-    edges: set[tuple[int, int]],
+    pool: list[int],
+    edges: set[int],
+    n: int,
     max_rounds: int = 50,
     labels: np.ndarray | None = None,
 ) -> int:
@@ -125,6 +127,12 @@ def _pair_stubs(
     tracks xi instead of undershooting it by the same-community collision
     rate.
 
+    The pool is a list of node ids, shuffled in place: ``Generator.shuffle``
+    takes the same draws for a list as for a 1-D array of its length, so a
+    list pool pairs exactly as an array pool would, without converting every
+    round. An edge {u, v} with u < v is held in `edges` as the int key
+    ``u * n + v``.
+
     After a round that adds no edge, the pool may hold no pair that can ever
     be joined; every later round would only shuffle it. Those shuffles are
     drawn in one ``permuted`` call, which takes the same numbers from `rng`
@@ -135,16 +143,14 @@ def _pair_stubs(
     dropped as irreparable.
     """
     community_of = labels.tolist() if labels is not None else None
-    pool = stubs.copy()
     for done in range(1, max_rounds + 1):
         if len(pool) < 2:
             break
         rng.shuffle(pool)
-        items = pool.tolist()
-        bad = items[-1:] if len(items) % 2 else []
-        for i in range(0, len(items) - 1, 2):
-            u, v = items[i], items[i + 1]
-            key = (u, v) if u < v else (v, u)
+        bad = pool[-1:] if len(pool) % 2 else []
+        it = iter(pool)
+        for u, v in zip(it, it):
+            key = u * n + v if u < v else v * n + u
             if (u == v or key in edges
                     or (community_of is not None and community_of[u] == community_of[v])):
                 bad += (u, v)
@@ -152,11 +158,11 @@ def _pair_stubs(
                 edges.add(key)
         if not bad:
             return 0
-        if len(bad) == len(items) and not _can_pair(bad, edges, community_of):
+        if len(bad) == len(pool) and not _can_pair(bad, edges, n, community_of):
             if done < max_rounds:
                 rng.permuted(np.zeros((max_rounds - done, len(bad)), np.int64), axis=1)
             return len(bad)
-        pool = np.array(bad, dtype=np.int64)
+        pool = bad
     return len(pool)
 
 
@@ -197,48 +203,52 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         dropped += int(background.sum())
         background = np.zeros_like(background)
 
-    # each community's members in ascending node order; the intra edges of
-    # disjoint communities cannot collide, so each gets its own edge set
+    # each community's members in ascending node order, and their intra stubs
     by_community = np.argsort(labels, kind="stable")
-    bounds = np.cumsum([0, *sizes]).tolist()
-    edge_sets: list[set[tuple[int, int]]] = []
-    for c in range(len(sizes)):
-        members = by_community[bounds[c] : bounds[c + 1]]
-        counts = intra_target[members]
-        if counts.sum() % 2 == 1:
-            if p.xi == 0.0:
-                # drop one stub from the highest-count member
-                j = int(np.argmax(counts))
-                counts[j] -= 1
-                dropped += 1
-            else:
-                # divert one stub to the background pass
-                j = int(np.argmax(counts))
-                counts[j] -= 1
-                background[members[j]] += 1
-        stubs = np.repeat(members, counts)
+    counts = intra_target[by_community]
+    starts = np.cumsum([0, *sizes[:-1]])
+    # a community with an odd stub count takes one stub from its first member
+    # with the most stubs, and drops it (xi = 0) or sends it to the background
+    most = np.flatnonzero(counts == np.repeat(np.maximum.reduceat(counts, starts), sizes))
+    first_most = most[np.r_[True, np.diff(labels[by_community[most]]) != 0]]
+    odd = first_most[np.add.reduceat(counts, starts) % 2 == 1]
+    counts[odd] -= 1
+    if p.xi == 0.0:
+        dropped += len(odd)
+    else:
+        background[by_community[odd]] += 1
+    stubs = np.repeat(by_community, counts).tolist()
+    # the intra edges of disjoint communities cannot collide, so each
+    # community gets its own edge set
+    edge_sets: list[set[int]] = []
+    start = 0
+    for end in np.cumsum(np.add.reduceat(counts, starts)).tolist():
         edge_sets.append(set())
-        dropped += _pair_stubs(rng, stubs, edge_sets[-1])
+        dropped += _pair_stubs(rng, stubs[start:end], edge_sets[-1], p.n)
+        start = end
 
     if background.sum() > 0:
         if background.sum() % 2 == 1:
             j = int(np.argmax(background))
             background[j] -= 1
             dropped += 1
-        stubs = np.repeat(np.arange(p.n), background)
+        stubs = np.repeat(np.arange(p.n), background).tolist()
         if len(sizes) > 1:
             # inter-community edges only, so none collides with an intra edge
             edge_sets.append(set())
-            dropped += _pair_stubs(rng, stubs, edge_sets[-1], labels=labels)
+            dropped += _pair_stubs(rng, stubs, edge_sets[-1], p.n, labels=labels)
         else:
             # no inter-community pair exists; pair unconstrained instead of
             # dropping every stub, sharing the one community's edge set
-            dropped += _pair_stubs(rng, stubs, edge_sets[0])
+            dropped += _pair_stubs(rng, stubs, edge_sets[0], p.n)
 
-    edges = np.array([e for s in edge_sets for e in s], dtype=np.int64).reshape(-1, 2)
-    graph = Graph.from_edges(p.n, edges)
+    # the sets are disjoint, so the keys are distinct
+    m = sum(map(len, edge_sets))
+    keys = np.fromiter(itertools.chain.from_iterable(edge_sets), np.int64, m)
+    keys.sort()
+    graph = Graph._from_keys(p.n, keys)
     partition = Partition.from_labels(labels)
-    m = len(edges)
+    edges = graph.edge_array
     inter = int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))
     info = {
         "dropped_stubs": int(dropped),

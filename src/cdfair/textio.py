@@ -1,8 +1,9 @@
-"""Two-column text input shared by edge lists and partition files.
+"""Two-column text I/O shared by edge lists and partition files.
 
 Both formats are whitespace-separated token pairs, one per line, with blank
 lines and '#' comments allowed. Parsing is done over the whole file at once;
-checks that fail report the line number of the first offending line.
+checks that fail report the line number of the first offending line. Writing
+formats whole integer columns at once too.
 """
 
 from __future__ import annotations
@@ -67,3 +68,31 @@ def first_true(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else None
+
+
+def format_rows(*columns: np.ndarray) -> str:
+    """One line per row: the columns' decimal values, space-separated.
+
+    The columns are non-negative integer arrays of one length. Each value is
+    written as ``str()`` writes it, without building one string per value:
+    the digits of every row go into one byte matrix, column after column,
+    with a separator byte after each (a space, and a newline after the last).
+    Leading zeros are masked out, and the kept bytes, read row by row, are
+    the text.
+    """
+    if len(columns[0]) == 0:
+        return ""
+    widths = [len(str(int(col.max()))) for col in columns]
+    chars = np.full((len(columns[0]), sum(widths) + len(widths)), ord(" "), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    start = 0
+    for col, width in zip(columns, widths):
+        rest = np.asarray(col, dtype=np.int64)
+        for j in range(start + width - 1, start, -1):  # every digit but the first
+            rest, digit = np.divmod(rest, 10)
+            chars[:, j] = digit + ord("0")
+            keep[:, j - 1] = rest > 0  # the digit before j unless it is a leading zero
+        chars[:, start] = rest + ord("0")
+        start += width + 1
+    chars[:, -1] = ord("\n")
+    return chars[keep].tobytes().decode("ascii")

@@ -3,7 +3,8 @@
 These are the per-node and per-line loops the package used before its
 arrays-first rewrite (CSR graph, one contingency table per pair), the
 CNM loop that rescans every link per merge, which the heap replaced, label
-propagation that recounts every node's neighbourhood on every visit, and the
+propagation that recounts every node's neighbourhood on every visit, the
+edge-list and partition writers that format each line on its own, and the
 ABCD generator that re-shuffles stub pools which can no longer pair and
 draws each community size with its own ``choice`` call. They are slow but
 obviously correct, and the property tests in ``test_oracles.py`` compare the
@@ -397,6 +398,17 @@ def load_partition(lines, n: int) -> Partition:
     if missing:
         raise PartitionError(f"node {missing[0]} unassigned")
     return Partition.from_labels([assigned[i] for i in range(n)])
+
+
+def write_edge_list(g: Graph, sink) -> None:
+    """One 'u v' line per edge, each formatted on its own."""
+    u, v = g.edge_array.T.tolist()
+    sink.write("".join(map("{} {}\n".format, u, v)))
+
+
+def write_partition(p: Partition, sink) -> None:
+    """One 'node_id community_id' line per node, each formatted on its own."""
+    sink.write("".join(f"{i} {lab}\n" for i, lab in enumerate(p.labels.tolist())))
 
 
 def pair_stubs(

@@ -111,6 +111,12 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not (tmp_path / "graph.edges").exists()
 
+    def test_failed_generate_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new" / "graphs"
+        assert main(["generate", "abcd", "--n", "10", "--out", str(out)]) == 1
+        assert "need 1 <= d_min <= d_max < n" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_abcd_summary_line_reports_dropped_stubs_and_mixing(self, tmp_path, capsys):
         rc = main([
             "generate", "abcd", "--n", "400", "--c-min", "5", "--c-max", "20",
@@ -398,6 +404,18 @@ class TestEvaluate:
         assert rc == 1
         assert "line 2: node id 3 outside [0, 3)" in capsys.readouterr().err
 
+    def test_failed_evaluate_leaves_no_out_dir(self, tmp_path):
+        edges, gt = tmp_path / "t.edges", tmp_path / "t.gt"
+        edges.write_text("0 1\n1 3\n")
+        gt.write_text("0 0\n1 0\n2 1\n")
+        out = tmp_path / "new" / "run"
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", "louvain", "--out", str(out),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("detectors", [
         ["louvain", "label_propagation", "cnm", "external:path=missing.gt"],
         ["label_propagation:max_sweeps=1", "louvain"],  # a logged warning per cell
@@ -550,6 +568,15 @@ class TestSweep:
             "--ratios", "0,1.5", "--out", str(tmp_path),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--ratios", "0.5,0.2"],  # not ascending
+        ["--n", "3", "--minority", "0.01"],  # no minority block
+    ])
+    def test_failed_sweep_leaves_no_out_dir(self, tmp_path, flags):
+        out = tmp_path / "new" / "sweep"
+        assert main(["sweep", *flags, "--out", str(out)]) == 1
+        assert not (tmp_path / "new").exists()
 
 
 class TestReport:

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import oracles
 from cdfair.detectors import greedy_agglomerative, label_propagation
-from cdfair.graph import EdgeListError, Graph, load_edge_list
+from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
-from cdfair.partition import Partition, PartitionError, contingency, load_partition
+from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
 from cdfair.quality import nf1
 from cdfair.synthgen import AbcdParams, GenerationError, _sample_community_sizes, generate_abcd_lite
+from cdfair.textio import format_rows
 
 TOL = 1e-12
 
@@ -380,6 +381,44 @@ def test_load_partition_matches_line_loop(lines, n):
     p = load_partition(lines, n)
     assert p.labels.tolist() == want.labels.tolist()
     assert p.original_ids == want.original_ids
+
+
+# ---------------------------------------------------------------- writers
+
+# the values where the digit count changes, and the largest int64
+EDGE_VALUES = sorted({0, 2**63 - 1} | {v for k in range(1, 19) for v in (10**k - 1, 10**k)})
+
+
+@given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**63 - 1)), max_size=30),
+       st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_format_rows_matches_str(values, width):
+    columns = [np.array(values[i::width][: len(values) // width], dtype=np.int64)
+               for i in range(width)]
+    want = "".join(" ".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    assert format_rows(*columns) == want
+
+
+def test_format_rows_of_edge_values():
+    column = np.array(EDGE_VALUES, dtype=np.int64)
+    want = "".join(f"{v} {w}\n" for v, w in zip(EDGE_VALUES, reversed(EDGE_VALUES)))
+    assert format_rows(column, column[::-1]) == want
+    assert format_rows(column[:0], column[:0]) == ""
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_writers_match_line_oracles(data):
+    n = data.draw(st.integers(1, 40))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+    p = Partition.from_labels(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    for write, oracle, obj in ((write_edge_list, oracles.write_edge_list, g),
+                               (write_partition, oracles.write_partition, p)):
+        got, want = io.StringIO(), io.StringIO()
+        write(obj, got)
+        oracle(obj, want)
+        assert got.getvalue().encode() == want.getvalue().encode()
 
 
 def test_load_partition_infers_n_from_largest_id():

@@ -58,6 +58,23 @@ def test_permuted_replays_shuffle_draws():
             assert replayed.integers(0, 1 << 40, 4).tolist() == after
 
 
+def test_list_shuffle_takes_array_shuffle_draws():
+    """The generator shuffles its stub pools as lists; that must permute them
+    as a shuffle of the same values in an array does and leave the generator
+    in the same state."""
+    for length in [*range(41), 5000]:
+        as_list = np.random.default_rng([length, 1])
+        as_array = np.random.default_rng([length, 1])
+        pool = list(range(length))
+        array = np.arange(length, dtype=np.int64)
+        for _ in range(3):
+            as_list.shuffle(pool)
+            as_array.shuffle(array)
+            assert pool == array.tolist(), length
+        assert as_list.bit_generator.state == as_array.bit_generator.state, length
+        assert as_list.integers(0, 1 << 40, 4).tolist() == as_array.integers(0, 1 << 40, 4).tolist()
+
+
 def test_xi_zero_all_intra():
     g, p, info = generate_abcd_lite(AbcdParams(**SMALL, xi=0.0, seed=2))
     for u, v in g.edges():
