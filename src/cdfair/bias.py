@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -35,8 +36,18 @@ class BiasReport:
         return cls(ib=ib, ib_g=ib_g, mean_ib=mean)
 
     def write_csv(self, sink: TextIO) -> None:
+        """One ``node_id,ib`` row per node, each value as ``repr`` writes it.
+
+        Nodes share few values (one per contingency cell at most), so each
+        distinct value is formatted once. Values are grouped by their bits,
+        which keeps -0.0 apart from 0.0.
+        """
+        bits, inverse = np.unique(np.ascontiguousarray(self.ib, dtype=np.float64).view(np.int64),
+                                  return_inverse=True)
+        text = np.array([f",{val!r}\n" for val in bits.view(np.float64).tolist()], dtype=object)
         sink.write("node_id,ib\n")
-        sink.write("".join(f"{i},{val!r}\n" for i, val in enumerate(self.ib.tolist())))
+        sink.write("".join(chain.from_iterable(zip(map(str, range(len(inverse))),
+                                                   text[inverse.reshape(-1)].tolist()))))
 
 
 def ib_all_fast(ct: ContingencyTable) -> BiasReport:

@@ -182,10 +182,10 @@ def evaluate_run(cfg: RunConfig) -> dict:
     loaded = []
     for graph_path, gt_path in cfg.graphs:
         # n comes from the ground truth: nodes without edges are in no edge list
-        with open(gt_path, "r", encoding="utf-8") as fh:
-            gt = load_partition(fh)
-        with open(graph_path, "r", encoding="utf-8") as fh:
-            g = load_edge_list(fh, n=gt.n).graph
+        with open(gt_path, "rb") as fh:
+            gt = load_partition(fh.read())
+        with open(graph_path, "rb") as fh:
+            g = load_edge_list(fh.read(), n=gt.n).graph
         loaded.append((graph_path, g, gt))
     # made only once every input has loaded, so a bad input leaves no directory
     out_dir = Path(cfg.out_dir)
@@ -344,17 +344,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     graphs = list(zip(args.graph, args.gt))
     if not graphs:
         raise ConfigError("no input graphs: pass --graph and --gt")
-    # a graph's file stem names its bias CSVs, so two graphs sharing one would
-    # silently overwrite each other's
-    by_stem: dict[str, str] = {}
-    for graph_path, _ in graphs:
-        stem = Path(graph_path).stem
-        if stem in by_stem:
-            raise ConfigError(
-                f"graphs {by_stem[stem]!r} and {graph_path!r} share the file stem {stem!r}; "
-                "their bias CSVs would overwrite each other"
-            )
-        by_stem[stem] = graph_path
     detectors = [_parse_detector(d) for d in args.detector]
     if not detectors:
         raise ConfigError("no detectors requested")
@@ -368,8 +357,10 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
                 f"detectors {_spec_text(other)!r} and {_spec_text(spec)!r} share the "
                 f"label {spec.label()!r}; their results would overwrite each other"
             )
-    # distinct labels and stems can still join to one bias file name when
-    # either holds "_": external:a on b_c.edges and external:a_b on c.edges
+    # a bias file is named after the detector label and the graph's file stem,
+    # so two cells would overwrite each other's when two graphs share a stem,
+    # or when a label or stem holds "_": external:a on b_c.edges and
+    # external:a_b on c.edges
     by_name: dict[str, str] = {}
     for spec in detectors:
         for graph_path, _ in graphs:

@@ -285,8 +285,8 @@ def _external_partition(g: Graph, path: str = "") -> Partition:
     """Load a partition of `g`'s nodes computed outside this package."""
     if not path:
         raise ValueError("external detector requires a 'path' parameter")
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_partition(fh, g.n)
+    with open(path, "rb") as fh:
+        return load_partition(fh.read(), g.n)
 
 
 DETECTORS = {

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, read_pairs
+from .textio import first_true, format_rows, parse_ints, parse_rows, read_pairs
 
 log = logging.getLogger(__name__)
 
@@ -85,18 +85,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def _check(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node index {i} out of range for n={self.n}")
-
-    def degree(self, i: int) -> int:
-        self._check(i)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def neighbors(self, i: int) -> np.ndarray:
-        self._check(i)
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def neighbor_lists(self) -> list[list[int]]:
         """Sorted neighbors of every node as Python ints, for the detectors' loops."""
         flat = self.indices.tolist()
@@ -106,12 +94,6 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         return map(tuple, self.edge_array.tolist())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check(v)
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < len(row) and int(row[i]) == v
 
 
 @dataclass(frozen=True)
@@ -123,7 +105,7 @@ class LoadedEdgeList:
     self_loops_dropped: int
 
 
-def load_edge_list(source: TextIO | Iterable[str], *, n: int | None = None) -> LoadedEdgeList:
+def load_edge_list(source: bytes | TextIO | Iterable[str], *, n: int | None = None) -> LoadedEdgeList:
     """Parse a whitespace-separated edge list into a validated Graph.
 
     Node ids are non-negative integers, used directly as indices. n is the
@@ -131,15 +113,22 @@ def load_edge_list(source: TextIO | Iterable[str], *, n: int | None = None) -> L
     [0, n) (nodes without edges are isolated). Lines starting with '#' are
     comments. Duplicate edges and self-loops are dropped (counted, warned),
     never fatal. When the input has several problems, the one on the
-    earliest line is reported.
+    earliest line is reported. Bytes are read as a UTF-8 file; in the
+    canonical form that ``write_edge_list`` writes they are parsed without
+    decoding, with the same result.
     """
-    linenos, tokens, malformed = read_pairs(source)
+    rows = parse_rows(source) if isinstance(source, bytes) else None
     error = None
-    if malformed is not None:
-        error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
-    ids, stop = parse_ints(tokens)
-    if stop is not None:
-        error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
+    if rows is not None:  # row r is line r + 1, and every token is an integer
+        ids = tokens = rows.reshape(-1)
+        linenos = np.arange(1, len(rows) + 1)
+    else:
+        linenos, tokens, malformed = read_pairs(source)
+        if malformed is not None:
+            error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
+        ids, stop = parse_ints(tokens)
+        if stop is not None:
+            error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
     bad = first_true((ids < 0) | (ids >= (n if n is not None else np.inf)))
     if bad is not None:
         node = int(tokens[bad])
@@ -147,7 +136,7 @@ def load_edge_list(source: TextIO | Iterable[str], *, n: int | None = None) -> L
         error = f"{where}: negative node id {node}" if node < 0 else f"{where}: node id {node} outside [0, {n})"
     if error is not None:
         raise EdgeListError(error)
-    if not tokens:
+    if len(ids) == 0:
         raise EdgeListError("empty edge-list input")
 
     if n is None:

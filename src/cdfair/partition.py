@@ -7,12 +7,12 @@ overlap counts between two partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, read_pairs
+from .textio import first_true, format_rows, parse_ints, parse_rows, read_pairs
 
 
 class PartitionError(ValueError):
@@ -110,22 +110,30 @@ def contingency(gt: Partition, pred: Partition) -> ContingencyTable:
     )
 
 
-def load_partition(source: TextIO | Iterable[str], n: int | None = None) -> Partition:
+def load_partition(source: bytes | TextIO | Iterable[str], n: int | None = None) -> Partition:
     """Parse 'node_id community_id' lines; every node in [0, n) exactly once.
 
     With ``n=None`` the node count is the largest node id plus one. When the
     input has several problems, the one on the earliest line is reported.
+    Bytes are read as a UTF-8 file; in the canonical form that
+    ``write_partition`` writes they are parsed without decoding, with the
+    same result.
     """
     # each check looks only at the lines before any problem found so far, so
     # the last message set belongs to the earliest bad line
-    linenos, tokens, malformed = read_pairs(source)
+    rows = parse_rows(source) if isinstance(source, bytes) else None
     error = None
-    if malformed is not None:
-        error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
-    node_tokens = tokens[0::2]
-    nodes, stop = parse_ints(node_tokens)
-    if stop is not None:
-        error = f"line {linenos[stop]}: non-integer node id {node_tokens[stop]!r}"
+    if rows is not None:  # row r is line r + 1, and every token is an integer
+        nodes = node_tokens = rows[:, 0]
+        linenos = np.arange(1, len(rows) + 1)
+    else:
+        linenos, tokens, malformed = read_pairs(source)
+        if malformed is not None:
+            error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
+        node_tokens = tokens[0::2]
+        nodes, stop = parse_ints(node_tokens)
+        if stop is not None:
+            error = f"line {linenos[stop]}: non-integer node id {node_tokens[stop]!r}"
     if n is None:
         n = max(int(nodes.max()) + 1, 0) if len(nodes) else 0
     bad = first_true((nodes < 0) | (nodes >= n))
@@ -143,8 +151,14 @@ def load_partition(source: TextIO | Iterable[str], n: int | None = None) -> Part
     if len(nodes) < n:  # distinct ids in [0, n), so the first gap is unassigned
         gap = first_true(distinct != np.arange(len(distinct)))
         raise PartitionError(f"node {len(distinct) if gap is None else gap} unassigned")
-    communities = tokens[1::2]
-    return Partition.from_labels(list(map(communities.__getitem__, np.argsort(nodes).tolist())))
+    order = np.argsort(nodes)
+    if rows is None:
+        communities = tokens[1::2]
+        return Partition.from_labels(list(map(communities.__getitem__, order.tolist())))
+    # canonical tokens are equal exactly when their values are, so the values
+    # relabel as the text would; the labels stay text, as they are on any input
+    p = Partition.from_labels(rows[order, 1])
+    return replace(p, original_ids=tuple(map(str, p.original_ids)))
 
 
 def write_partition(p: Partition, sink: TextIO) -> None:

@@ -3,29 +3,37 @@
 Both formats are whitespace-separated token pairs, one per line, with blank
 lines and '#' comments allowed. Parsing is done over the whole file at once;
 checks that fail report the line number of the first offending line. Writing
-formats whole integer columns at once too.
+formats whole integer columns at once too, in the canonical form that
+``parse_rows`` reads back from bytes without one Python object per token.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 from typing import Iterable, TextIO
 
 import numpy as np
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+_MAX_DIGITS = 18  # every 18-digit value fits int64
 
 
-def read_pairs(source: TextIO | Iterable[str]) -> tuple[np.ndarray, list[str], tuple[int, int] | None]:
+def read_pairs(
+    source: bytes | TextIO | Iterable[str],
+) -> tuple[np.ndarray, list[str], tuple[int, int] | None]:
     """Tokens of the data lines, two per line, in file order.
 
     Reading stops at the first line holding other than two tokens, which is
     returned as ``(line number, token count)``; the lines before it are
     returned so the caller can check them first and report whichever problem
     comes first in the file. A byte order mark that opens the first line is
-    dropped. Returns ``(line number of each data line, flat token list,
-    malformed line or None)``.
+    dropped. Bytes are decoded as ``open(path, encoding="utf-8")`` reads a
+    file: UTF-8, universal newlines. Returns ``(line number of each data
+    line, flat token list, malformed line or None)``.
     """
+    if isinstance(source, bytes):
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
     lines = list(source)
     if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
         lines[0] = lines[0][1:]
@@ -42,6 +50,43 @@ def read_pairs(source: TextIO | Iterable[str]) -> tuple[np.ndarray, list[str], t
     if has_comments or malformed is not None:
         text = " ".join(itertools.compress(lines[:stop], data.tolist()))
     return np.flatnonzero(data) + 1, text.split(), malformed
+
+
+def parse_rows(data: bytes) -> np.ndarray | None:
+    """The integer pairs of canonical two-column text, or None for other text.
+
+    Canonical text is what ``format_rows`` writes for two columns: every line
+    is ``token SP token LF``, and every token is ``0`` or 1 to 18 digits
+    without a leading zero. Such a token is ``str()`` of its value, so two
+    tokens are equal exactly when their values are, and ``read_pairs`` +
+    ``parse_ints`` give the same values. Row r of the (m, 2) int64 result is
+    line r + 1. Any other input, an empty one included, gives None.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if len(buf) == 0 or buf[-1] != ord("\n"):
+        return None
+    ends = np.flatnonzero(buf - np.uint8(ord("0")) >= 10)  # the byte after each token
+    seps = buf[ends]
+    if len(ends) % 2 or (seps[0::2] != ord(" ")).any() or (seps[1::2] != ord("\n")).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    if ((buf[starts] == ord("0")) & (lengths > 1)).any():  # a leading zero
+        return None
+    # right-aligned Horner over the token columns; a token shorter than the
+    # column reads as a leading "0", so every token gains the same offset
+    width = int(lengths.max())
+    padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])  # no index below 0
+    values = np.zeros(len(ends), dtype=np.int64)
+    for j in range(width, 0, -1):  # the j-th byte before each token's end
+        values *= 10
+        values += np.where(lengths >= j, padded[ends + (width - j)], ord("0"))
+    values -= ord("0") * int("1" * width)
+    return values.reshape(-1, 2)
 
 
 def parse_ints(tokens: list[str]) -> tuple[np.ndarray, int | None]:

@@ -317,7 +317,7 @@ class TestEvaluate:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert str(pairs[0][0]) in err and str(pairs[1][0]) in err and "'g'" in err
+        assert str(pairs[0][0]) in err and str(pairs[1][0]) in err and "bias/louvain_g.csv" in err
         assert not (tmp_path / "o").exists()
 
     def test_external_partitions_sharing_a_stem_exit_1(self, tmp_path, capsys):
@@ -414,6 +414,40 @@ class TestEvaluate:
             "--detector", "louvain", "--out", str(out),
         ])
         assert rc == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_non_canonical_inputs_give_the_same_bias_csvs(self, tmp_path):
+        # a comment and CRLF line ends take the loaders' text path instead of
+        # the byte reader that canonical files take; both must read the same
+        edges, gt = _generate(tmp_path / "canonical")
+        (tmp_path / "crlf").mkdir()
+        for path in (edges, gt):
+            text = b"# written on another system\n" + path.read_bytes()
+            (tmp_path / "crlf" / path.name).write_bytes(text.replace(b"\n", b"\r\n"))
+        for run in ("canonical", "crlf"):
+            d = tmp_path / run
+            assert main([
+                "evaluate", "--graph", str(d / "g.edges"), "--gt", str(d / "g.gt"),
+                "--detector", "louvain", "--detector", f"external:path={d / 'g.gt'}",
+                "--out", str(d / "out"),
+            ]) == 0
+        for name in ("louvain_g.csv", "external:g_g.csv"):
+            want = (tmp_path / "canonical" / "out" / "bias" / name).read_bytes()
+            assert (tmp_path / "crlf" / "out" / "bias" / name).read_bytes() == want
+
+    def test_undecodable_ground_truth_exit_1(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        gt.write_bytes(gt.read_bytes() + b"\xff 0\n")
+        with pytest.raises(UnicodeDecodeError) as text_read:
+            with open(gt, encoding="utf-8") as fh:
+                list(fh)
+        out = tmp_path / "new" / "run"
+        rc = main([
+            "evaluate", "--graph", str(edges), "--gt", str(gt),
+            "--detector", "louvain", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {text_read.value}\n"
         assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("detectors", [

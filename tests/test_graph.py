@@ -10,8 +10,7 @@ def test_path_graph():
     g = res.graph
     assert g.n == 3
     assert g.num_edges == 2
-    assert g.degree(1) == 2
-    assert g.degree(0) == 1
+    assert g.degrees.tolist() == [1, 2, 1]
 
 
 def test_raw_dedup_and_self_loop():
@@ -47,24 +46,23 @@ def test_raw_mode_rejects_tokens():
         load_edge_list(io.StringIO("a b\n"))
 
 
-def test_degree_errors_and_star():
+def test_star_degrees():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert g.degree(0) == 4
-    with pytest.raises(IndexError):
-        g.degree(5)
+    assert g.degrees.tolist() == [4, 1, 1, 1, 1]
 
 
 def test_isolated_node_degree_zero():
     g = Graph.from_edges(3, [(0, 1)])
-    assert g.degree(2) == 0
+    assert g.degrees[2] == 0
 
 
 def test_adjacency_symmetric_and_edge_count():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    adjacency = g.neighbor_lists()
     for u in range(4):
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
-    assert sum(g.degree(i) for i in range(4)) == 2 * g.num_edges
+        for v in adjacency[u]:
+            assert u in adjacency[v]
+    assert g.degrees.sum() == 2 * g.num_edges
 
 
 def test_round_trip_serialization():

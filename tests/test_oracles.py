@@ -22,7 +22,7 @@ from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
 from cdfair.quality import nf1
 from cdfair.synthgen import AbcdParams, GenerationError, _sample_community_sizes, generate_abcd_lite
-from cdfair.textio import format_rows
+from cdfair.textio import format_rows, parse_ints, parse_rows, read_pairs
 
 TOL = 1e-12
 
@@ -341,46 +341,111 @@ def test_abcd_generator_equals_oracle_at_scale():
 
 # ---------------------------------------------------------------- loaders
 
-EDGE_LINES = ["0 1", "1 2\n", " 3\t4 ", "2 0", "1 0", "2 2", "# note", "", "   ",
-              "a b", "1", "1 2 3", "-1 2", "+3 1", "7 5", "b a"]
+# the values where the digit count changes, up to the largest canonical token
+CANONICAL_VALUES = sorted({0, 10**18 - 1} | {v for k in range(1, 18) for v in (10**k - 1, 10**k)})
+canonical_rows = st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(CANONICAL_VALUES), st.integers(0, 10**18 - 1))] * 2),
+    max_size=20,
+)
+# each makes a file of canonical lines non-canonical wherever it is inserted
+NON_CANONICAL_LINES = [
+    "# c\n", "\n", "-1 2\n", "+1 2\n", "1\t2\n", "1 2\r\n", "\ufeff1 2\n", "1\n", "1 2 3\n",
+    "007 1\n", "1 00\n", "1000000000000000000 1\n", "1  2\n", " 1 2\n", "1 2 \n", "1_0 2\n",
+    "\u0661 2\n", "\xe9 1\n",
+]
 
 
-@given(st.lists(st.sampled_from(EDGE_LINES), max_size=12))
+def _file_sources(lines):
+    """The lines as given, then the bytes of files holding them without and with
+    a last newline, each with the lines that reading such a file yields."""
+    yield lines, lines
+    for text in ("\n".join(lines), "".join(line + "\n" for line in lines)):
+        yield text.encode(), io.StringIO(text).readlines()
+
+
+@given(canonical_rows)
+@settings(max_examples=300, deadline=None)
+def test_parse_rows_matches_text_reader(rows):
+    text = "".join(f"{u} {v}\n" for u, v in rows)
+    got = parse_rows(text.encode())
+    if not rows:
+        assert got is None  # an empty file is read as text
+        return
+    linenos, tokens, malformed = read_pairs(io.StringIO(text))
+    ids, stop = parse_ints(tokens)
+    assert malformed is None and stop is None
+    assert linenos.tolist() == list(range(1, len(rows) + 1))
+    assert got.dtype == np.int64 and got.tolist() == ids.reshape(-1, 2).tolist() == list(map(list, rows))
+
+
+@given(canonical_rows, st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 20))
+@settings(max_examples=300, deadline=None)
+def test_parse_rows_rejects_other_text(rows, line, at):
+    lines = [f"{u} {v}\n" for u, v in rows]
+    assert parse_rows("".join(lines).encode()[:-1]) is None  # no last newline
+    lines.insert(at, line)
+    assert parse_rows("".join(lines).encode()) is None
+
+
+def test_parse_rows_rejects_empty_and_undecodable_input():
+    assert parse_rows(b"") is None
+    assert parse_rows(b"0 1\n\xff 2\n") is None
+    assert parse_rows(b"0 1\n2 3") is None
+
+
+# canonical lines first: half the examples draw only those, so files of them
+# take the byte reader
+EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", "", "   ",
+              "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2"]
+
+
+@given(st.lists(st.sampled_from(EDGE_LINES[:5]), max_size=12)
+       | st.lists(st.sampled_from(EDGE_LINES), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_load_edge_list_matches_line_loop(lines):
-    try:
-        n, edges, dup, loops = oracles.load_edge_list(lines)
-    except EdgeListError as exc:
-        with pytest.raises(EdgeListError) as got:
-            load_edge_list(lines)
-        assert str(got.value) == str(exc)
-        return
-    res = load_edge_list(lines)
-    assert res.graph.n == n
-    assert set(res.graph.edges()) == edges
-    assert list(res.graph.edges()) == sorted(edges)
-    assert (res.duplicates_dropped, res.self_loops_dropped) == (dup, loops)
-    adjacency = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
-    assert res.graph.neighbor_lists() == adjacency
+    for source, file_lines in _file_sources(lines):
+        try:
+            n, edges, dup, loops = oracles.load_edge_list(file_lines)
+        except EdgeListError as exc:
+            with pytest.raises(EdgeListError) as got:
+                load_edge_list(source)
+            assert str(got.value) == str(exc)
+            continue
+        res = load_edge_list(source)
+        assert res.graph.n == n
+        assert set(res.graph.edges()) == edges
+        assert list(res.graph.edges()) == sorted(edges)
+        assert (res.duplicates_dropped, res.self_loops_dropped) == (dup, loops)
+        adjacency = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
+        assert res.graph.neighbor_lists() == adjacency
 
 
-PARTITION_LINES = ["0 a", "1 a\n", "2 b", "1 b", "3 x", "-1 a", "x a", "0", "0 a b",
-                   "# c", "", " 2\t07 ", "+1 7"]
+PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1 b", "3 x",
+                   "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07"]
 
 
-@given(st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.integers(1, 4))
+@given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
+       | st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_load_partition_matches_line_loop(lines, n):
-    try:
-        want = oracles.load_partition(lines, n)
-    except PartitionError as exc:
-        with pytest.raises(PartitionError) as got:
-            load_partition(lines, n)
-        assert str(got.value) == str(exc)
-        return
-    p = load_partition(lines, n)
-    assert p.labels.tolist() == want.labels.tolist()
-    assert p.original_ids == want.original_ids
+    for source, file_lines in _file_sources(lines):
+        try:
+            want = oracles.load_partition(file_lines, n)
+        except PartitionError as exc:
+            with pytest.raises(PartitionError) as got:
+                load_partition(source, n)
+            assert str(got.value) == str(exc)
+            continue
+        p = load_partition(source, n)
+        assert p.labels.tolist() == want.labels.tolist()
+        assert p.original_ids == want.original_ids
+        assert all(type(label) is str for label in p.original_ids)
+
+
+def test_canonical_partition_labels_stay_text():
+    assert load_partition(b"0 7\n1 7\n2 10\n").original_ids == ("7", "10")
+    # a leading zero is not canonical: the text path keeps 07 apart from 7
+    assert load_partition(b"0 7\n1 07\n2 7\n").original_ids == ("7", "07")
 
 
 # ---------------------------------------------------------------- writers
@@ -433,9 +498,10 @@ def test_load_partition_infers_n_from_largest_id():
 def test_load_edge_list_with_node_count():
     res = load_edge_list(io.StringIO("0 1\n1 2\n"), n=5)
     assert res.graph.n == 5
-    assert res.graph.degree(4) == 0
-    with pytest.raises(EdgeListError, match=r"line 2: node id 5 outside \[0, 5\)"):
-        load_edge_list(io.StringIO("0 1\n1 5\n"), n=5)
+    assert res.graph.degrees[4] == 0
+    for source in (io.StringIO("0 1\n1 5\n"), b"0 1\n1 5\n"):
+        with pytest.raises(EdgeListError, match=r"line 2: node id 5 outside \[0, 5\)"):
+            load_edge_list(source, n=5)
 
 
 def test_from_edges_errors_name_the_first_bad_edge():

@@ -98,10 +98,11 @@ def test_graph_invariants_and_partition_validity():
     assert p.n == 500
     assert p.sizes.sum() == 500
     assert p.sizes.min() >= 1
+    adjacency = g.neighbor_lists()
     for u in range(g.n):
-        assert u not in g.neighbors(u)
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
+        assert u not in adjacency[u]
+        for v in adjacency[u]:
+            assert u in adjacency[v]
 
 
 def test_determinism_under_seed():
