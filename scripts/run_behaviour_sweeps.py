@@ -42,8 +42,8 @@ def main() -> int:
                     path = out / f"sweep_{scenario}_{target}_n{n}.csv"
                     with open(path, "w", encoding="utf-8") as fh:
                         result.write_csv(fh)
-                    for ratio, m, s in zip(ratios, result.mean_ib, result.std_ib):
-                        all_fh.write(f"{scenario},{target},{n},{ratio!r},{m!r},{s!r}\n")
+                    for ratio, m in zip(ratios, result.mean_ib):
+                        all_fh.write(f"{scenario},{target},{n},{ratio!r},{m!r},0.0\n")
                     print(f"wrote {path}")
     print(f"wrote {combined}")
     return 0

@@ -60,9 +60,9 @@ def _fmt(x) -> str:
     return "" if x is None else repr(x)
 
 
-def _phi_flat(phi_result) -> dict[str, float | None]:
+def _phi_flat(phi_slopes: dict) -> dict[str, float | None]:
     # PHI_METRICS names the (property, score) pairs in this order
-    slopes = (phi_result.phi[prop][score] for prop in PROPERTIES for score in SCORES)
+    slopes = (phi_slopes[prop][score] for prop in PROPERTIES for score in SCORES)
     return dict(zip(PHI_METRICS, slopes))
 
 

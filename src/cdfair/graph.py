@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -11,6 +12,9 @@ import numpy as np
 from .textio import first_true, format_rows, parse_ints, parse_rows, read_pairs
 
 log = logging.getLogger(__name__)
+
+# the largest node count whose edge keys u * n + v (u, v < n) fit in int64
+MAX_NODES = math.isqrt(2**63 - 1)
 
 
 class EdgeListError(ValueError):
@@ -54,6 +58,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from edges (pairs or an (m, 2) array); duplicates are merged."""
+        if n > MAX_NODES:
+            raise ValueError(f"n={n} above the largest node count {MAX_NODES}")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -110,13 +116,15 @@ def load_edge_list(source: bytes | TextIO | Iterable[str], *, n: int | None = No
 
     Node ids are non-negative integers, used directly as indices. n is the
     largest id plus one unless given, in which case every id must lie in
-    [0, n) (nodes without edges are isolated). Lines starting with '#' are
-    comments. Duplicate edges and self-loops are dropped (counted, warned),
-    never fatal. When the input has several problems, the one on the
-    earliest line is reported. Bytes are read as a UTF-8 file; in the
+    [0, n) (nodes without edges are isolated); either way n is at most
+    ``MAX_NODES``. Lines starting with '#' are comments. Duplicate edges and
+    self-loops are dropped (counted, warned), never fatal. When the input has
+    several problems, the one on the earliest line is reported. Bytes are read as a UTF-8 file; in the
     canonical form that ``write_edge_list`` writes they are parsed without
     decoding, with the same result.
     """
+    if n is not None and n > MAX_NODES:
+        raise EdgeListError(f"n={n} above the largest node count {MAX_NODES}")
     rows = parse_rows(source) if isinstance(source, bytes) else None
     error = None
     if rows is not None:  # row r is line r + 1, and every token is an integer
@@ -129,11 +137,16 @@ def load_edge_list(source: bytes | TextIO | Iterable[str], *, n: int | None = No
         ids, stop = parse_ints(tokens)
         if stop is not None:
             error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
-    bad = first_true((ids < 0) | (ids >= (n if n is not None else np.inf)))
+    bad = first_true((ids < 0) | (ids >= (n if n is not None else MAX_NODES)))
     if bad is not None:
         node = int(tokens[bad])
         where = f"line {linenos[bad // 2]}"
-        error = f"{where}: negative node id {node}" if node < 0 else f"{where}: node id {node} outside [0, {n})"
+        if node < 0:
+            error = f"{where}: negative node id {node}"
+        elif n is None:
+            error = f"{where}: node id {node} above the largest node id {MAX_NODES - 1}"
+        else:
+            error = f"{where}: node id {node} outside [0, {n})"
     if error is not None:
         raise EdgeListError(error)
     if len(ids) == 0:

@@ -10,7 +10,6 @@ communities are favoured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,14 +20,6 @@ from .quality import community_edges
 
 PROPERTIES = ("size", "conductance", "density")
 SCORES = ("fccn", "f1", "fcce")
-
-
-@dataclass(frozen=True)
-class GroupFairnessResult:
-    # phi[property][score] -> OLS slope, or None when the property is degenerate
-    phi: dict[str, dict[str, float | None]]
-    stats: dict[str, np.ndarray]  # PROPERTIES -> one value per ground-truth community
-    scores: dict[str, np.ndarray]  # SCORES -> one value per ground-truth community
 
 
 def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:
@@ -109,11 +100,12 @@ def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str
     }
 
 
-def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
+def phi(g: Graph, ct: ContingencyTable) -> dict[str, dict[str, float | None]]:
     """Fairness slopes for all (property, score) combinations.
 
-    A property equal across every ground-truth community, as with a single
-    community, gives no slope: its entries are None.
+    Returns ``{property: {score: OLS slope}}``. A property equal across
+    every ground-truth community, as with a single community, gives no
+    slope: its entries are None.
     """
     intra, vol = community_edges(g, ct.gt)  # shared by the properties and the scores
     stats = _stats(g, ct.gt, intra, vol)
@@ -124,4 +116,4 @@ def phi(g: Graph, ct: ContingencyTable) -> GroupFairnessResult:
         result[prop] = {
             score: None if norm is None else ols_slope(norm, scores[score]) for score in SCORES
         }
-    return GroupFairnessResult(phi=result, stats=stats, scores=scores)
+    return result

@@ -7,7 +7,7 @@ overlap counts between two partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -26,29 +26,26 @@ class Partition:
     labels: np.ndarray  # shape (n,), int64
     sizes: np.ndarray  # shape (k,), int64
     k: int
-    original_ids: tuple = ()  # dense id -> external community label, if any
 
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
 
     @classmethod
-    def from_labels(cls, raw_labels: Sequence) -> "Partition":
-        """Relabel arbitrary community ids to dense ids in first-seen order.
-
-        Labels are compared by Python equality, so ``1`` and ``"1"`` stay
-        distinct; a numpy array is compared through its ``tolist()``.
-        """
-        if isinstance(raw_labels, np.ndarray):
-            raw_labels = raw_labels.tolist()
-        if len(raw_labels) == 0:
+    def from_labels(cls, raw_labels: Sequence[int] | np.ndarray) -> "Partition":
+        """Relabel integer community ids to dense ids in first-seen order."""
+        raw = np.asarray(raw_labels)
+        if raw.size == 0:
             raise PartitionError("empty label sequence")
-        remap = {lab: i for i, lab in enumerate(dict.fromkeys(raw_labels))}
-        dense = np.fromiter(map(remap.__getitem__, raw_labels), np.int64, len(raw_labels))
-        original_ids = tuple(remap)
-        k = len(original_ids)
-        sizes = np.bincount(dense, minlength=k)
-        return cls(labels=dense, sizes=sizes, k=k, original_ids=original_ids)
+        if raw.ndim != 1 or raw.dtype.kind not in "iu":
+            raise PartitionError("community labels must be a sequence of integers")
+        # np.unique sorts stably when asked for first indices, so `first` holds
+        # each distinct label's first position; rank the labels by it
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        dense = rank[inverse]
+        return cls(labels=dense, sizes=np.bincount(dense, minlength=len(first)), k=len(first))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -152,13 +149,12 @@ def load_partition(source: bytes | TextIO | Iterable[str], n: int | None = None)
         gap = first_true(distinct != np.arange(len(distinct)))
         raise PartitionError(f"node {len(distinct) if gap is None else gap} unassigned")
     order = np.argsort(nodes)
-    if rows is None:
-        communities = tokens[1::2]
-        return Partition.from_labels(list(map(communities.__getitem__, order.tolist())))
-    # canonical tokens are equal exactly when their values are, so the values
-    # relabel as the text would; the labels stay text, as they are on any input
-    p = Partition.from_labels(rows[order, 1])
-    return replace(p, original_ids=tuple(map(str, p.original_ids)))
+    if rows is not None:  # canonical tokens are equal exactly when their values are
+        return Partition.from_labels(rows[order, 1])
+    # an object array keeps each token whole ("a\x00" is not "a"), so tokens
+    # get one code each exactly when they are equal as text
+    _, codes = np.unique(np.array(tokens[1::2], dtype=object), return_inverse=True)
+    return Partition.from_labels(codes[order])
 
 
 def write_partition(p: Partition, sink: TextIO) -> None:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-from .synthgen import two_block_partition
+from .synthgen import minority_size
 
 SCENARIOS = ("expand", "shrink", "change")
 TARGETS = ("minority", "majority")
@@ -54,13 +54,13 @@ class SweepConfig:
 class SweepResult:
     config: SweepConfig
     mean_ib: tuple[float, ...]  # one entry per ratio: the exact focal bias
-    std_ib: tuple[float, ...]  # always 0.0: every run moves the same counts
 
     def write_csv(self, sink: TextIO) -> None:
+        # the spread over runs is always 0.0: every run moves the same counts
         sink.write("scenario,target,n,ratio,mean_ib,std_ib\n")
         c = self.config
-        for ratio, m, s in zip(c.ratios, self.mean_ib, self.std_ib):
-            sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{m!r},{s!r}\n")
+        for ratio, m in zip(c.ratios, self.mean_ib):
+            sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{m!r},0.0\n")
 
     def write_runs_csv(self, sink: TextIO) -> None:
         sink.write("scenario,target,n,ratio,run,ib\n")
@@ -75,15 +75,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     k_out members leave (capped at s - 1 so the focal node stays) and k_in
     outsiders join, each count rounded with halves away from zero.
-    Bias depends only on the planted labels, so no graph is built here; the
-    two-block partition supplies the minority/majority structure.
+    Bias depends only on the planted block sizes, so neither a graph nor a
+    partition is built here.
     """
-    gt = two_block_partition(cfg.n, cfg.minority_frac)
-    s = int(gt.sizes[0 if cfg.target == "minority" else 1])
+    size_m = minority_size(cfg.n, cfg.minority_frac)
+    s = size_m if cfg.target == "minority" else cfg.n - size_m
     means: list[float] = []
     for ratio in cfg.ratios:
         k_out = min(round_half_away(ratio * s), s - 1) if cfg.scenario != "expand" else 0
         k_in = round_half_away(ratio * (cfg.n - s)) if cfg.scenario != "shrink" else 0
         o = s - k_out
         means.append(1.0 - o / math.sqrt(float(s) * float(s - k_out + k_in)))
-    return SweepResult(config=cfg, mean_ib=tuple(means), std_ib=(0.0,) * len(means))
+    return SweepResult(config=cfg, mean_ib=tuple(means))

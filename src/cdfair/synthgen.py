@@ -260,15 +260,20 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     return graph, partition, info
 
 
-def two_block_partition(n: int, minority_frac: float) -> Partition:
-    """Planted labels only: community 0 = minority block, community 1 = rest."""
+def minority_size(n: int, minority_frac: float) -> int:
+    """Size of the minority block of `two_block_partition(n, minority_frac)`."""
     if not 0.0 < minority_frac < 1.0:
         raise ValueError("minority_frac must lie in (0, 1)")
     size_m = int(math.floor(minority_frac * n + 0.5))
     if size_m < 1 or size_m >= n:
         raise ValueError("degenerate block sizes")
-    labels = [0] * size_m + [1] * (n - size_m)
-    return Partition.from_labels(labels)
+    return size_m
+
+
+def two_block_partition(n: int, minority_frac: float) -> Partition:
+    """Planted labels only: community 0 = minority block, community 1 = rest."""
+    size_m = minority_size(n, minority_frac)
+    return Partition.from_labels([0] * size_m + [1] * (n - size_m))
 
 
 def _sample_block_edges(rng: np.random.Generator, total: int, prob: float, edges: list[tuple[int, int]], pair_at) -> None:

@@ -126,15 +126,15 @@ def perturb_change(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Pa
     return Partition.from_labels(labels)
 
 
-def from_labels(raw_labels) -> tuple[list[int], tuple]:
-    """Dense ids in first-seen order and the original label of each id."""
+def from_labels(raw_labels) -> list[int]:
+    """Dense ids in first-seen order; labels are compared by Python equality."""
     remap: dict = {}
     dense = []
     for lab in raw_labels:
         if lab not in remap:
             remap[lab] = len(remap)
         dense.append(remap[lab])
-    return dense, tuple(remap)
+    return dense
 
 
 def contingency(gt: Partition, pred: Partition) -> dict[tuple[int, int], int]:
@@ -397,7 +397,9 @@ def load_partition(lines, n: int) -> Partition:
     missing = [i for i in range(n) if i not in assigned]
     if missing:
         raise PartitionError(f"node {missing[0]} unassigned")
-    return Partition.from_labels([assigned[i] for i in range(n)])
+    dense = np.array(from_labels(assigned[i] for i in range(n)), dtype=np.int64)
+    sizes = np.bincount(dense)
+    return Partition(labels=dense, sizes=sizes, k=len(sizes))
 
 
 def write_edge_list(g: Graph, sink) -> None:

@@ -221,7 +221,7 @@ def test_criterion_7_quality_goldens():
     assert nmi(contingency(gt3, gt3)) == 1.0
     assert nf1(contingency(gt3, gt3)) == 1.0
     perfect = phi(g3, contingency(gt3, gt3))
-    for prop, by_score in perfect.phi.items():
+    for prop, by_score in perfect.items():
         for score, value in by_score.items():
             assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
 
@@ -250,8 +250,8 @@ def _shatter(shatter_small: bool):
 
 
 def test_criterion_8_phi_signs_and_ols():
-    pos = phi(*_shatter(shatter_small=True)).phi["size"]["fccn"]
-    neg = phi(*_shatter(shatter_small=False)).phi["size"]["fccn"]
+    pos = phi(*_shatter(shatter_small=True))["size"]["fccn"]
+    neg = phi(*_shatter(shatter_small=False))["size"]["fccn"]
     assert pos > 0.0
     assert neg < 0.0
     slope = ols_slope([0.0, 0.5, 1.0], [0.2, 0.5, 0.8])

@@ -1,8 +1,9 @@
 import io
+import tracemalloc
 
 import pytest
 
-from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
+from cdfair.graph import MAX_NODES, EdgeListError, Graph, load_edge_list, write_edge_list
 
 
 def test_path_graph():
@@ -72,3 +73,36 @@ def test_round_trip_serialization():
     write_edge_list(g, buf)
     g2 = load_edge_list(io.StringIO(buf.getvalue())).graph
     assert set(g.edges()) == set(g2.edges())
+
+
+def test_max_nodes_is_the_largest_count_whose_edge_keys_fit_int64():
+    assert MAX_NODES**2 - 1 <= 2**63 - 1 < (MAX_NODES + 1) ** 2 - 1
+
+
+ABOVE = "above the largest node id 3037000498"
+
+
+@pytest.mark.parametrize("source, n, message", [
+    ("0 9223372036854775807\n", None, f"line 1: node id 9223372036854775807 {ABOVE}"),
+    ("# ids\n0 4611686018427387904\n", None, f"line 2: node id 4611686018427387904 {ABOVE}"),
+    (b"0 1\n1 123456789012345678\n", None, f"line 2: node id 123456789012345678 {ABOVE}"),
+    (b"0 1\n1 3037000499\n", None, f"line 2: node id 3037000499 {ABOVE}"),
+    ("0 1\n", 4_000_000_000, "n=4000000000 above the largest node count 3037000499"),
+])
+def test_node_count_above_max_nodes_is_rejected_without_allocating(source, n, message):
+    source = source if isinstance(source, bytes) else io.StringIO(source)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListError) as exc:
+            load_edge_list(source, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 2**20  # numpy reports its buffers to tracemalloc
+
+
+def test_from_edges_rejects_a_node_count_above_max_nodes():
+    message = f"n={MAX_NODES + 1} above the largest node count {MAX_NODES}"
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(MAX_NODES + 1, [(0, 1)])

@@ -125,7 +125,7 @@ def three_distinct_communities():
 def test_phi_perfect_prediction_all_zero():
     g, gt = three_distinct_communities()
     result = phi(g, contingency(gt, gt))
-    for prop, by_score in result.phi.items():
+    for prop, by_score in result.items():
         for score, value in by_score.items():
             assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
 
@@ -134,7 +134,7 @@ def test_phi_of_one_community_is_null():
     # every property is equal across a single community, so no slope exists
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     result = phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 1])))
-    assert result.phi == {prop: {score: None for score in SCORES} for prop in PROPERTIES}
+    assert result == {prop: {score: None for score in SCORES} for prop in PROPERTIES}
 
 
 def shatter_construction(shatter_small: bool):
@@ -154,13 +154,13 @@ def shatter_construction(shatter_small: bool):
 def test_phi_size_sign_shatter_small():
     g, gt, pred = shatter_construction(shatter_small=True)
     result = phi(g, contingency(gt, pred))
-    assert result.phi["size"]["fccn"] > 0.0  # favours the larger community
+    assert result["size"]["fccn"] > 0.0  # favours the larger community
 
 
 def test_phi_size_sign_shatter_large():
     g, gt, pred = shatter_construction(shatter_small=False)
     result = phi(g, contingency(gt, pred))
-    assert result.phi["size"]["fccn"] < 0.0
+    assert result["size"]["fccn"] < 0.0
 
 
 def test_phi_degenerate_property_reported_missing():
@@ -171,7 +171,7 @@ def test_phi_degenerate_property_reported_missing():
     # both communities have identical size/density/conductance
     for prop in ("size", "conductance", "density"):
         for score in ("fccn", "f1", "fcce"):
-            assert result.phi[prop][score] is None
+            assert result[prop][score] is None
 
 
 def test_phi_affine_rescale_invariance():

@@ -33,13 +33,22 @@ def test_load_partition_dense_relabel():
     p = load_partition(io.StringIO("0 7\n1 7\n2 9\n"), n=3)
     assert p.labels.tolist() == [0, 0, 1]
     assert p.k == 2
-    assert p.original_ids == ("7", "9")
+    # dense ids follow first appearance by node id, not the tokens' order
+    p = load_partition(io.StringIO("2 7\n0 9\n1 7\n"), n=3)
+    assert p.labels.tolist() == [0, 1, 1]
 
 
 def test_load_partition_drops_leading_byte_order_mark():
     p = load_partition(io.StringIO("\ufeff0 7\n1 7\n2 9\n"), n=3)
     assert p.labels.tolist() == [0, 0, 1]
-    assert p.original_ids == ("7", "9")
+    assert p.k == 2
+
+
+@pytest.mark.parametrize("text", ["0 a\x00\n1 a\n", "0 07\n1 7\n", "0 1\n1 1.0\n", "0 a\n1 A\n"])
+def test_load_partition_compares_community_tokens_as_text(text):
+    for source in (io.StringIO(text), text.encode()):
+        p = load_partition(source)
+        assert (p.labels.tolist(), p.k) == ([0, 1], 2)
 
 
 def test_load_partition_missing_node():

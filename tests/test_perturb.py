@@ -118,7 +118,6 @@ def test_sweep_zero_ratio_only():
     cfg = SweepConfig(scenario="change", target="majority", ratios=(0.0,), runs=3, n=100)
     res = run_sweep(cfg)
     assert res.mean_ib == (0.0,)
-    assert res.std_ib == (0.0,)
 
 
 def test_sweep_expand_minority_concave_down_increasing():
@@ -179,7 +178,6 @@ def test_sweep_equals_sampled_perturbations(scenario, target, size_m, size_rest,
         for seed in seeds:
             pred = PERTURBATIONS[scenario](gt, focal, ratio, seed=seed)
             assert value == focal_ib(gt, pred, focal), (ratio, seed)
-    assert res.std_ib == (0.0,) * len(ratios)
 
 
 def test_sweep_counts_make_std_zero():
@@ -187,8 +185,23 @@ def test_sweep_counts_make_std_zero():
     cfg = SweepConfig(
         scenario="change", target="minority", ratios=(0.3, 0.6), runs=10, n=200,
     )
-    res = run_sweep(cfg)
-    assert max(res.std_ib) <= 1e-12
+    buf = io.StringIO()
+    run_sweep(cfg).write_csv(buf)
+    rows = buf.getvalue().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["std_ib", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("n, frac, message", [
+    (3, 0.01, "degenerate block sizes"),
+    (3, 0.9, "degenerate block sizes"),
+    (100, 0.0, r"minority_frac must lie in \(0, 1\)"),
+    (100, 1.0, r"minority_frac must lie in \(0, 1\)"),
+])
+def test_sweep_rejects_the_block_sizes_that_two_block_partition_rejects(n, frac, message):
+    with pytest.raises(ValueError, match=message):
+        two_block_partition(n, frac)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SweepConfig(scenario="expand", target="minority", n=n, minority_frac=frac))
 
 
 def test_sweep_graph_size_invariance():
