@@ -395,20 +395,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # every sweep is computed (and its input checked) before the output
     # directory is made, so a bad input leaves no directory
     results = [
-        run_sweep(SweepConfig(scenario=scenario, target=target, ratios=ratios, runs=args.runs,
+        run_sweep(SweepConfig(scenario=scenario, target=target, ratios=ratios,
                               n=args.n, minority_frac=args.minority))
         for scenario in scenarios for target in targets
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for result in results:
-        name = f"sweep_{result.config.scenario}_{result.config.target}"
-        path = out / f"{name}.csv"
+        path = out / f"sweep_{result.config.scenario}_{result.config.target}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             result.write_csv(fh)
-        if args.per_run:
-            with open(out / f"{name}_runs.csv", "w", encoding="utf-8") as fh:
-                result.write_runs_csv(fh)
         print(f"wrote {path}")
     return 0
 
@@ -473,10 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--minority", type=float, default=0.2)
     sw.add_argument("--ratios", default=",".join(str(r / 10) for r in range(11)))
     sw.add_argument("--runs", type=int, default=100,
-                    help="rows per ratio in the --per-run CSVs (the bias is exact)")
+                    help="accepted for old command lines; the bias is exact, so it changes nothing")
     sw.add_argument("--seed", type=int, default=0,
                     help="accepted for old command lines; sweeps use no randomness")
-    sw.add_argument("--per-run", action="store_true", help="also write long-format per-run CSVs")
     sw.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
     sw.set_defaults(func=cmd_sweep)
 

@@ -1,7 +1,7 @@
 """Built-in community detectors and the dispatch interface.
 
 Three representatives are implemented: asynchronous label propagation,
-Louvain (two-phase modularity optimization with a resolution knob), and
+Louvain (two-phase modularity optimization), and
 greedy agglomerative modularity maximization (CNM). Everything else enters
 the pipeline as an externally computed partition file.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import inspect
 import logging
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,6 @@ log = logging.getLogger(__name__)
 # parameters whose converted value must also lie in a range: (check, what it must be)
 _PARAM_RANGES = {
     "max_sweeps": (lambda v: v >= 1, "at least 1"),
-    "resolution": (math.isfinite, "finite"),
 }
 
 
@@ -127,88 +125,84 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     return Partition.from_labels(labels)
 
 
-class _LouvainLevel:
-    """Weighted graph used by aggregation levels; node self-weights allowed."""
-
-    def __init__(self, n: int, adj: list[dict[int, float]], self_w: list[float]):
-        self.n = n
-        self.adj = adj  # neighbor -> edge weight (no self entries)
-        self.self_w = self_w  # self-loop weight, counted twice in node strength
-        self.strength = [sum(a.values()) + 2 * w for a, w in zip(adj, self_w)]
-        self.total_weight = (sum(sum(a.values()) for a in adj) / 2.0) + sum(self_w)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_LouvainLevel":
-        adj = [{v: 1.0 for v in nbrs} for nbrs in g.neighbor_lists()]
-        return cls(g.n, adj, [0.0] * g.n)
-
-
-def _louvain_local_move(level: _LouvainLevel, rng: random.Random, resolution: float) -> list[int]:
-    comm = list(range(level.n))
-    comm_tot = level.strength[:]  # total strength per community
-    two_m = 2.0 * level.total_weight
-    order = list(range(level.n))
+def _louvain_local_move(adj: list[dict[int, int]], strength: list[int],
+                        rng: random.Random) -> list[int]:
+    comm = list(range(len(adj)))
+    comm_tot = strength[:]  # total strength per community
+    two_m = sum(strength)
+    order = list(range(len(adj)))
     improved = True
     while improved:
         improved = False
         rng.shuffle(order)
         for u in order:
             cu = comm[u]
-            ki = level.strength[u]
-            # edge weight from u to each neighboring community
-            links: dict[int, float] = {cu: 0.0}
-            for v, w in level.adj[u].items():
-                links[comm[v]] = links.get(comm[v], 0.0) + w
-            comm_tot[cu] -= ki
-            base = links.get(cu, 0.0) - resolution * ki * comm_tot[cu] / two_m
-            best_c, best_gain = cu, 0.0
+            ku = strength[u]
+            # edge weight from u to each neighbouring community, its own first
+            links = {cu: 0}
+            for v, w in adj[u].items():
+                c = comm[v]
+                links[c] = links.get(c, 0) + w
+            comm_tot[cu] -= ku
+            best_c = cu
+            best = two_m * links[cu] - ku * comm_tot[cu]
             for c, w_uc in links.items():
-                if c == cu:
-                    continue
-                gain = (w_uc - resolution * ki * comm_tot[c] / two_m) - base
-                if gain > best_gain + 1e-12 or (
-                    abs(gain - best_gain) <= 1e-12 and best_gain > 0 and c < best_c
-                ):
-                    best_c, best_gain = c, gain
-            comm_tot[best_c] += ki
+                gain = two_m * w_uc - ku * comm_tot[c]
+                if gain > best or (gain == best and best_c != cu and c < best_c):
+                    best_c, best = c, gain
+            comm_tot[best_c] += ku
             if best_c != cu:
                 comm[u] = best_c
                 improved = True
     return comm
 
 
-def louvain(g: Graph, seed: int = 0, resolution: float = 1.0) -> Partition:
-    """Two-phase Louvain; node order and tie handling are seeded."""
-    _check_param("louvain", "resolution", resolution)
+def louvain(g: Graph, seed: int = 0) -> Partition:
+    """Two-phase Louvain (Blondel et al. 2008); node order is seeded.
+
+    Each pass visits the nodes of a level in a freshly shuffled order and
+    moves each to the neighbouring community with the largest modularity
+    gain; passes repeat until one moves nothing, and the communities then
+    become the weighted nodes of the next level. The gain of moving u
+    (strength k_u, taken out of its community) into c is compared as the
+    exact integer 2m·w_uc − k_u·tot_c (w_uc the edge weight from u to c,
+    tot_c the strength of c); weights stay integers on every level. u stays
+    in its own community unless another gains strictly more, and ties among
+    the others go to the smallest community id. Distinct gains differ by at
+    least 1/2m, so a float comparison with a 1e-12 tie tolerance keeps them
+    apart for 2m < 10^12. But it rounds k_u·tot_c/2m, and with strengths
+    near 10^5 the rounding can exceed 1e-12 and split gains that are equal;
+    the float rule may then pick a larger id, and the integer order is the
+    defined one. No generated graph in the tests reaches such a level; a
+    hand-built one with edge weights 24,809 and 70,399 does.
+    """
     _require_edges(g)
     rng = random.Random(seed)
-    level = _LouvainLevel.from_graph(g)
+    # one level: neighbour -> edge weight per node (no self entries), and each
+    # node's strength, which counts its internal edges twice
+    adj = [dict.fromkeys(nbrs, 1) for nbrs in g.neighbor_lists()]
+    strength = g.degrees.tolist()
     membership = list(range(g.n))  # original node -> current-level node
     while True:
-        comm = _louvain_local_move(level, rng, resolution)
         remap: dict[int, int] = {}
-        for c in comm:
-            if c not in remap:
-                remap[c] = len(remap)
-        dense = [remap[c] for c in comm]
+        dense = [remap.setdefault(c, len(remap))
+                 for c in _louvain_local_move(adj, strength, rng)]
         k = len(remap)
-        if k == level.n:  # no merge happened anywhere
+        if k == len(adj):  # no merge happened anywhere
             break
-        membership = [dense[membership[i]] for i in range(g.n)]
+        membership = [dense[u] for u in membership]
         # aggregate: communities become nodes
-        new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
-        new_self = [0.0] * k
-        for u in range(level.n):
+        new_adj: list[dict[int, int]] = [{} for _ in range(k)]
+        new_strength = [0] * k
+        for u, row in enumerate(adj):
             cu = dense[u]
-            new_self[cu] += level.self_w[u]
-            for v, w in level.adj[u].items():
+            new_strength[cu] += strength[u]
+            links = new_adj[cu]
+            for v, w in row.items():
                 cv = dense[v]
-                if cu == cv:
-                    if u < v:
-                        new_self[cu] += w
-                else:
-                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-        level = _LouvainLevel(k, new_adj, new_self)
+                if cv != cu:
+                    links[cv] = links.get(cv, 0) + w
+        adj, strength = new_adj, new_strength
     return Partition.from_labels(membership)
 
 

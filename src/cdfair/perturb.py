@@ -33,7 +33,6 @@ class SweepConfig:
     scenario: str
     target: str
     ratios: tuple[float, ...] = tuple(r / 10 for r in range(11))
-    runs: int = 100  # rows per ratio in the per-run CSV
     n: int = 1000
     minority_frac: float = 0.2
 
@@ -46,8 +45,6 @@ class SweepConfig:
             raise ValueError("ratios must be sorted ascending")
         if any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,13 +58,6 @@ class SweepResult:
         c = self.config
         for ratio, m in zip(c.ratios, self.mean_ib):
             sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{m!r},0.0\n")
-
-    def write_runs_csv(self, sink: TextIO) -> None:
-        sink.write("scenario,target,n,ratio,run,ib\n")
-        c = self.config
-        for ratio, v in zip(c.ratios, self.mean_ib):
-            for r in range(c.runs):
-                sink.write(f"{c.scenario},{c.target},{c.n},{ratio!r},{r},{v!r}\n")
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .groupfair import PROPERTIES, SCORES
@@ -19,6 +20,17 @@ POINT_COLUMNS = ("detector", "graph_group", "ib_g", "ib_g_std", "metric_name", "
 
 class ReportSchemaError(ValueError):
     """Incompatible run-report schema."""
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that is a finite float: not NaN, ±Infinity or an integer
+    too large for a float; true and false are not numbers."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def load_run_report(path: str | Path) -> dict:
@@ -44,11 +56,11 @@ def load_run_report(path: str | Path) -> dict:
             cell = agg.get(metric) if agg else None
             if cell is not None and not (
                 isinstance(cell, dict)
-                and all(isinstance(cell.get(stat), (int, float)) for stat in ("mean", "std"))
+                and all(_finite_number(cell.get(stat)) for stat in ("mean", "std"))
             ):
                 raise ReportSchemaError(
                     f"{path}: detector {det!r}: aggregate {metric!r} must be null "
-                    f"or hold a numeric 'mean' and 'std', got {cell!r}"
+                    f"or hold a numeric 'mean' and 'std' (finite, not true or false), got {cell!r}"
                 )
     return doc
 

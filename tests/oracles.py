@@ -2,8 +2,9 @@
 
 These are the per-node and per-line loops the package used before its
 arrays-first rewrite (CSR graph, one contingency table per pair), the
-CNM loop that rescans every link per merge, which the heap replaced, label
-propagation that recounts every node's neighbourhood on every visit, the
+CNM loop that rescans every link per merge, which the heap replaced, Louvain
+on float weights with a 1e-12 tie tolerance, which integer gains replaced,
+label propagation that recounts every node's neighbourhood on every visit, the
 edge-list and partition writers that format each line on its own, and the
 ABCD generator that re-shuffles stub pools which can no longer pair and
 draws each community size with its own ``choice`` call. They are slow but
@@ -310,6 +311,93 @@ def greedy_agglomerative(g: Graph) -> Partition:
             if comm[i] == b:
                 comm[i] = a
     return Partition.from_labels(comm)
+
+
+class _LouvainLevel:
+    """Weighted graph used by aggregation levels; node self-weights allowed."""
+
+    def __init__(self, n: int, adj: list[dict[int, float]], self_w: list[float]):
+        self.n = n
+        self.adj = adj  # neighbor -> edge weight (no self entries)
+        self.self_w = self_w  # self-loop weight, counted twice in node strength
+        self.strength = [sum(a.values()) + 2 * w for a, w in zip(adj, self_w)]
+        self.total_weight = (sum(sum(a.values()) for a in adj) / 2.0) + sum(self_w)
+
+    @classmethod
+    def from_graph(cls, g: Graph) -> "_LouvainLevel":
+        adj = [{v: 1.0 for v in nbrs} for nbrs in g.neighbor_lists()]
+        return cls(g.n, adj, [0.0] * g.n)
+
+
+def _louvain_local_move(level: _LouvainLevel, rng: random.Random, resolution: float) -> list[int]:
+    comm = list(range(level.n))
+    comm_tot = level.strength[:]  # total strength per community
+    two_m = 2.0 * level.total_weight
+    order = list(range(level.n))
+    improved = True
+    while improved:
+        improved = False
+        rng.shuffle(order)
+        for u in order:
+            cu = comm[u]
+            ki = level.strength[u]
+            # edge weight from u to each neighboring community
+            links: dict[int, float] = {cu: 0.0}
+            for v, w in level.adj[u].items():
+                links[comm[v]] = links.get(comm[v], 0.0) + w
+            comm_tot[cu] -= ki
+            base = links.get(cu, 0.0) - resolution * ki * comm_tot[cu] / two_m
+            best_c, best_gain = cu, 0.0
+            for c, w_uc in links.items():
+                if c == cu:
+                    continue
+                gain = (w_uc - resolution * ki * comm_tot[c] / two_m) - base
+                if gain > best_gain + 1e-12 or (
+                    abs(gain - best_gain) <= 1e-12 and best_gain > 0 and c < best_c
+                ):
+                    best_c, best_gain = c, gain
+            comm_tot[best_c] += ki
+            if best_c != cu:
+                comm[u] = best_c
+                improved = True
+    return comm
+
+
+def louvain(g: Graph, seed: int = 0, resolution: float = 1.0) -> Partition:
+    """Two-phase Louvain on float weights: a gain must exceed the best by more
+    than 1e-12 to win, and gains within 1e-12 of a positive best go to the
+    smallest community id."""
+    if g.num_edges == 0:
+        raise ValueError("detector requires a graph with at least one edge")
+    rng = random.Random(seed)
+    level = _LouvainLevel.from_graph(g)
+    membership = list(range(g.n))  # original node -> current-level node
+    while True:
+        comm = _louvain_local_move(level, rng, resolution)
+        remap: dict[int, int] = {}
+        for c in comm:
+            if c not in remap:
+                remap[c] = len(remap)
+        dense = [remap[c] for c in comm]
+        k = len(remap)
+        if k == level.n:  # no merge happened anywhere
+            break
+        membership = [dense[membership[i]] for i in range(g.n)]
+        # aggregate: communities become nodes
+        new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
+        new_self = [0.0] * k
+        for u in range(level.n):
+            cu = dense[u]
+            new_self[cu] += level.self_w[u]
+            for v, w in level.adj[u].items():
+                cv = dense[v]
+                if cu == cv:
+                    if u < v:
+                        new_self[cu] += w
+                else:
+                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+        level = _LouvainLevel(k, new_adj, new_self)
+    return Partition.from_labels(membership)
 
 
 def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> tuple[Partition, bool]:

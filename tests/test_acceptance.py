@@ -78,7 +78,7 @@ def test_criterion_3_expansion_ceilings():
     vals = {}
     for target, frac in (("majority", 0.8), ("minority", 0.2)):
         cfg = SweepConfig(scenario="expand", target=target, ratios=(1.0,),
-                          runs=3, n=1000, minority_frac=0.2)
+                          n=1000, minority_frac=0.2)
         vals[target] = run_sweep(cfg).mean_ib[0]
     exact_maj = 1.0 - math.sqrt(0.8)
     exact_min = 1.0 - math.sqrt(0.2)
@@ -100,7 +100,7 @@ def test_criterion_4_shrink_to_singleton():
         # place a community of exactly s nodes next to one other community
         n = 5 * s
         cfg = SweepConfig(scenario="shrink", target="minority", ratios=(1.0,),
-                          runs=1, n=n, minority_frac=s / n)
+                          n=n, minority_frac=s / n)
         val = run_sweep(cfg).mean_ib[0]
         assert val == pytest.approx(1.0 - 1.0 / math.sqrt(s), abs=1e-12)
         checked[s] = val
@@ -133,7 +133,7 @@ def test_criterion_5_shrink_exceeds_expand():
 
 def _sweep_means(scenario: str, target: str, n: int) -> np.ndarray:
     cfg = SweepConfig(scenario=scenario, target=target,
-                      ratios=tuple(r / 10 for r in range(11)), runs=5, n=n)
+                      ratios=tuple(r / 10 for r in range(11)), n=n)
     return np.array(run_sweep(cfg).mean_ib)
 
 
@@ -330,7 +330,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         ]) == 0
         assert cli_main([
             "sweep", "--scenario", "change", "--target", "both", "--n", "200",
-            "--runs", "3", "--seed", "1", "--per-run", "--out", str(base / "sweep"),
+            "--runs", "3", "--seed", "1", "--out", str(base / "sweep"),
         ]) == 0
         assert cli_main([
             "report", str(base / "run" / "report.json"), "--out", str(base / "rep"),

@@ -273,12 +273,12 @@ class TestEvaluate:
         edges, gt = _generate(tmp_path)
         rc = main([
             "evaluate", "--graph", str(edges), "--gt", str(gt),
-            "--detector", "louvain:seed=1", "--detector", "louvain:resolution=3",
+            "--detector", "louvain:seed=1", "--detector", "louvain:seed=2",
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "louvain:seed=1" in err and "louvain:resolution=3" in err
+        assert "louvain:seed=1" in err and "louvain:seed=2" in err
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("detector, named", [
@@ -573,16 +573,16 @@ class TestSweep:
         assert len(lines) == 4
 
     def test_all_scenarios_and_per_run(self, tmp_path):
-        rc = main([
-            "sweep", "--n", "100", "--runs", "2", "--ratios", "0,1",
-            "--per-run", "--out", str(tmp_path),
-        ])
-        assert rc == 0
+        argv = ["sweep", "--n", "100", "--runs", "2", "--ratios", "0,1", "--out", str(tmp_path)]
+        assert main(argv) == 0
         names = sorted(p.name for p in tmp_path.iterdir())
-        for scenario in ("expand", "shrink", "change"):
-            for target in ("minority", "majority"):
-                assert f"sweep_{scenario}_{target}.csv" in names
-                assert f"sweep_{scenario}_{target}_runs.csv" in names
+        assert names == sorted(f"sweep_{scenario}_{target}.csv"
+                               for scenario in ("expand", "shrink", "change")
+                               for target in ("minority", "majority"))
+        # the per-run CSVs are gone: every run of a ratio had the same bias
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--per-run"])
+        assert exc.value.code == 2
 
     def test_sweep_is_deterministic(self, tmp_path):
         for name in ("r1", "r2"):
@@ -659,6 +659,15 @@ class TestReport:
         ({"schema_version": 1}, "no 'detectors' object"),
         ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {"ib_g": {"mean": 0.1}}}}},
          "detector 'louvain': aggregate 'ib_g' must be null or hold a numeric 'mean' and 'std'"),
+        ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {
+            "ib_g": {"mean": True, "std": False}}}}},
+         "detector 'louvain': aggregate 'ib_g' must be null or hold a numeric 'mean' and 'std'"),
+        ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {
+            "ib_g": {"mean": 0.1, "std": 0.0}, "nmi": {"mean": float("nan"), "std": float("inf")}}}}},
+         "detector 'louvain': aggregate 'nmi' must be null or hold a numeric 'mean' and 'std'"),
+        ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {
+            "ib_g": {"mean": 0.1, "std": 10**400}}}}},
+         "detector 'louvain': aggregate 'ib_g' must be null or hold a numeric 'mean' and 'std'"),
     ])
     def test_report_rejects_malformed_report(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "report.json"
@@ -678,7 +687,7 @@ class TestReport:
 @pytest.mark.parametrize("text, params", [
     ("external:path=a,b.part", {"path": "a,b.part"}),
     ("external:path=a,b,c.part", {"path": "a,b,c.part"}),
-    ("louvain:seed=1,resolution=2", {"seed": "1", "resolution": "2"}),
+    ("label_propagation:seed=1,max_sweeps=2", {"seed": "1", "max_sweeps": "2"}),
     ("cnm", {}),
 ])
 def test_parse_detector_splits_only_before_a_key(text, params):

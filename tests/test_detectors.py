@@ -86,9 +86,6 @@ def test_lpa_requires_edges():
 @pytest.mark.parametrize("detector, kwargs, message", [
     (label_propagation, {"max_sweeps": 0}, "parameter 'max_sweeps' must be at least 1, got 0"),
     (label_propagation, {"max_sweeps": -3}, "parameter 'max_sweeps' must be at least 1, got -3"),
-    (louvain, {"resolution": float("nan")}, "parameter 'resolution' must be finite, got nan"),
-    (louvain, {"resolution": float("inf")}, "parameter 'resolution' must be finite, got inf"),
-    (louvain, {"resolution": float("-inf")}, "parameter 'resolution' must be finite, got -inf"),
 ])
 def test_direct_call_rejects_parameter_out_of_range(detector, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -106,7 +103,7 @@ def test_louvain_two_triangles():
 
 def test_louvain_star_single_community():
     g = Graph.from_edges(11, [(0, i) for i in range(1, 11)])
-    p = louvain(g, seed=0, resolution=1.0)
+    p = louvain(g, seed=0)
     assert p.k == 1
 
 

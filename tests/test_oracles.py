@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import logging
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdfair.detectors import greedy_agglomerative, label_propagation
+from cdfair.detectors import _louvain_local_move, greedy_agglomerative, label_propagation, louvain
 from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
@@ -237,6 +238,74 @@ def test_cnm_heap_equals_scan_oracle_on_abcd(seed):
     got, want = greedy_agglomerative(g), oracles.greedy_agglomerative(g)
     assert got == want
     assert got.k == want.k
+
+
+def _louvain_against_oracle(g, seed):
+    got, want = louvain(g, seed=seed), oracles.louvain(g, seed=seed)
+    assert got == want
+    assert got.k == want.k
+
+
+@given(cnm_graph(), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_louvain_integer_gains_equal_float_oracle(g, seed):
+    _louvain_against_oracle(g, seed)
+
+
+def _ring(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+# graphs whose moves tie everywhere: rings, two 5-cliques joined by one edge,
+# a star, K3,3 and disjoint triangles
+TIED_GRAPHS = {
+    **{f"ring{n}": (n, _ring(n)) for n in (4, 5, 6, 31)},
+    "two_5_cliques": (10, [(c + i, c + j) for c in (0, 5) for i in range(5)
+                           for j in range(i + 1, 5)] + [(4, 5)]),
+    "star": (9, [(0, i) for i in range(1, 9)]),
+    "k33": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "triangles": (9, [(c + i, c + (i + 1) % 3) for c in (0, 3, 6) for i in range(3)]),
+}
+
+
+@pytest.mark.parametrize("name", TIED_GRAPHS)
+def test_louvain_integer_gains_equal_float_oracle_on_ties(name):
+    n, edges = TIED_GRAPHS[name]
+    g = Graph.from_edges(n, edges)
+    for seed in range(20):
+        _louvain_against_oracle(g, seed)
+
+
+@pytest.mark.parametrize("xi, seed", [(xi, s) for xi in (0.2, 0.6) for s in range(5)])
+def test_louvain_integer_gains_equal_float_oracle_on_criterion_10(xi, seed):
+    # criterion 10's graphs and seeds (tests/test_acceptance.py)
+    g, _, _ = generate_abcd_lite(AbcdParams(n=2000, gamma=2.5, d_min=5, d_max=50, beta=1.5,
+                                            c_min=50, c_max=400, xi=xi, seed=200 + seed))
+    _louvain_against_oracle(g, seed)
+
+
+@pytest.mark.parametrize("run_seed", [0, 1])
+def test_louvain_integer_gains_equal_float_oracle_on_evaluate_shape(run_seed):
+    # graphs of the benchmark's evaluate-detect shape: graph i of a run with
+    # seed b is generated with seed 100·b + i, and Louvain's cell gets b + i
+    for i in range(4):
+        g, _, _ = generate_abcd_lite(AbcdParams(n=1000, c_min=20, c_max=100, xi=0.3,
+                                                seed=100 * run_seed + i))
+        _louvain_against_oracle(g, run_seed + i)
+
+
+def test_louvain_float_rule_splits_equal_gains_at_large_strengths():
+    """A level where node 0 gains exactly as much in community 1 as in 2:
+    2m·w − k·tot is 1,642,071,512 for both. Rounding k·tot/2m leaves the
+    float gains 7.3e-12 apart, beyond the 1e-12 tolerance, so the float rule
+    takes 2 where the integer rule takes the smaller id, 1."""
+    adj, self_w = [{1: 24809, 2: 70399}, {0: 24809}, {0: 70399}], [86741, 2878, 13782]
+    strength = [sum(row.values()) + 2 * w for row, w in zip(adj, self_w)]
+    level = oracles._LouvainLevel(3, [{v: float(w) for v, w in row.items()} for row in adj],
+                                  [float(w) for w in self_w])
+    # seed 0 visits node 0 first
+    assert _louvain_local_move(adj, strength, random.Random(0)) == [1, 1, 2]
+    assert oracles._louvain_local_move(level, random.Random(0), 1.0) == [2, 1, 2]
 
 
 class _Messages(logging.Handler):

@@ -110,12 +110,10 @@ def test_sweep_config_validation():
         SweepConfig(scenario="explode", target="minority")
     with pytest.raises(ValueError):
         SweepConfig(scenario="expand", target="minority", ratios=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        SweepConfig(scenario="expand", target="minority", runs=0)
 
 
 def test_sweep_zero_ratio_only():
-    cfg = SweepConfig(scenario="change", target="majority", ratios=(0.0,), runs=3, n=100)
+    cfg = SweepConfig(scenario="change", target="majority", ratios=(0.0,), n=100)
     res = run_sweep(cfg)
     assert res.mean_ib == (0.0,)
 
@@ -123,7 +121,7 @@ def test_sweep_zero_ratio_only():
 def test_sweep_expand_minority_concave_down_increasing():
     cfg = SweepConfig(
         scenario="expand", target="minority",
-        ratios=tuple(r / 10 for r in range(11)), runs=5, n=100,
+        ratios=tuple(r / 10 for r in range(11)), n=100,
     )
     res = run_sweep(cfg)
     d1 = np.diff(res.mean_ib)
@@ -139,7 +137,7 @@ def test_sweep_shrink_concave_up_increasing():
     for target in ("minority", "majority"):
         cfg = SweepConfig(
             scenario="shrink", target=target,
-            ratios=tuple(r / 10 for r in range(11)), runs=5, n=1000,
+            ratios=tuple(r / 10 for r in range(11)), n=1000,
         )
         res = run_sweep(cfg)
         d1 = np.diff(res.mean_ib)
@@ -168,7 +166,7 @@ def test_sweep_equals_sampled_perturbations(scenario, target, size_m, size_rest,
     # the closed form must reproduce every random perturbation bit for bit
     n = size_m + size_rest
     ratios = tuple(sorted({0.0, 1.0, *ratios}))
-    cfg = SweepConfig(scenario=scenario, target=target, ratios=ratios, runs=1, n=n,
+    cfg = SweepConfig(scenario=scenario, target=target, ratios=ratios, n=n,
                       minority_frac=size_m / n)
     res = run_sweep(cfg)
     gt = two_block_partition(n, size_m / n)
@@ -183,7 +181,7 @@ def test_sweep_equals_sampled_perturbations(scenario, target, size_m, size_rest,
 def test_sweep_counts_make_std_zero():
     # focal bias depends only on counts, which the ratio fixes -> zero spread
     cfg = SweepConfig(
-        scenario="change", target="minority", ratios=(0.3, 0.6), runs=10, n=200,
+        scenario="change", target="minority", ratios=(0.3, 0.6), n=200,
     )
     buf = io.StringIO()
     run_sweep(cfg).write_csv(buf)
@@ -206,19 +204,16 @@ def test_sweep_rejects_the_block_sizes_that_two_block_partition_rejects(n, frac,
 
 def test_sweep_graph_size_invariance():
     ratios = tuple(r / 10 for r in range(11))
-    small = run_sweep(SweepConfig(scenario="expand", target="minority", ratios=ratios, runs=1, n=100))
-    large = run_sweep(SweepConfig(scenario="expand", target="minority", ratios=ratios, runs=1, n=10000))
+    small = run_sweep(SweepConfig(scenario="expand", target="minority", ratios=ratios, n=100))
+    large = run_sweep(SweepConfig(scenario="expand", target="minority", ratios=ratios, n=10000))
     assert np.max(np.abs(np.array(small.mean_ib) - np.array(large.mean_ib))) <= 0.02
 
 
 def test_sweep_csv_output():
-    cfg = SweepConfig(scenario="expand", target="minority", ratios=(0.0, 0.5), runs=2, n=100)
+    cfg = SweepConfig(scenario="expand", target="minority", ratios=(0.0, 0.5), n=100)
     res = run_sweep(cfg)
     buf = io.StringIO()
     res.write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "scenario,target,n,ratio,mean_ib,std_ib"
     assert len(lines) == 3
-    buf = io.StringIO()
-    res.write_runs_csv(buf)
-    assert len(buf.getvalue().splitlines()) == 1 + 2 * 2
