@@ -23,12 +23,12 @@ from pathlib import Path
 
 from . import __version__
 from .bias import ib_all_fast
-from .detectors import PARAM_TYPES, DetectorSpec, run_detector
+from .detectors import DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from .groupfair import PROPERTIES, SCORES, phi
 from .partition import Partition, PartitionError, contingency, load_partition, write_partition
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
-from .quality import NMI_NORMS, ari, modularity, nf1, nmi
+from .quality import ari, modularity, nf1, nmi
 from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_report_outputs
 from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
 
@@ -46,7 +46,6 @@ class RunConfig:
     graphs: list[tuple[str, str]]  # (edge-list path, ground-truth path) pairs
     detectors: list[DetectorSpec]
     out_dir: str
-    nmi_norm: str = "arithmetic"
     seed: int = 0
     graph_group: str = "run"
 
@@ -66,18 +65,15 @@ def _phi_flat(phi_slopes: dict) -> dict[str, float | None]:
     return dict(zip(PHI_METRICS, slopes))
 
 
-def evaluate_cell(cfg: RunConfig, g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
+def evaluate_cell(g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
     """Every metric for one (graph, detector) pair."""
-    params = dict(spec.params)
-    if "seed" in PARAM_TYPES[spec.name] and "seed" not in params:
-        params["seed"] = seed
-    pred = run_detector(DetectorSpec(spec.name, params), g)
+    pred = run_detector(spec, g, seed)
     ct = contingency(gt, pred)  # the one table every external metric reads
     report = ib_all_fast(ct)
     return {
         "error": None, "k_pred": pred.k, "ib_g": report.ib_g, "mean_ib": report.mean_ib,
         "_bias_report": report, "modularity": modularity(g, pred),
-        "nmi": nmi(ct, norm=cfg.nmi_norm), "ari": ari(ct), "nf1": nf1(ct),
+        "nmi": nmi(ct), "ari": ari(ct), "nf1": nf1(ct),
         **_phi_flat(phi(g, ct)),
     }
 
@@ -88,7 +84,7 @@ _AGG_KEYS = ("ib_g", "mean_ib") + QUALITY_METRICS + PHI_METRICS
 def _aggregate(rows: list[dict]) -> dict:
     agg = {}
     for key in _AGG_KEYS:
-        vals = [r[key] for r in rows if r.get("error") is None and r.get(key) is not None]
+        vals = [r[key] for r in rows if r[key] is not None]
         if not vals:
             agg[key] = None
         else:
@@ -109,7 +105,7 @@ def _run_cell(cell: tuple[int, int]) -> dict:
     cfg, loaded = _RUN
     _, g, gt = loaded[gi]
     try:
-        return evaluate_cell(cfg, g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
+        return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
     except Exception as exc:  # failure of one cell must not abort the run
         return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -227,18 +223,21 @@ def evaluate_run(cfg: RunConfig) -> dict:
             "config": {
                 "graphs": [list(p) for p in cfg.graphs],
                 "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
-                "nmi_norm": cfg.nmi_norm,
                 "seed": cfg.seed,
             },
         },
         "warnings": warnings,
         "detectors": detectors_block,
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", doc)
     _write_results_csv(doc, out_dir / "results.csv")
     return doc
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_results_csv(doc: dict, path: Path) -> None:
@@ -261,12 +260,6 @@ def _write_results_csv(doc: dict, path: Path) -> None:
 
 
 # ---------------------------------------------------------------- generate
-
-
-def _write_provenance(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -297,7 +290,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         write_edge_list(g, fh)
     with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
         write_partition(p, fh)
-    _write_provenance(out / f"{prefix}.json", provenance)
+    _write_json(out / f"{prefix}.json", provenance)
     summary = f"n={g.n}, |E|={g.num_edges}"
     if args.model == "abcd":
         summary += (f", dropped_stubs={info['dropped_stubs']}, "
@@ -347,33 +340,23 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     detectors = [_parse_detector(d) for d in args.detector]
     if not detectors:
         raise ConfigError("no detectors requested")
-    # a label names a report entry and the bias CSVs, so two specs sharing one
-    # would silently overwrite each other's results
-    by_label: dict[str, DetectorSpec] = {}
-    for spec in detectors:
-        other = by_label.setdefault(spec.label(), spec)
-        if other is not spec:
-            raise ConfigError(
-                f"detectors {_spec_text(other)!r} and {_spec_text(spec)!r} share the "
-                f"label {spec.label()!r}; their results would overwrite each other"
-            )
     # a bias file is named after the detector label and the graph's file stem,
-    # so two cells would overwrite each other's when two graphs share a stem,
-    # or when a label or stem holds "_": external:a on b_c.edges and
+    # so two cells would overwrite each other's when two detectors share a
+    # label (which also names their report entry), when two graphs share a
+    # stem, or when a label or stem holds "_": external:a on b_c.edges and
     # external:a_b on c.edges
     by_name: dict[str, str] = {}
     for spec in detectors:
         for graph_path, _ in graphs:
             name = _bias_name(spec.label(), graph_path)
-            cell = f"detector {spec.label()!r} on graph {graph_path!r}"
+            cell = f"detector {_spec_text(spec)!r} on graph {graph_path!r}"
             if name in by_name:
                 raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
             by_name[name] = cell
-    out_dir = args.out or os.environ.get("CDFAIR_OUT_DIR")
-    if not out_dir:
-        raise ConfigError("no output directory: pass --out (or CDFAIR_OUT_DIR)")
-    return RunConfig(graphs=graphs, detectors=detectors, out_dir=out_dir,
-                     nmi_norm=args.nmi_norm, seed=args.seed, graph_group=args.group)
+    if not args.out:
+        raise ConfigError("no output directory: pass --out")
+    return RunConfig(graphs=graphs, detectors=detectors, out_dir=args.out,
+                     seed=args.seed, graph_group=args.group)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -437,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     abcd.add_argument("--xi", type=float, default=0.2)
     abcd.add_argument("--d-max-iter", type=int, default=1000)
     abcd.add_argument("--seed", type=int, default=0)
-    abcd.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
+    abcd.add_argument("--out", default=".")
     abcd.add_argument("--prefix", default="graph")
     abcd.set_defaults(func=cmd_generate)
     two = gen_sub.add_parser("two-community", help="minority/majority two-block graph")
@@ -446,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     two.add_argument("--intra-p", type=float, default=0.3)
     two.add_argument("--inter-p", type=float, default=0.05)
     two.add_argument("--seed", type=int, default=0)
-    two.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
+    two.add_argument("--out", default=".")
     two.add_argument("--prefix", default="graph")
     two.set_defaults(func=cmd_generate)
 
@@ -456,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ground-truth partition path (repeatable)")
     ev.add_argument("--detector", action="append", default=[],
                     help="name[:k=v,...], e.g. louvain:seed=1 or external:path=p.gt")
-    ev.add_argument("--nmi-norm", choices=NMI_NORMS, default="arithmetic")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--group", default="run", help="graph group label used in reports")
     ev.add_argument("--out")
@@ -472,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted for old command lines; the bias is exact, so it changes nothing")
     sw.add_argument("--seed", type=int, default=0,
                     help="accepted for old command lines; sweeps use no randomness")
-    sw.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
+    sw.add_argument("--out", default=".")
     sw.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="plot-data CSV and SVG scatters from run reports")
     rep.add_argument("reports", nargs="+", help="report.json paths")
-    rep.add_argument("--out", default=os.environ.get("CDFAIR_OUT_DIR", "."))
+    rep.add_argument("--out", default=".")
     rep.set_defaults(func=cmd_report)
     return parser
 

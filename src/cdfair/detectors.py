@@ -20,37 +20,36 @@ from .partition import Partition, load_partition
 
 log = logging.getLogger(__name__)
 
-# parameters whose converted value must also lie in a range: (check, what it must be)
-_PARAM_RANGES = {
-    "max_sweeps": (lambda v: v >= 1, "at least 1"),
-}
-
-
-def _check_param(detector: str, key: str, value, given=None) -> None:
-    """Raise ValueError when `value` lies outside the range of parameter `key`.
-
-    The message names the detector and shows `given`, the value as the caller
-    wrote it, when there is one.
-    """
-    in_range, must_be = _PARAM_RANGES.get(key, (None, ""))
-    if in_range is not None and not in_range(value):
-        shown = value if given is None else given
+def _check_max_sweeps(max_sweeps: int, given) -> None:
+    """Raise ValueError unless `max_sweeps` is at least 1; the message shows
+    `given`, the value as the caller wrote it."""
+    if max_sweeps < 1:
         raise ValueError(
-            f"detector {detector!r}: parameter {key!r} must be {must_be}, got {shown!r}"
+            f"detector 'label_propagation': parameter 'max_sweeps' must be at least 1, "
+            f"got {given!r}"
         )
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
+    """A detector and its parameters, checked when the spec is built.
+
+    `params` holds the values as given, which `report.json` records, and
+    `kwargs` the same values converted to the types of the detector's
+    signature.
+    """
+
     name: str
-    params: dict = field(default_factory=dict)  # kept as given; converted when run
+    params: dict = field(default_factory=dict)
+    kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in DETECTOR_NAMES:
+        if self.name not in DETECTORS:
             raise ValueError(f"unknown detector {self.name!r}")
         if not isinstance(self.params, dict):
             raise ValueError(f"detector {self.name!r}: parameters must be key=value pairs")
         types = PARAM_TYPES[self.name]
+        kwargs = {}
         for key, value in self.params.items():
             if key not in types:
                 accepted = ", ".join(types) or "none"
@@ -59,13 +58,15 @@ class DetectorSpec:
                     f"it accepts: {accepted}"
                 )
             try:
-                converted = types[key](value)
+                kwargs[key] = types[key](value)
             except (TypeError, ValueError):
                 raise ValueError(
                     f"detector {self.name!r}: parameter {key!r} must be "
                     f"{types[key].__name__}, got {value!r}"
                 ) from None
-            _check_param(self.name, key, converted, given=value)
+        if "max_sweeps" in kwargs:
+            _check_max_sweeps(kwargs["max_sweeps"], self.params["max_sweeps"])
+        object.__setattr__(self, "kwargs", kwargs)
 
     def label(self) -> str:
         if self.name == "external":
@@ -89,7 +90,7 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     it was, so a visit would pick the same label and draw nothing from the
     random stream; settled nodes are skipped without counting.
     """
-    _check_param("label_propagation", "max_sweeps", max_sweeps)
+    _check_max_sweeps(max_sweeps, max_sweeps)
     _require_edges(g)
     rng = random.Random(seed)
     adj = g.neighbor_lists()
@@ -289,7 +290,6 @@ DETECTORS = {
     "cnm": greedy_agglomerative,
     "external": _external_partition,
 }
-DETECTOR_NAMES = tuple(DETECTORS)
 # each detector's parameters, from its signature after the graph, and the type
 # a given value is converted to: that of the parameter's default
 PARAM_TYPES: dict[str, dict[str, type]] = {
@@ -299,7 +299,10 @@ PARAM_TYPES: dict[str, dict[str, type]] = {
 }
 
 
-def run_detector(spec: DetectorSpec, g: Graph) -> Partition:
-    """Run the named detector with the spec's parameters, converted to their types."""
-    types = PARAM_TYPES[spec.name]
-    return DETECTORS[spec.name](g, **{key: types[key](v) for key, v in spec.params.items()})
+def run_detector(spec: DetectorSpec, g: Graph, seed: int = 0) -> Partition:
+    """Run the spec's detector on `g`; a detector that takes a seed gets
+    `seed` when the spec sets none."""
+    kwargs = spec.kwargs
+    if "seed" in PARAM_TYPES[spec.name]:
+        kwargs = {"seed": seed, **kwargs}
+    return DETECTORS[spec.name](g, **kwargs)

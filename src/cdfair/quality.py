@@ -13,8 +13,6 @@ import numpy as np
 from .graph import Graph
 from .partition import ContingencyTable, Partition, PartitionError
 
-NMI_NORMS = ("arithmetic", "max", "min", "geometric")
-
 
 def community_edges(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per community of `p`: the edges inside it and its volume (degree sum)."""
@@ -45,14 +43,13 @@ def _entropy(sizes, n: int) -> float:
     return h
 
 
-def nmi(ct: ContingencyTable, norm: str = "arithmetic") -> float:
-    """Normalized mutual information from the contingency table.
+def nmi(ct: ContingencyTable) -> float:
+    """Normalized mutual information from the contingency table, divided by
+    the arithmetic mean of the two entropies.
 
     Conventions for zero-entropy partitions: both single-community -> 1.0,
     exactly one side single-community -> 0.0.
     """
-    if norm not in NMI_NORMS:
-        raise ValueError(f"unknown NMI normalizer {norm!r}")
     n = ct.n
     h1 = _entropy(ct.row_sums.tolist(), n)
     h2 = _entropy(ct.col_sums.tolist(), n)
@@ -63,15 +60,7 @@ def nmi(ct: ContingencyTable, norm: str = "arithmetic") -> float:
     o = ct.overlap
     terms = (o / n) * np.log(o * n / (ct.row_sums[ct.rows] * ct.col_sums[ct.cols]))
     mi = max(sum(terms.tolist()), 0.0)  # guard tiny negative round-off
-    if norm == "arithmetic":
-        z = 0.5 * (h1 + h2)
-    elif norm == "max":
-        z = max(h1, h2)
-    elif norm == "min":
-        z = min(h1, h2)
-    else:
-        z = math.sqrt(h1 * h2)
-    return mi / z
+    return mi / (0.5 * (h1 + h2))
 
 
 def _comb2(x: int) -> int:

@@ -6,10 +6,12 @@ to pytest tmp_path directories.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import json
 import os
+import re
 import shutil
 import signal
 import tempfile
@@ -350,9 +352,10 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == (
-            f"error: detector 'external:a_b' on graph {str(tmp_path / 'd1' / 'c.edges')!r} and "
-            f"detector 'external:a' on graph {str(tmp_path / 'd2' / 'b_c.edges')!r} "
-            "would both write bias/external:a_b_c.csv\n"
+            f"error: detector {'external:path=' + str(parts[0])!r} on graph "
+            f"{str(tmp_path / 'd1' / 'c.edges')!r} and "
+            f"detector {'external:path=' + str(parts[1])!r} on graph "
+            f"{str(tmp_path / 'd2' / 'b_c.edges')!r} would both write bias/external:a_b_c.csv\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -487,10 +490,10 @@ class TestEvaluate:
         edges, gt = _generate(tmp_path)
         evaluate_cell = cli.evaluate_cell
 
-        def die_on_cnm(cfg, g, gt, spec, seed):
+        def die_on_cnm(g, gt, spec, seed):
             if spec.name == "cnm":
                 os._exit(3)  # as a worker killed by the OOM killer would end
-            return evaluate_cell(cfg, g, gt, spec, seed)
+            return evaluate_cell(g, gt, spec, seed)
 
         # forked workers inherit both patches
         monkeypatch.setattr(cli, "evaluate_cell", die_on_cnm)
@@ -513,15 +516,29 @@ class TestEvaluate:
         monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms without it
         assert cli._worker_count(1000) == 1
 
-    def test_env_out_dir(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env_out", [False, True])
+    def test_missing_out_exit_1(self, tmp_path, monkeypatch, capsys, env_out):
         edges, gt = _generate(tmp_path)
-        monkeypatch.setenv("CDFAIR_OUT_DIR", str(tmp_path / "envout"))
-        rc = main([
-            "evaluate", "--graph", str(edges), "--gt", str(gt),
-            "--detector", "cnm",
-        ])
-        assert rc == 0
-        assert (tmp_path / "envout" / "report.json").exists()
+        if env_out:  # an environment variable is no second source for --out
+            monkeypatch.setenv("CDFAIR_OUT_DIR", str(tmp_path / "envout"))
+        else:
+            monkeypatch.delenv("CDFAIR_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt), "--detector", "cnm"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no output directory: pass --out\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_nmi_norm_is_no_option(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--graph", str(edges), "--gt", str(gt), "--detector", "cnm",
+                  "--nmi-norm", "max", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nmi-norm max" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @given(st.data())
@@ -704,3 +721,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _parser_rows(parser, command: str = ""):
+    """(command, option, default) for every option of every sub-command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_rows(sub, f"{command} {name}".strip())
+        elif command and not isinstance(action, argparse._HelpAction):
+            if action.required:
+                default = "required"
+            elif isinstance(action, argparse._AppendAction):
+                default = "repeatable"
+            else:
+                default = "none" if action.default is None else f"`{action.default}`"
+            yield command, (action.option_strings or [action.dest])[0], default
+
+
+def test_docs_table_lists_every_cli_option():
+    """The option table of docs/file_formats.md names every option of every
+    sub-command, with its default, in the parser's order."""
+    docs = (Path(__file__).parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    section = docs.split("## Command-line options", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([a-z -]+)` +\| `([\w-]+)` +\| (.+?) +\|", section, flags=re.M)
+    assert table == list(_parser_rows(cli.build_parser()))

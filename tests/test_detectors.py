@@ -181,6 +181,33 @@ def test_run_detector_external_requires_path():
         run_detector(DetectorSpec("external"), two_triangles())
 
 
+@pytest.mark.parametrize("name, params, called_with", [
+    ("louvain", {}, {"seed": 5}),
+    ("louvain", {"seed": "1"}, {"seed": 1}),
+    ("label_propagation", {"max_sweeps": "3"}, {"seed": 5, "max_sweeps": 3}),
+    ("label_propagation", {"seed": "1"}, {"seed": 1}),
+    ("cnm", {}, {}),
+    ("external", {"path": "p.gt"}, {"path": "p.gt"}),
+])
+def test_run_detector_passes_the_derived_seed_only_when_the_spec_sets_none(
+        monkeypatch, name, params, called_with):
+    calls = []
+    monkeypatch.setitem(DETECTORS, name, lambda g, **kwargs: calls.append(kwargs))
+    run_detector(DetectorSpec(name, params), two_triangles(), seed=5)
+    # repr tells the int 1 from the str "1"
+    assert repr(calls) == repr([called_with])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("louvain", {"seed": "x"}),
+    ("label_propagation", {"max_sweeps": "0"}),
+    ("cnm", {"seed": "1"}),
+])
+def test_bad_parameter_fails_when_the_spec_is_built(name, params):
+    with pytest.raises(ValueError, match=f"detector {name!r}"):
+        DetectorSpec(name, params)
+
+
 def test_unknown_detector_rejected():
     with pytest.raises(ValueError):
         DetectorSpec("leiden")

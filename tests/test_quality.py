@@ -97,17 +97,6 @@ def test_nmi_symmetric():
     assert nmi(contingency(gt, pred)) == pytest.approx(nmi(contingency(pred, gt)), abs=1e-12)
 
 
-def test_nmi_normalizer_variants():
-    rng = np.random.default_rng(6)
-    gt = Partition.from_labels(rng.integers(0, 4, 40).tolist())
-    pred = Partition.from_labels(rng.integers(0, 9, 40).tolist())
-    values = {norm: nmi(contingency(gt, pred), norm=norm) for norm in ("arithmetic", "max", "min", "geometric")}
-    assert values["max"] <= values["geometric"] <= values["min"]
-    assert values["max"] <= values["arithmetic"] <= values["min"]
-    with pytest.raises(ValueError):
-        nmi(contingency(gt, pred), norm="bogus")
-
-
 # ---------------------------------------------------------------- ARI
 
 
