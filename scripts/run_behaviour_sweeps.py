@@ -11,6 +11,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import io
 from pathlib import Path
 
 from cdfair.perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
@@ -28,23 +29,23 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     ratios = tuple(r / 10 for r in range(11))
 
+    parts = []  # every sweep CSV, each but the first without its header line
+    for n in sizes:
+        for scenario in SCENARIOS:
+            for target in TARGETS:
+                cfg = SweepConfig(
+                    scenario=scenario, target=target, ratios=ratios,
+                    n=n, minority_frac=args.minority,
+                )
+                buf = io.StringIO()
+                run_sweep(cfg).write_csv(buf)
+                text = buf.getvalue()
+                path = out / f"sweep_{scenario}_{target}_n{n}.csv"
+                path.write_text(text, encoding="utf-8")
+                parts.append(text.partition("\n")[2] if parts else text)
+                print(f"wrote {path}")
     combined = out / "sweeps_all.csv"
-    with open(combined, "w", encoding="utf-8") as all_fh:
-        all_fh.write("scenario,target,n,ratio,mean_ib,std_ib\n")
-        for n in sizes:
-            for scenario in SCENARIOS:
-                for target in TARGETS:
-                    cfg = SweepConfig(
-                        scenario=scenario, target=target, ratios=ratios,
-                        n=n, minority_frac=args.minority,
-                    )
-                    result = run_sweep(cfg)
-                    path = out / f"sweep_{scenario}_{target}_n{n}.csv"
-                    with open(path, "w", encoding="utf-8") as fh:
-                        result.write_csv(fh)
-                    for ratio, m in zip(ratios, result.mean_ib):
-                        all_fh.write(f"{scenario},{target},{n},{ratio!r},{m!r},0.0\n")
-                    print(f"wrote {path}")
+    combined.write_text("".join(parts), encoding="utf-8")
     print(f"wrote {combined}")
     return 0
 

@@ -66,6 +66,8 @@ class DetectorSpec:
                 ) from None
         if "max_sweeps" in kwargs:
             _check_max_sweeps(kwargs["max_sweeps"], self.params["max_sweeps"])
+        if self.name == "external" and not kwargs.get("path"):
+            raise ValueError("detector 'external' requires a 'path' parameter")
         object.__setattr__(self, "kwargs", kwargs)
 
     def label(self) -> str:
@@ -235,7 +237,7 @@ def greedy_agglomerative(g: Graph) -> Partition:
     nn = n * n
     deg = g.degrees.tolist()
     links = [dict.fromkeys(row, 1) for row in g.neighbor_lists()]  # community -> {neighbour: w}
-    heap = [(deg[a] * deg[b] - two_m) * nn + a * n + b for a, b in g.edges()]
+    heap = [(deg[a] * deg[b] - two_m) * nn + a * n + b for a, b in g.edge_array.tolist()]
     heapq.heapify(heap)
     root = list(range(n))  # union-find towards the smaller id, so root[i] <= i
 
@@ -278,8 +280,6 @@ def greedy_agglomerative(g: Graph) -> Partition:
 
 def _external_partition(g: Graph, path: str = "") -> Partition:
     """Load a partition of `g`'s nodes computed outside this package."""
-    if not path:
-        raise ValueError("external detector requires a 'path' parameter")
     with open(path, "rb") as fh:
         return load_partition(fh.read(), g.n)
 

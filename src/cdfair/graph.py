@@ -1,15 +1,15 @@
-"""Undirected simple graph over dense node indices, plus edge-list I/O."""
+"""Undirected simple graph as one sorted edge array, plus edge-list I/O."""
 
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, parse_rows, read_pairs
+from .textio import first_true, format_rows, parse_ints, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -35,25 +35,18 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected, unweighted simple graph in CSR form.
+    """Immutable undirected, unweighted simple graph over nodes [0, n).
 
-    Nodes are dense integers in [0, n). The neighbors of node i are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending, so any iteration
-    over neighbors is deterministic. ``edge_array`` holds each edge once as a
-    row (u, v) with u < v, rows sorted; edge-wise metrics are bincounts over
-    it. All three arrays are read-only.
+    ``edge_array`` holds each edge once as a row (u, v) with u < v, rows
+    sorted, and is read-only. Edge-wise metrics are bincounts over it; the
+    detectors' adjacency is derived from it by ``neighbor_lists``.
     """
 
     n: int
-    indptr: np.ndarray  # (n + 1,) int64
-    indices: np.ndarray  # (2m,) int64
     edge_array: np.ndarray  # (m, 2) int64
 
     def __post_init__(self):
-        if self.indptr.shape != (self.n + 1,) or len(self.indices) != 2 * len(self.edge_array):
-            raise ValueError("CSR arrays do not match node and edge counts")
-        for arr in (self.indptr, self.indices, self.edge_array):
-            arr.flags.writeable = False
+        self.edge_array.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -71,17 +64,12 @@ class Graph:
             if out_of_range[bad]:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             raise ValueError(f"self-loop at node {u}")
-        return cls._from_keys(n, _distinct(pairs.min(axis=1) * n + pairs.max(axis=1)))
+        return cls.from_keys(n, _distinct(pairs.min(axis=1) * n + pairs.max(axis=1)))
 
     @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
-        """Graph from sorted, distinct edge keys u * n + v with u < v."""
-        u, v = np.divmod(keys, n)
-        both = np.sort(np.concatenate([keys, v * n + u]))
-        src, indices = np.divmod(both, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n=n, indptr=indptr, indices=indices, edge_array=np.stack([u, v], axis=1))
+    def from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Graph from sorted, distinct edge keys u * n + v with u < v < n."""
+        return cls(n=n, edge_array=np.stack(np.divmod(keys, n), axis=1))
 
     @property
     def num_edges(self) -> int:
@@ -89,17 +77,16 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.bincount(self.edge_array.reshape(-1), minlength=self.n)
 
     def neighbor_lists(self) -> list[list[int]]:
         """Sorted neighbors of every node as Python ints, for the detectors' loops."""
-        flat = self.indices.tolist()
-        bounds = self.indptr.tolist()
+        u, v = self.edge_array.T
+        # both directions as sorted keys src * n + dst: node after node, each
+        # node's neighbours ascending, each node holding degree-many entries
+        flat = (np.sort(np.concatenate([u * self.n + v, v * self.n + u])) % self.n).tolist()
+        bounds = [0, *np.cumsum(self.degrees).tolist()]
         return [flat[bounds[i] : bounds[i + 1]] for i in range(self.n)]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v, in sorted order."""
-        return map(tuple, self.edge_array.tolist())
 
 
 @dataclass(frozen=True)
@@ -111,32 +98,26 @@ class LoadedEdgeList:
     self_loops_dropped: int
 
 
-def load_edge_list(source: bytes | TextIO | Iterable[str], *, n: int | None = None) -> LoadedEdgeList:
-    """Parse a whitespace-separated edge list into a validated Graph.
+def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
+    """Parse the bytes of a whitespace-separated edge-list file into a Graph.
 
-    Node ids are non-negative integers, used directly as indices. n is the
-    largest id plus one unless given, in which case every id must lie in
-    [0, n) (nodes without edges are isolated); either way n is at most
-    ``MAX_NODES``. Lines starting with '#' are comments. Duplicate edges and
-    self-loops are dropped (counted, warned), never fatal. When the input has
-    several problems, the one on the earliest line is reported. Bytes are read as a UTF-8 file; in the
-    canonical form that ``write_edge_list`` writes they are parsed without
-    decoding, with the same result.
+    The bytes are read as a UTF-8 file; in the canonical form that
+    ``write_edge_list`` writes they are parsed without decoding, with the
+    same result. Node ids are non-negative integers, used directly as
+    indices. n is the largest id plus one unless given, in which case every
+    id must lie in [0, n) (nodes without edges are isolated); either way n
+    is at most ``MAX_NODES``. Lines starting with '#' are comments.
+    Duplicate edges and self-loops are dropped (counted, warned), never
+    fatal. When the input has several problems, the one on the earliest
+    line is reported.
     """
     if n is not None and n > MAX_NODES:
         raise EdgeListError(f"n={n} above the largest node count {MAX_NODES}")
-    rows = parse_rows(source) if isinstance(source, bytes) else None
-    error = None
-    if rows is not None:  # row r is line r + 1, and every token is an integer
-        ids = tokens = rows.reshape(-1)
-        linenos = np.arange(1, len(rows) + 1)
-    else:
-        linenos, tokens, malformed = read_pairs(source)
-        if malformed is not None:
-            error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
-        ids, stop = parse_ints(tokens)
-        if stop is not None:
-            error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
+    linenos, tokens, error = read_rows(data)
+    tokens = tokens.reshape(-1)
+    ids, stop = parse_ints(tokens)
+    if stop is not None:
+        error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
     bad = first_true((ids < 0) | (ids >= (n if n is not None else MAX_NODES)))
     if bad is not None:
         node = int(tokens[bad])
@@ -163,7 +144,7 @@ def load_edge_list(source: bytes | TextIO | Iterable[str], *, n: int | None = No
     if dup or loops:
         log.warning("dropped %d duplicate edge(s) and %d self-loop(s)", dup, loops)
     return LoadedEdgeList(
-        graph=Graph._from_keys(n, keys),
+        graph=Graph.from_keys(n, keys),
         duplicates_dropped=dup,
         self_loops_dropped=loops,
     )

@@ -8,11 +8,11 @@ overlap counts between two partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, parse_rows, read_pairs
+from .textio import first_true, format_rows, parse_ints, read_rows
 
 
 class PartitionError(ValueError):
@@ -107,35 +107,27 @@ def contingency(gt: Partition, pred: Partition) -> ContingencyTable:
     )
 
 
-def load_partition(source: bytes | TextIO | Iterable[str], n: int | None = None) -> Partition:
-    """Parse 'node_id community_id' lines; every node in [0, n) exactly once.
+def load_partition(data: bytes, n: int | None = None) -> Partition:
+    """Parse the bytes of a 'node_id community_id' file; every node in [0, n)
+    exactly once.
 
-    With ``n=None`` the node count is the largest node id plus one. When the
-    input has several problems, the one on the earliest line is reported.
-    Bytes are read as a UTF-8 file; in the canonical form that
+    The bytes are read as a UTF-8 file; in the canonical form that
     ``write_partition`` writes they are parsed without decoding, with the
-    same result.
+    same result. With ``n=None`` the node count is the largest node id plus
+    one. Community ids are compared as text. When the input has several
+    problems, the one on the earliest line is reported.
     """
     # each check looks only at the lines before any problem found so far, so
     # the last message set belongs to the earliest bad line
-    rows = parse_rows(source) if isinstance(source, bytes) else None
-    error = None
-    if rows is not None:  # row r is line r + 1, and every token is an integer
-        nodes = node_tokens = rows[:, 0]
-        linenos = np.arange(1, len(rows) + 1)
-    else:
-        linenos, tokens, malformed = read_pairs(source)
-        if malformed is not None:
-            error = f"line {malformed[0]}: expected two tokens, got {malformed[1]}"
-        node_tokens = tokens[0::2]
-        nodes, stop = parse_ints(node_tokens)
-        if stop is not None:
-            error = f"line {linenos[stop]}: non-integer node id {node_tokens[stop]!r}"
+    linenos, tokens, error = read_rows(data)
+    nodes, stop = parse_ints(tokens[:, 0])
+    if stop is not None:
+        error = f"line {linenos[stop]}: non-integer node id {tokens[stop, 0]!r}"
     if n is None:
         n = max(int(nodes.max()) + 1, 0) if len(nodes) else 0
     bad = first_true((nodes < 0) | (nodes >= n))
     if bad is not None:
-        error = f"line {linenos[bad]}: node {int(node_tokens[bad])} outside [0, {n})"
+        error = f"line {linenos[bad]}: node {int(tokens[bad, 0])} outside [0, {n})"
         nodes = nodes[:bad]
     distinct, first = np.unique(nodes, return_index=True)
     if len(distinct) < len(nodes):
@@ -148,13 +140,10 @@ def load_partition(source: bytes | TextIO | Iterable[str], n: int | None = None)
     if len(nodes) < n:  # distinct ids in [0, n), so the first gap is unassigned
         gap = first_true(distinct != np.arange(len(distinct)))
         raise PartitionError(f"node {len(distinct) if gap is None else gap} unassigned")
-    order = np.argsort(nodes)
-    if rows is not None:  # canonical tokens are equal exactly when their values are
-        return Partition.from_labels(rows[order, 1])
-    # an object array keeps each token whole ("a\x00" is not "a"), so tokens
-    # get one code each exactly when they are equal as text
-    _, codes = np.unique(np.array(tokens[1::2], dtype=object), return_inverse=True)
-    return Partition.from_labels(codes[order])
+    labels = tokens[:, 1]  # canonical tokens are equal exactly when their values are
+    if labels.dtype == object:  # text: one code per distinct token
+        labels = np.unique(labels, return_inverse=True)[1]
+    return Partition.from_labels(labels[np.argsort(nodes)])
 
 
 def write_partition(p: Partition, sink: TextIO) -> None:

@@ -246,7 +246,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     m = sum(map(len, edge_sets))
     keys = np.fromiter(itertools.chain.from_iterable(edge_sets), np.int64, m)
     keys.sort()
-    graph = Graph._from_keys(p.n, keys)
+    graph = Graph.from_keys(p.n, keys)
     partition = Partition.from_labels(labels)
     edges = graph.edge_array
     inter = int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))

@@ -1,17 +1,18 @@
 """Two-column text I/O shared by edge lists and partition files.
 
 Both formats are whitespace-separated token pairs, one per line, with blank
-lines and '#' comments allowed. Parsing is done over the whole file at once;
-checks that fail report the line number of the first offending line. Writing
-formats whole integer columns at once too, in the canonical form that
-``parse_rows`` reads back from bytes without one Python object per token.
+lines and '#' comments allowed. ``read_rows`` is the one reader: it takes a
+file's bytes and returns its token pairs, as integers when the file is in
+the canonical form and as text otherwise, so each loader has one parse path.
+Checks that fail report the line number of the first offending line. Writing
+formats whole integer columns at once, in the canonical form that
+``parse_rows`` reads back without one Python object per token.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -19,22 +20,32 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
 
 
-def read_pairs(
-    source: bytes | TextIO | Iterable[str],
-) -> tuple[np.ndarray, list[str], tuple[int, int] | None]:
+def read_rows(data: bytes) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The token pairs of a file's data lines, as ``read_pairs`` returns them.
+
+    The (m, 2) tokens are int64 when the file is canonical (``parse_rows``),
+    and otherwise the text tokens as an object array, which keeps each token
+    whole (``"a\\x00"`` is not ``"a"``).
+    """
+    rows = parse_rows(data)
+    if rows is not None:  # row r is line r + 1
+        return np.arange(1, len(rows) + 1), rows, None
+    linenos, tokens, error = read_pairs(data)
+    return linenos, np.array(tokens, dtype=object).reshape(-1, 2), error
+
+
+def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
     """Tokens of the data lines, two per line, in file order.
 
-    Reading stops at the first line holding other than two tokens, which is
-    returned as ``(line number, token count)``; the lines before it are
-    returned so the caller can check them first and report whichever problem
-    comes first in the file. A byte order mark that opens the first line is
-    dropped. Bytes are decoded as ``open(path, encoding="utf-8")`` reads a
-    file: UTF-8, universal newlines. Returns ``(line number of each data
-    line, flat token list, malformed line or None)``.
+    Bytes are decoded as ``open(path, encoding="utf-8")`` reads a file:
+    UTF-8, universal newlines; a byte order mark that opens the first line
+    is dropped. Reading stops at the first line holding other than two
+    tokens, which the error names; the lines before it are returned so the
+    caller can check them first and report whichever problem comes first in
+    the file. Returns ``(line number of each data line, flat token list,
+    error or None)``.
     """
-    if isinstance(source, bytes):
-        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
-    lines = list(source)
+    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
         lines[0] = lines[0][1:]
     text = " ".join(lines)  # a line need not end in a newline
@@ -45,11 +56,11 @@ def read_pairs(
         counts[comment] = 0
     bad = np.flatnonzero((counts != 0) & (counts != 2))
     stop = int(bad[0]) if len(bad) else len(lines)
-    malformed = (stop + 1, int(counts[stop])) if len(bad) else None
-    data = counts[:stop] == 2
-    if has_comments or malformed is not None:
-        text = " ".join(itertools.compress(lines[:stop], data.tolist()))
-    return np.flatnonzero(data) + 1, text.split(), malformed
+    error = f"line {stop + 1}: expected two tokens, got {counts[stop]}" if len(bad) else None
+    paired = counts[:stop] == 2
+    if has_comments or error is not None:
+        text = " ".join(itertools.compress(lines[:stop], paired.tolist()))
+    return np.flatnonzero(paired) + 1, text.split(), error
 
 
 def parse_rows(data: bytes) -> np.ndarray | None:
@@ -89,14 +100,15 @@ def parse_rows(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, 2)
 
 
-def parse_ints(tokens: list[str]) -> tuple[np.ndarray, int | None]:
+def parse_ints(tokens: np.ndarray) -> tuple[np.ndarray, int | None]:
     """``int()`` of each token, up to the first token it rejects.
 
-    Returns the values as int64 (clipped to its range) and the index of the
-    first non-integer token, or None when every token is an integer.
+    ``tokens`` holds tokens of ``read_rows``: int64 ones are returned as they
+    are. Returns the values as int64 (clipped to its range) and the index of
+    the first non-integer token, or None when every token is an integer.
     """
     try:  # numpy parses each string with int()'s rules
-        return np.array(tokens, dtype=np.int64), None
+        return np.asarray(tokens, dtype=np.int64), None
     except (ValueError, OverflowError):
         pass
     values = []

@@ -271,7 +271,7 @@ def greedy_agglomerative(g: Graph) -> Partition:
     deg = {c: float(d) for c, d in enumerate(g.degrees.tolist())}
     # inter-community edge weight, keyed by sorted community pair
     links: dict[tuple[int, int], float] = {}
-    for u, v in g.edges():
+    for u, v in g.edge_array.tolist():
         links[(u, v)] = links.get((u, v), 0.0) + 1.0
     alive = set(range(g.n))
     neighbors: dict[int, set[int]] = {c: set() for c in alive}

@@ -295,6 +295,8 @@ class TestEvaluate:
         ("label_propagation:max_sweeps=-3", ("label_propagation", "max_sweeps", "-3")),
         ("louvain:resolution=nan", ("louvain", "resolution", "nan")),
         ("louvain:resolution=inf", ("louvain", "resolution", "inf")),
+        ("external", ("external", "path")),
+        ("external:path=", ("external", "path")),
     ])
     def test_bad_detector_parameter_exit_1(self, tmp_path, capsys, detector, named):
         edges, gt = _generate(tmp_path)
@@ -304,6 +306,7 @@ class TestEvaluate:
         ])
         assert rc == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert all(repr(word) in err for word in named)
         assert not (tmp_path / "o").exists()
 
@@ -558,12 +561,10 @@ def test_round_trip_keeps_isolated_nodes(data):
             write_edge_list(g, fh)
         with open(gt_path, "w", encoding="utf-8") as fh:
             write_partition(gt, fh)
-        with open(gt_path, encoding="utf-8") as fh:
-            loaded_gt = load_partition(fh)
-        with open(edges_path, encoding="utf-8") as fh:
-            loaded = load_edge_list(fh, n=loaded_gt.n).graph
+        loaded_gt = load_partition(gt_path.read_bytes())
+        loaded = load_edge_list(edges_path.read_bytes(), n=loaded_gt.n).graph
         assert loaded_gt == gt and loaded.n == n
-        assert list(loaded.edges()) == list(g.edges())
+        assert loaded.edge_array.tolist() == g.edge_array.tolist()
         rc = main([
             "evaluate", "--graph", str(edges_path), "--gt", str(gt_path),
             "--detector", f"external:path={gt_path}", "--detector", "louvain",

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 
@@ -7,7 +8,7 @@ from cdfair.graph import MAX_NODES, EdgeListError, Graph, load_edge_list, write_
 
 
 def test_path_graph():
-    res = load_edge_list(io.StringIO("0 1\n1 2\n"))
+    res = load_edge_list(b"0 1\n1 2\n")
     g = res.graph
     assert g.n == 3
     assert g.num_edges == 2
@@ -15,7 +16,7 @@ def test_path_graph():
 
 
 def test_raw_dedup_and_self_loop():
-    res = load_edge_list(io.StringIO("0 1\n1 0\n0 0\n"))
+    res = load_edge_list(b"0 1\n1 0\n0 0\n")
     assert res.graph.n == 2
     assert res.graph.num_edges == 1
     assert res.duplicates_dropped == 1
@@ -23,28 +24,28 @@ def test_raw_dedup_and_self_loop():
 
 
 def test_comments_and_blank_lines():
-    res = load_edge_list(io.StringIO("# header\n\n0 1\n"))
+    res = load_edge_list(b"# header\n\n0 1\n")
     assert res.graph.num_edges == 1
 
 
 def test_leading_byte_order_mark_is_dropped():
-    res = load_edge_list(io.StringIO("\ufeff0 1\n1 2\n"))
+    res = load_edge_list("\ufeff0 1\n1 2\n".encode())
     assert res.graph.edge_array.tolist() == [[0, 1], [1, 2]]
 
 
 def test_malformed_line_reports_number():
     with pytest.raises(EdgeListError, match="line 2"):
-        load_edge_list(io.StringIO("0 1\n0 1 2\n"))
+        load_edge_list(b"0 1\n0 1 2\n")
 
 
 def test_empty_input_rejected():
     with pytest.raises(EdgeListError, match="empty"):
-        load_edge_list(io.StringIO("# only comments\n"))
+        load_edge_list(b"# only comments\n")
 
 
 def test_raw_mode_rejects_tokens():
     with pytest.raises(EdgeListError, match="non-integer"):
-        load_edge_list(io.StringIO("a b\n"))
+        load_edge_list(b"a b\n")
 
 
 def test_star_degrees():
@@ -55,6 +56,22 @@ def test_star_degrees():
 def test_isolated_node_degree_zero():
     g = Graph.from_edges(3, [(0, 1)])
     assert g.degrees[2] == 0
+
+
+def test_graph_holds_only_a_read_only_edge_array():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert [f.name for f in dataclasses.fields(g)] == ["n", "edge_array"]
+    with pytest.raises(ValueError, match="read-only"):
+        g.edge_array[0, 0] = 2
+
+
+@pytest.mark.parametrize("g, degrees, adjacency", [
+    (load_edge_list(b"0 1\n", n=4).graph, [1, 1, 0, 0], [[1], [0], [], []]),
+    (Graph.from_edges(3, []), [0, 0, 0], [[], [], []]),
+])
+def test_degrees_and_adjacency_cover_nodes_without_edges(g, degrees, adjacency):
+    assert g.degrees.tolist() == degrees
+    assert g.neighbor_lists() == adjacency
 
 
 def test_adjacency_symmetric_and_edge_count():
@@ -68,11 +85,11 @@ def test_adjacency_symmetric_and_edge_count():
 
 def test_round_trip_serialization():
     src = "3 1\n0 1\n1 2\n1 0\n"
-    g = load_edge_list(io.StringIO(src)).graph
+    g = load_edge_list(src.encode()).graph
     buf = io.StringIO()
     write_edge_list(g, buf)
-    g2 = load_edge_list(io.StringIO(buf.getvalue())).graph
-    assert set(g.edges()) == set(g2.edges())
+    g2 = load_edge_list(buf.getvalue().encode()).graph
+    assert g.edge_array.tolist() == g2.edge_array.tolist()
 
 
 def test_max_nodes_is_the_largest_count_whose_edge_keys_fit_int64():
@@ -90,7 +107,7 @@ ABOVE = "above the largest node id 3037000498"
     ("0 1\n", 4_000_000_000, "n=4000000000 above the largest node count 3037000499"),
 ])
 def test_node_count_above_max_nodes_is_rejected_without_allocating(source, n, message):
-    source = source if isinstance(source, bytes) else io.StringIO(source)
+    source = source if isinstance(source, bytes) else source.encode()
     tracemalloc.start()
     try:
         with pytest.raises(EdgeListError) as exc:

@@ -30,45 +30,44 @@ def overlap_of(ct, a, b) -> int:
 
 
 def test_load_partition_dense_relabel():
-    p = load_partition(io.StringIO("0 7\n1 7\n2 9\n"), n=3)
+    p = load_partition(b"0 7\n1 7\n2 9\n", n=3)
     assert p.labels.tolist() == [0, 0, 1]
     assert p.k == 2
     # dense ids follow first appearance by node id, not the tokens' order
-    p = load_partition(io.StringIO("2 7\n0 9\n1 7\n"), n=3)
+    p = load_partition(b"2 7\n0 9\n1 7\n", n=3)
     assert p.labels.tolist() == [0, 1, 1]
 
 
 def test_load_partition_drops_leading_byte_order_mark():
-    p = load_partition(io.StringIO("\ufeff0 7\n1 7\n2 9\n"), n=3)
+    p = load_partition("\ufeff0 7\n1 7\n2 9\n".encode(), n=3)
     assert p.labels.tolist() == [0, 0, 1]
     assert p.k == 2
 
 
 @pytest.mark.parametrize("text", ["0 a\x00\n1 a\n", "0 07\n1 7\n", "0 1\n1 1.0\n", "0 a\n1 A\n"])
 def test_load_partition_compares_community_tokens_as_text(text):
-    for source in (io.StringIO(text), text.encode()):
-        p = load_partition(source)
-        assert (p.labels.tolist(), p.k) == ([0, 1], 2)
+    p = load_partition(text.encode())
+    assert (p.labels.tolist(), p.k) == ([0, 1], 2)
 
 
 def test_load_partition_missing_node():
     with pytest.raises(PartitionError, match="node 2 unassigned"):
-        load_partition(io.StringIO("0 0\n1 0\n"), n=3)
+        load_partition(b"0 0\n1 0\n", n=3)
 
 
 def test_load_partition_duplicate_node():
     with pytest.raises(PartitionError, match="assigned twice"):
-        load_partition(io.StringIO("0 0\n0 1\n1 0\n"), n=2)
+        load_partition(b"0 0\n0 1\n1 0\n", n=2)
 
 
 def test_load_partition_unknown_node():
     with pytest.raises(PartitionError, match="outside"):
-        load_partition(io.StringIO("0 0\n5 0\n"), n=2)
+        load_partition(b"0 0\n5 0\n", n=2)
 
 
 def test_singleton_partition_k_equals_n():
     src = "".join(f"{i} {i}\n" for i in range(6))
-    p = load_partition(io.StringIO(src), n=6)
+    p = load_partition(src.encode(), n=6)
     assert p.k == 6
     assert p.sizes.tolist() == [1] * 6
 
@@ -77,7 +76,7 @@ def test_partition_roundtrip():
     p = Partition.from_labels([2, 2, 0, 1])
     buf = io.StringIO()
     write_partition(p, buf)
-    p2 = load_partition(io.StringIO(buf.getvalue()), n=4)
+    p2 = load_partition(buf.getvalue().encode(), n=4)
     assert p2 == p
 
 

@@ -35,7 +35,7 @@ def test_edgeless_graph_rejected():
 def modularity_pairwise_oracle(g: Graph, p: Partition) -> float:
     # Q = (1/2m) sum_ij (A_ij - d_i d_j / 2m) delta(c_i, c_j)
     m = g.num_edges
-    edges = set(g.edges())
+    edges = set(map(tuple, g.edge_array.tolist()))
     degree = g.degrees.tolist()
     total = 0.0
     for i in range(g.n):
