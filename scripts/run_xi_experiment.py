@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from cdfair.cli import RunConfig, evaluate_run
+from cdfair.evaluate import RunConfig, evaluate_run
 from cdfair.detectors import DetectorSpec
 from cdfair.graph import write_edge_list
 from cdfair.partition import write_partition

@@ -11,286 +11,62 @@ evaluate workers.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import logging
-import math
-import os
-import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bias import ib_all_fast
-from .detectors import DetectorSpec, run_detector
-from .graph import EdgeListError, Graph, load_edge_list, write_edge_list
-from .groupfair import PROPERTIES, SCORES, phi
-from .partition import Partition, PartitionError, contingency, load_partition, write_partition
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
-from .quality import ari, modularity, nf1, nmi
-from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_report_outputs
-from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
+from .report import write_report_outputs
+
+# generate and evaluate import the numpy modules they use when they run, so
+# sweep, report, --help and --version start without numpy
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class WorkerError(RuntimeError):
-    """A worker process ended before returning the cells it was given."""
-
-
-@dataclass
-class RunConfig:
-    graphs: list[tuple[str, str]]  # (edge-list path, ground-truth path) pairs
-    detectors: list[DetectorSpec]
-    out_dir: str
-    seed: int = 0
-    graph_group: str = "run"
-
-
-def derive_cell_seed(base: int, detector_index: int, graph_index: int) -> int:
-    """Per-(detector, graph) seed so evaluation cells are order-independent."""
-    return base + 1009 * detector_index + graph_index
-
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(x)
-
-
-def _phi_flat(phi_slopes: dict) -> dict[str, float | None]:
-    # PHI_METRICS names the (property, score) pairs in this order
-    slopes = (phi_slopes[prop][score] for prop in PROPERTIES for score in SCORES)
-    return dict(zip(PHI_METRICS, slopes))
-
-
-def evaluate_cell(g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
-    """Every metric for one (graph, detector) pair."""
-    pred = run_detector(spec, g, seed)
-    ct = contingency(gt, pred)  # the one table every external metric reads
-    report = ib_all_fast(ct)
-    return {
-        "error": None, "k_pred": pred.k, "ib_g": report.ib_g, "mean_ib": report.mean_ib,
-        "_bias_report": report, "modularity": modularity(g, pred),
-        "nmi": nmi(ct), "ari": ari(ct), "nf1": nf1(ct),
-        **_phi_flat(phi(g, ct)),
-    }
-
-
-_AGG_KEYS = ("ib_g", "mean_ib") + QUALITY_METRICS + PHI_METRICS
-
-
-def _aggregate(rows: list[dict]) -> dict:
-    agg = {}
-    for key in _AGG_KEYS:
-        vals = [r[key] for r in rows if r[key] is not None]
-        if not vals:
-            agg[key] = None
-        else:
-            mean = sum(vals) / len(vals)
-            std = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
-            agg[key] = {"mean": mean, "std": std}
-    return agg
-
-
-# the run whose cells are being evaluated: (config, [(graph path, graph, ground
-# truth)]); forked workers inherit it, so no graph is pickled
-_RUN: tuple[RunConfig, list[tuple[str, Graph, Partition]]] | None = None
-
-
-def _run_cell(cell: tuple[int, int]) -> dict:
-    """The row of cell (detector index, graph index) of the current run."""
-    di, gi = cell
-    cfg, loaded = _RUN
-    _, g, gt = loaded[gi]
-    try:
-        return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
-    except Exception as exc:  # failure of one cell must not abort the run
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
-class _KeepRecords(logging.Handler):
-    """Holds a worker's log records, message formatted, until its row is sent."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        # the formatted text pickles even where the arguments would not
-        record.msg = self.format(record)
-        record.args = record.exc_info = record.exc_text = None
-        self.records.append(record)
-
-
-def _run_cell_in_worker(cell: tuple[int, int]) -> tuple[dict, list[logging.LogRecord]]:
-    """The cell's row and the records it logged, which the worker does not print."""
-    kept = _KeepRecords()
-    logging.root.handlers = [kept]
-    return _run_cell(cell), kept.records
-
-
-def _worker_count(cells: int) -> int:
-    """One worker per CPU this process may run on, and no more than there are cells."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        return 1
-    return min(cells, cpus)
-
-
-def _map_cells(cells: list[tuple[int, int]]):
-    """Yield the row of each cell in order, from forked workers when two or more
-    CPUs are available.
-
-    Worker log records are handled here as each row arrives, so stderr and
-    log handlers see them in the order a serial run gives them.
-    """
-    workers = _worker_count(len(cells))
-    if workers <= 1:
-        yield from map(_run_cell, cells)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        for row, records in pool.map(_run_cell_in_worker, cells):
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            yield row
-    except BrokenProcessPool:
-        raise WorkerError("a worker process ended abruptly while evaluating cells") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def evaluate_run(cfg: RunConfig) -> dict:
-    """Run every detector on every graph; failures are isolated per cell.
-
-    The cells run in forked worker processes, one per CPU in this process's
-    affinity mask, or in this process when that is one CPU. Every output
-    byte is the same either way.
-    """
-    global _RUN
-    loaded = []
-    for graph_path, gt_path in cfg.graphs:
-        # n comes from the ground truth: nodes without edges are in no edge list
-        with open(gt_path, "rb") as fh:
-            gt = load_partition(fh.read())
-        with open(graph_path, "rb") as fh:
-            g = load_edge_list(fh.read(), n=gt.n).graph
-        loaded.append((graph_path, g, gt))
-    # made only once every input has loaded, so a bad input leaves no directory
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    detectors_block: dict = {}
-    warnings = []
-    _RUN = (cfg, loaded)
-    rows = _map_cells([(di, gi) for di in range(len(cfg.detectors)) for gi in range(len(loaded))])
-    try:
-        for spec in cfg.detectors:
-            label = spec.label()
-            per_graph = []
-            for graph_path, _, _ in loaded:
-                row = next(rows)
-                if row["error"] is not None:
-                    warnings.append(f"{label} on {graph_path}: {row['error']}")
-                report = row.pop("_bias_report", None)
-                if report is not None:
-                    bias_dir = out_dir / "bias"
-                    bias_dir.mkdir(exist_ok=True)
-                    with open(bias_dir / _bias_name(label, graph_path), "w", encoding="utf-8") as fh:
-                        report.write_csv(fh)
-                per_graph.append({"graph": str(graph_path), **row})
-            ok_rows = [r for r in per_graph if r["error"] is None]
-            detectors_block[label] = {
-                "per_graph": per_graph,
-                "aggregate": _aggregate(ok_rows) if ok_rows else None,
-            }
-    finally:
-        rows.close()  # stops the workers now, also when a write failed
-        _RUN = None
-
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "graph_group": cfg.graph_group,
-        "provenance": {
-            "package_version": __version__,
-            "config": {
-                "graphs": [list(p) for p in cfg.graphs],
-                "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
-                "seed": cfg.seed,
-            },
-        },
-        "warnings": warnings,
-        "detectors": detectors_block,
-    }
-    _write_json(out_dir / "report.json", doc)
-    _write_results_csv(doc, out_dir / "results.csv")
-    return doc
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_results_csv(doc: dict, path: Path) -> None:
-    cols = ["graph", "detector", "stat", "error"] + list(_AGG_KEYS)
-    # csv.writer quotes a field holding a comma, quote or newline (a graph path,
-    # an error message), so every row keeps the header's field count
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(cols)
-        for det, entry in sorted(doc["detectors"].items()):
-            for row in entry["per_graph"]:
-                cells = [row["graph"], det, "value", row["error"] or ""]
-                out.writerow(cells + [_fmt(row.get(k)) for k in _AGG_KEYS])
-            agg = entry["aggregate"]
-            if agg is not None and len(entry["per_graph"]) > 1:
-                for stat in ("mean", "std"):
-                    cells = ["ALL", det, stat, ""]
-                    cells += [_fmt(agg[k][stat] if agg[k] is not None else None) for k in _AGG_KEYS]
-                    out.writerow(cells)
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------- generate
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.model == "abcd":
-        params = AbcdParams(
-            n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
-            beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
-            d_max_iter=args.d_max_iter, seed=args.seed,
-        )
-        g, p, info = generate_abcd_lite(params)
-        provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
-                      "package_version": __version__}
-    else:
-        g, p = generate_two_community(
-            n=args.n, minority_frac=args.minority, intra_p=args.intra_p,
-            inter_p=args.inter_p, seed=args.seed,
-        )
-        provenance = {
-            "model": "two_community",
-            "params": {"n": args.n, "minority_frac": args.minority,
-                       "intra_p": args.intra_p, "inter_p": args.inter_p, "seed": args.seed},
-            "realized": {"num_edges": g.num_edges},
-            "package_version": __version__,
-        }
+    from .evaluate import write_json
+    from .graph import write_edge_list
+    from .partition import write_partition
+    from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
+
+    try:
+        if args.model == "abcd":
+            params = AbcdParams(
+                n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
+                beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
+                d_max_iter=args.d_max_iter, seed=args.seed,
+            )
+            g, p, info = generate_abcd_lite(params)
+            provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
+                          "package_version": __version__}
+        else:
+            g, p = generate_two_community(
+                n=args.n, minority_frac=args.minority, intra_p=args.intra_p,
+                inter_p=args.inter_p, seed=args.seed,
+            )
+            provenance = {
+                "model": "two_community",
+                "params": {"n": args.n, "minority_frac": args.minority,
+                           "intra_p": args.intra_p, "inter_p": args.inter_p, "seed": args.seed},
+                "realized": {"num_edges": g.num_edges},
+                "package_version": __version__,
+            }
+    except GenerationError as exc:
+        return _error(exc)
     out, prefix = Path(args.out), args.prefix
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{prefix}.edges", "w", encoding="utf-8") as fh:
         write_edge_list(g, fh)
     with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
         write_partition(p, fh)
-    _write_json(out / f"{prefix}.json", provenance)
+    write_json(out / f"{prefix}.json", provenance)
     summary = f"n={g.n}, |E|={g.num_edges}"
     if args.model == "abcd":
         summary += (f", dropped_stubs={info['dropped_stubs']}, "
@@ -302,66 +78,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
-# a comma starts a new parameter only when "key=" follows it, so a value such
-# as an external partition's path may hold commas
-_PARAM_SEP = re.compile(r",(?=[^,=]*=)")
-
-
-def _parse_detector(text: str) -> DetectorSpec:
-    name, _, rest = text.partition(":")
-    params: dict = {}
-    if rest:
-        for item in _PARAM_SEP.split(rest):
-            key, _, value = item.partition("=")
-            if not _:
-                raise ConfigError(f"bad detector parameter {item!r} (expected key=value)")
-            if key in params:
-                raise ConfigError(f"detector parameter {key!r} given twice in {text!r}")
-            params[key] = value
-    return DetectorSpec(name, params)
-
-
-def _spec_text(spec: DetectorSpec) -> str:
-    params = ",".join(f"{k}={v}" for k, v in spec.params.items())
-    return f"{spec.name}:{params}" if params else spec.name
-
-
-def _bias_name(label: str, graph_path: str) -> str:
-    """The file under bias/ holding the per-node bias of one (detector, graph) cell."""
-    return f"{label}_{Path(graph_path).stem}.csv"
-
-
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    if len(args.graph) != len(args.gt):
-        raise ConfigError("--graph and --gt must be given the same number of times")
-    graphs = list(zip(args.graph, args.gt))
-    if not graphs:
-        raise ConfigError("no input graphs: pass --graph and --gt")
-    detectors = [_parse_detector(d) for d in args.detector]
-    if not detectors:
-        raise ConfigError("no detectors requested")
-    # a bias file is named after the detector label and the graph's file stem,
-    # so two cells would overwrite each other's when two detectors share a
-    # label (which also names their report entry), when two graphs share a
-    # stem, or when a label or stem holds "_": external:a on b_c.edges and
-    # external:a_b on c.edges
-    by_name: dict[str, str] = {}
-    for spec in detectors:
-        for graph_path, _ in graphs:
-            name = _bias_name(spec.label(), graph_path)
-            cell = f"detector {_spec_text(spec)!r} on graph {graph_path!r}"
-            if name in by_name:
-                raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
-            by_name[name] = cell
-    if not args.out:
-        raise ConfigError("no output directory: pass --out")
-    return RunConfig(graphs=graphs, detectors=detectors, out_dir=args.out,
-                     seed=args.seed, graph_group=args.group)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    doc = evaluate_run(cfg)
+    from .evaluate import WorkerError, evaluate_run, load_run_config
+
+    cfg = load_run_config(args)
+    try:
+        doc = evaluate_run(cfg)
+    except WorkerError as exc:
+        return _error(exc)
     for w in doc["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {Path(cfg.out_dir) / 'report.json'} and results.csv")
@@ -469,10 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EdgeListError, PartitionError, GenerationError, ValueError,
-            WorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # a bad input or option, and the loaders' errors
+        return _error(exc)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

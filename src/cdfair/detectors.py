@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .graph import Graph
 from .partition import Partition, load_partition
+from .textio import load_file
 
 log = logging.getLogger(__name__)
 
@@ -280,8 +281,7 @@ def greedy_agglomerative(g: Graph) -> Partition:
 
 def _external_partition(g: Graph, path: str = "") -> Partition:
     """Load a partition of `g`'s nodes computed outside this package."""
-    with open(path, "rb") as fh:
-        return load_partition(fh.read(), g.n)
+    return load_file(path, "external partition", lambda data: load_partition(data, g.n))
 
 
 DETECTORS = {

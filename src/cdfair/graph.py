@@ -9,7 +9,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, read_rows
+from .textio import InputError, first_true, format_rows, parse_ints, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -17,7 +17,7 @@ log = logging.getLogger(__name__)
 MAX_NODES = math.isqrt(2**63 - 1)
 
 
-class EdgeListError(ValueError):
+class EdgeListError(InputError):
     """Malformed or empty edge-list input."""
 
 

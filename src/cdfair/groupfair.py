@@ -17,9 +17,7 @@ import numpy as np
 from .graph import Graph
 from .partition import ContingencyTable, Partition
 from .quality import community_edges
-
-PROPERTIES = ("size", "conductance", "density")
-SCORES = ("fccn", "f1", "fcce")
+from .report import PROPERTIES, SCORES
 
 
 def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:

@@ -12,10 +12,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .textio import first_true, format_rows, parse_ints, read_rows
+from .textio import InputError, first_true, format_rows, parse_ints, read_rows
 
 
-class PartitionError(ValueError):
+class PartitionError(InputError):
     """Invalid or incomplete community assignment."""
 
 

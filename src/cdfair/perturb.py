@@ -17,10 +17,18 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-from .synthgen import minority_size
-
 SCENARIOS = ("expand", "shrink", "change")
 TARGETS = ("minority", "majority")
+
+
+def minority_size(n: int, minority_frac: float) -> int:
+    """Size of the minority block of `synthgen.two_block_partition(n, minority_frac)`."""
+    if not 0.0 < minority_frac < 1.0:
+        raise ValueError("minority_frac must lie in (0, 1)")
+    size_m = int(math.floor(minority_frac * n + 0.5))
+    if size_m < 1 or size_m >= n:
+        raise ValueError("degenerate block sizes")
+    return size_m
 
 
 def round_half_away(x: float) -> int:

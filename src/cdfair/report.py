@@ -7,8 +7,9 @@ import json
 import math
 from pathlib import Path
 
-from .groupfair import PROPERTIES, SCORES
-
+# the group-fairness properties and scores of `groupfair.phi`, one slope per pair
+PROPERTIES = ("size", "conductance", "density")
+SCORES = ("fccn", "f1", "fcce")
 QUALITY_METRICS = ("modularity", "nmi", "ari", "nf1")
 PHI_METRICS = tuple(f"phi_{prop}_{score}" for prop in PROPERTIES for score in SCORES)
 REPORT_SCHEMA_VERSION = 1

@@ -17,6 +17,7 @@ import numpy as np
 
 from .graph import Graph
 from .partition import Partition
+from .perturb import minority_size
 
 
 class GenerationError(RuntimeError):
@@ -258,16 +259,6 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         "mean_degree": 2 * m / p.n,
     }
     return graph, partition, info
-
-
-def minority_size(n: int, minority_frac: float) -> int:
-    """Size of the minority block of `two_block_partition(n, minority_frac)`."""
-    if not 0.0 < minority_frac < 1.0:
-        raise ValueError("minority_frac must lie in (0, 1)")
-    size_m = int(math.floor(minority_frac * n + 0.5))
-    if size_m < 1 or size_m >= n:
-        raise ValueError("degenerate block sizes")
-    return size_m
 
 
 def two_block_partition(n: int, minority_frac: float) -> Partition:

@@ -4,7 +4,8 @@ Both formats are whitespace-separated token pairs, one per line, with blank
 lines and '#' comments allowed. ``read_rows`` is the one reader: it takes a
 file's bytes and returns its token pairs, as integers when the file is in
 the canonical form and as text otherwise, so each loader has one parse path.
-Checks that fail report the line number of the first offending line. Writing
+Checks that fail report the line number of the first offending line, and
+``load_file`` puts the file's path and role before that. Writing
 formats whole integer columns at once, in the canonical form that
 ``parse_rows`` reads back without one Python object per token.
 """
@@ -18,6 +19,25 @@ import numpy as np
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
+
+
+class InputError(ValueError):
+    """A file's content that a loader rejects."""
+
+
+def load_file(path: str, role: str, load):
+    """``load`` applied to the bytes of the file at `path`.
+
+    An InputError that ``load`` raises is raised again, of the same class,
+    with its message prefixed by the path and the file's role in the run:
+    ``g.gt (ground truth): line 3: …``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return load(data)
+    except InputError as exc:
+        raise type(exc)(f"{path} ({role}): {exc}") from None
 
 
 def read_rows(data: bytes) -> tuple[np.ndarray, np.ndarray, str | None]:

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdfair import cli
-from cdfair.cli import derive_cell_seed, main
+from cdfair import cli, evaluate
+from cdfair.cli import main
+from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import Graph, load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
 
@@ -224,7 +225,8 @@ class TestEvaluate:
         assert rc == 0
         doc = json.loads((out / "report.json").read_text())
         error = doc["detectors"]["external:bad"]["per_graph"][0]["error"]
-        assert error == "PartitionError: line 2: expected two tokens, got 3"
+        assert error == (f"PartitionError: {bad} (external partition): "
+                         "line 2: expected two tokens, got 3")
         with open(out / "results.csv", newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == 2
@@ -286,17 +288,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("detector, named", [
         ("louvain:sed=5", ("louvain", "sed", "5")),
         ("label_propagation:max_sweep=1", ("label_propagation", "max_sweep", "1")),
-        ("cnm:resolution=2", ("cnm", "resolution", "2")),
+        ("external", ("external", "path")),
         ("louvain:seed=x", ("louvain", "seed", "x")),
         ("label_propagation:max_sweeps=1.5", ("label_propagation", "max_sweeps", "1.5")),
-        ("louvain:resolution=high", ("louvain", "resolution", "high")),
+        ("external:path=", ("external", "path")),
         ("louvain:seed=2,seed=3", ("seed", "louvain:seed=2,seed=3")),
         ("label_propagation:max_sweeps=0", ("label_propagation", "max_sweeps", "0")),
         ("label_propagation:max_sweeps=-3", ("label_propagation", "max_sweeps", "-3")),
-        ("louvain:resolution=nan", ("louvain", "resolution", "nan")),
-        ("louvain:resolution=inf", ("louvain", "resolution", "inf")),
-        ("external", ("external", "path")),
-        ("external:path=", ("external", "path")),
     ])
     def test_bad_detector_parameter_exit_1(self, tmp_path, capsys, detector, named):
         edges, gt = _generate(tmp_path)
@@ -441,6 +439,47 @@ class TestEvaluate:
             want = (tmp_path / "canonical" / "out" / "bias" / name).read_bytes()
             assert (tmp_path / "crlf" / "out" / "bias" / name).read_bytes() == want
 
+    @pytest.mark.parametrize("case", ["three columns", "edge outside ground truth",
+                                      "bad ground truth"])
+    def test_load_error_names_its_file(self, tmp_path, capsys, case):
+        edges, gt = _generate(tmp_path)
+        k_edges, k_gt = tmp_path / "k.edges", tmp_path / "k.gt"
+        k_edges.write_text("0 1\n1 2\n")
+        k_gt.write_text("0 0\n1 0\n2 1\n")
+        if case == "three columns":
+            k_edges.write_text("0 1 1\n")
+            named = f"{k_edges} (graph): line 1: expected two tokens, got 3"
+        elif case == "edge outside ground truth":
+            k_gt.write_text("0 0\n1 0\n")
+            named = (f"{k_edges} (graph): line 2: node id 2 outside [0, 2), "
+                     f"the node count of ground truth {k_gt}")
+        else:
+            k_gt.write_text("0 0\n1 0\n0 1\n")
+            named = f"{k_gt} (ground truth): line 3: node 0 assigned twice"
+        out = tmp_path / "run"
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                   "--graph", str(k_edges), "--gt", str(k_gt),
+                   "--detector", "louvain", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_external_partition_warning_names_its_file(self, tmp_path, capsys):
+        edges, gt = _generate(tmp_path)
+        edges2, gt2 = _generate(tmp_path, "h", seed=4)
+        part = tmp_path / "p.part"
+        part.write_text("0 0\n0 1\n")
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                   "--graph", str(edges2), "--gt", str(gt2),
+                   "--detector", f"external:path={part}", "--detector", "louvain",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert warnings == [
+            f"warning: external:p on {g}: PartitionError: {part} (external partition): "
+            "line 2: node 0 assigned twice" for g in (edges, edges2)
+        ]
+
     def test_undecodable_ground_truth_exit_1(self, tmp_path, capsys):
         edges, gt = _generate(tmp_path)
         gt.write_bytes(gt.read_bytes() + b"\xff 0\n")
@@ -469,7 +508,7 @@ class TestEvaluate:
         capsys.readouterr()
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_worker_count", lambda cells, w=workers: w)
+            monkeypatch.setattr(evaluate, "_worker_count", lambda cells, w=workers: w)
             caplog.clear()
             out = tmp_path / f"workers{workers}"
             with _deadline(120):
@@ -491,7 +530,7 @@ class TestEvaluate:
 
     def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys):
         edges, gt = _generate(tmp_path)
-        evaluate_cell = cli.evaluate_cell
+        evaluate_cell = evaluate.evaluate_cell
 
         def die_on_cnm(g, gt, spec, seed):
             if spec.name == "cnm":
@@ -499,8 +538,8 @@ class TestEvaluate:
             return evaluate_cell(g, gt, spec, seed)
 
         # forked workers inherit both patches
-        monkeypatch.setattr(cli, "evaluate_cell", die_on_cnm)
-        monkeypatch.setattr(cli, "_worker_count", lambda cells: 2)
+        monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
+        monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
         out = tmp_path / "run"
         with _deadline(120):
             rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
@@ -514,10 +553,10 @@ class TestEvaluate:
 
     def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        assert cli._worker_count(1) == 1
-        assert cli._worker_count(1000) == cpus
+        assert evaluate._worker_count(1) == 1
+        assert evaluate._worker_count(1000) == cpus
         monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms without it
-        assert cli._worker_count(1000) == 1
+        assert evaluate._worker_count(1000) == 1
 
     @pytest.mark.parametrize("env_out", [False, True])
     def test_missing_out_exit_1(self, tmp_path, monkeypatch, capsys, env_out):
@@ -709,7 +748,7 @@ class TestReport:
     ("cnm", {}),
 ])
 def test_parse_detector_splits_only_before_a_key(text, params):
-    spec = cli._parse_detector(text)
+    spec = evaluate._parse_detector(text)
     assert (spec.name, spec.params) == (text.partition(":")[0], params)
 
 

@@ -1,5 +1,6 @@
-"""The import surface: ``import cdfair`` loads nothing else, and README's
-library example runs as written.
+"""The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
+and ``cdfair report`` run without numpy, and README's library example runs as
+written.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -32,6 +33,33 @@ def test_import_cdfair_loads_neither_numpy_nor_a_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1:] == ["[]"]
+
+
+def test_sweep_report_and_version_run_without_numpy(tmp_path):
+    from cdfair.cli import main
+
+    # a report.json from a real run; this test process may load numpy
+    for ext, text in (("edges", "0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n"),
+                      ("gt", "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")):
+        (tmp_path / f"g.{ext}").write_text(text)
+    assert main(["evaluate", "--graph", str(tmp_path / "g.edges"), "--gt", str(tmp_path / "g.gt"),
+                 "--detector", "louvain", "--out", str(tmp_path / "run")]) == 0
+    proc = _python(
+        "import sys\n"
+        "from cdfair.cli import main\n"
+        f"assert main(['sweep', '--n', '200', '--out', {str(tmp_path / 'sweep')!r}]) == 0\n"
+        f"assert main(['report', {str(tmp_path / 'run' / 'report.json')!r},\n"
+        f"             '--out', {str(tmp_path / 'figures')!r}]) == 0\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 6
+    assert (tmp_path / "figures" / "scatter_points.csv").is_file()
 
 
 def test_readme_library_example_runs():
