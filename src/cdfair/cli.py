@@ -34,32 +34,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from .evaluate import write_json
     from .graph import write_edge_list
     from .partition import write_partition
-    from .synthgen import AbcdParams, GenerationError, generate_abcd_lite, generate_two_community
+    from .synthgen import AbcdParams, GenerationError, generate_abcd_lite
 
+    params = AbcdParams(
+        n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
+        beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
+        d_max_iter=args.d_max_iter, seed=args.seed,
+    )
     try:
-        if args.model == "abcd":
-            params = AbcdParams(
-                n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
-                beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
-                d_max_iter=args.d_max_iter, seed=args.seed,
-            )
-            g, p, info = generate_abcd_lite(params)
-            provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
-                          "package_version": __version__}
-        else:
-            g, p = generate_two_community(
-                n=args.n, minority_frac=args.minority, intra_p=args.intra_p,
-                inter_p=args.inter_p, seed=args.seed,
-            )
-            provenance = {
-                "model": "two_community",
-                "params": {"n": args.n, "minority_frac": args.minority,
-                           "intra_p": args.intra_p, "inter_p": args.inter_p, "seed": args.seed},
-                "realized": {"num_edges": g.num_edges},
-                "package_version": __version__,
-            }
+        g, p, info = generate_abcd_lite(params)
     except GenerationError as exc:
         return _error(exc)
+    provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
+                  "package_version": __version__}
     out, prefix = Path(args.out), args.prefix
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{prefix}.edges", "w", encoding="utf-8") as fh:
@@ -67,10 +54,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
         write_partition(p, fh)
     write_json(out / f"{prefix}.json", provenance)
-    summary = f"n={g.n}, |E|={g.num_edges}"
-    if args.model == "abcd":
-        summary += (f", dropped_stubs={info['dropped_stubs']}, "
-                    f"realized_inter_fraction={info['realized_inter_fraction']:.4f}")
+    summary = (f"n={g.n}, |E|={g.num_edges}, dropped_stubs={info['dropped_stubs']}, "
+               f"realized_inter_fraction={info['realized_inter_fraction']:.4f}")
     print(f"wrote {out / prefix}.edges / .gt / .json  ({summary})")
     return 0
 
@@ -147,15 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     abcd.add_argument("--out", default=".")
     abcd.add_argument("--prefix", default="graph")
     abcd.set_defaults(func=cmd_generate)
-    two = gen_sub.add_parser("two-community", help="minority/majority two-block graph")
-    two.add_argument("--n", type=int, required=True)
-    two.add_argument("--minority", type=float, default=0.2)
-    two.add_argument("--intra-p", type=float, default=0.3)
-    two.add_argument("--inter-p", type=float, default=0.05)
-    two.add_argument("--seed", type=int, default=0)
-    two.add_argument("--out", default=".")
-    two.add_argument("--prefix", default="graph")
-    two.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="run detectors and compute all measures")
     ev.add_argument("--graph", action="append", default=[], help="edge-list path (repeatable)")

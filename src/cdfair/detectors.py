@@ -67,6 +67,11 @@ class DetectorSpec:
                 ) from None
         if "max_sweeps" in kwargs:
             _check_max_sweeps(kwargs["max_sweeps"], self.params["max_sweeps"])
+        if kwargs.get("seed", 0) < 0:  # random.Random(-s) would repeat seed s
+            raise ValueError(
+                f"detector {self.name!r}: parameter 'seed' must be non-negative, "
+                f"got {self.params['seed']!r}"
+            )
         if self.name == "external" and not kwargs.get("path"):
             raise ValueError("detector 'external' requires a 'path' parameter")
         object.__setattr__(self, "kwargs", kwargs)

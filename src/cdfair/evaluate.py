@@ -314,6 +314,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             if name in by_name:
                 raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
             by_name[name] = cell
+    if args.seed < 0:  # random.Random(-s) would repeat seed s
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if not args.out:
         raise ConfigError("no output directory: pass --out")
     return RunConfig(graphs=graphs, detectors=detectors, out_dir=args.out,

@@ -22,7 +22,8 @@ TARGETS = ("minority", "majority")
 
 
 def minority_size(n: int, minority_frac: float) -> int:
-    """Size of the minority block of `synthgen.two_block_partition(n, minority_frac)`."""
+    """Size of the minority block of a two-block planted partition of `n` nodes:
+    ``minority_frac * n`` rounded half up, leaving both blocks non-empty."""
     if not 0.0 < minority_frac < 1.0:
         raise ValueError("minority_frac must lie in (0, 1)")
     size_m = int(math.floor(minority_frac * n + 0.5))

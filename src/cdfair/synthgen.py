@@ -1,9 +1,8 @@
 """Synthetic benchmarks with planted communities.
 
-Two generators: a simplified ABCD-style model (power-law degrees and
-community sizes, with a mixing fraction xi of edge stubs routed through a
-community-agnostic background configuration model) and a two-block
-minority/majority model used by the perturbation lab.
+A simplified ABCD-style model: power-law degrees and community sizes, with
+a mixing fraction xi of edge stubs routed through a community-agnostic
+background configuration model.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from .graph import Graph
 from .partition import Partition
-from .perturb import minority_size
 
 
 class GenerationError(RuntimeError):
@@ -48,6 +46,8 @@ class AbcdParams:
             raise ValueError("gamma and beta must be finite")
         if self.d_max_iter < 1:
             raise ValueError("need d_max_iter >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -260,60 +260,3 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     }
     return graph, partition, info
 
-
-def two_block_partition(n: int, minority_frac: float) -> Partition:
-    """Planted labels only: community 0 = minority block, community 1 = rest."""
-    size_m = minority_size(n, minority_frac)
-    return Partition.from_labels([0] * size_m + [1] * (n - size_m))
-
-
-def _sample_block_edges(rng: np.random.Generator, total: int, prob: float, edges: list[tuple[int, int]], pair_at) -> None:
-    """Bernoulli-sample pairs via geometric skipping; O(expected edges)."""
-    if prob <= 0.0:
-        return
-    if prob >= 1.0:
-        edges.extend(pair_at(i) for i in range(total))
-        return
-    log_q = math.log1p(-prob)
-    i = -1
-    while True:
-        r = rng.random()
-        i += 1 + int(math.floor(math.log(1.0 - r) / log_q))
-        if i >= total:
-            break
-        edges.append(pair_at(i))
-
-
-def generate_two_community(
-    n: int,
-    minority_frac: float = 0.2,
-    intra_p: float = 0.3,
-    inter_p: float = 0.05,
-    seed: int = 0,
-) -> tuple[Graph, Partition]:
-    """Two-block planted graph: Bernoulli(intra_p) within, Bernoulli(inter_p) across."""
-    if not (0.0 <= intra_p <= 1.0 and 0.0 <= inter_p <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    partition = two_block_partition(n, minority_frac)
-    size_m = int(partition.sizes[0])
-    rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-
-    def block_pairs(offset: int, size: int):
-        def at(idx: int) -> tuple[int, int]:
-            # row-major indexing over the strict upper triangle
-            u = size - 2 - int(math.floor(math.sqrt(-8 * idx + 4 * size * (size - 1) - 7) / 2.0 - 0.5))
-            v = idx + u + 1 - size * (size - 1) // 2 + (size - u) * ((size - u) - 1) // 2
-            return (offset + u, offset + v)
-
-        return at
-
-    size_big = n - size_m
-    _sample_block_edges(rng, size_m * (size_m - 1) // 2, intra_p, edges, block_pairs(0, size_m))
-    _sample_block_edges(rng, size_big * (size_big - 1) // 2, intra_p, edges, block_pairs(size_m, size_big))
-
-    def cross_at(idx: int) -> tuple[int, int]:
-        return (idx // size_big, size_m + idx % size_big)
-
-    _sample_block_edges(rng, size_m * size_big, inter_p, edges, cross_at)
-    return Graph.from_edges(n, edges), partition

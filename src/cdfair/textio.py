@@ -30,7 +30,8 @@ def load_file(path: str, role: str, load):
 
     An InputError that ``load`` raises is raised again, of the same class,
     with its message prefixed by the path and the file's role in the run:
-    ``g.gt (ground truth): line 3: …``.
+    ``g.gt (ground truth): line 3: …``. Bytes that are not UTF-8 raise an
+    InputError with the same prefix and the decoder's message.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -38,6 +39,8 @@ def load_file(path: str, role: str, load):
         return load(data)
     except InputError as exc:
         raise type(exc)(f"{path} ({role}): {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} ({role}): {exc}") from None
 
 
 def read_rows(data: bytes) -> tuple[np.ndarray, np.ndarray, str | None]:

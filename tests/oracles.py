@@ -15,6 +15,10 @@ The bias itself has two references here: ``ib_all_naive`` materializes each
 node's co-occurrence rows (``cc_row``) and takes their cosine distance, as
 the measure is defined, and the ``perturb_*`` functions build the random
 perturbations whose focal bias the closed-form sweep must reproduce.
+
+``generate_two_community`` is no reference: it draws the two-block
+minority/majority graphs that tests use as inputs, and
+``two_block_partition`` gives their planted labels.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from cdfair.bias import BiasReport
 from cdfair.graph import EdgeListError, Graph
 from cdfair.partition import Partition, PartitionError
-from cdfair.perturb import round_half_away
+from cdfair.perturb import minority_size, round_half_away
 from cdfair.synthgen import AbcdParams, _sample_degrees
 
 NAIVE_NODE_CAP = 5000
@@ -639,3 +643,61 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         "mean_degree": 2 * len(edges) / p.n,
     }
     return graph, partition, info
+
+
+def two_block_partition(n: int, minority_frac: float) -> Partition:
+    """Planted labels only: community 0 = minority block, community 1 = rest."""
+    size_m = minority_size(n, minority_frac)
+    return Partition.from_labels([0] * size_m + [1] * (n - size_m))
+
+
+def _sample_block_edges(rng: np.random.Generator, total: int, prob: float, edges: list[tuple[int, int]], pair_at) -> None:
+    """Bernoulli-sample pairs via geometric skipping; O(expected edges)."""
+    if prob <= 0.0:
+        return
+    if prob >= 1.0:
+        edges.extend(pair_at(i) for i in range(total))
+        return
+    log_q = math.log1p(-prob)
+    i = -1
+    while True:
+        r = rng.random()
+        i += 1 + int(math.floor(math.log(1.0 - r) / log_q))
+        if i >= total:
+            break
+        edges.append(pair_at(i))
+
+
+def generate_two_community(
+    n: int,
+    minority_frac: float = 0.2,
+    intra_p: float = 0.3,
+    inter_p: float = 0.05,
+    seed: int = 0,
+) -> tuple[Graph, Partition]:
+    """Two-block planted graph: Bernoulli(intra_p) within, Bernoulli(inter_p) across."""
+    if not (0.0 <= intra_p <= 1.0 and 0.0 <= inter_p <= 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    partition = two_block_partition(n, minority_frac)
+    size_m = int(partition.sizes[0])
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+
+    def block_pairs(offset: int, size: int):
+        def at(idx: int) -> tuple[int, int]:
+            # row-major indexing over the strict upper triangle
+            u = size - 2 - int(math.floor(math.sqrt(-8 * idx + 4 * size * (size - 1) - 7) / 2.0 - 0.5))
+            v = idx + u + 1 - size * (size - 1) // 2 + (size - u) * ((size - u) - 1) // 2
+            return (offset + u, offset + v)
+
+        return at
+
+    size_big = n - size_m
+    _sample_block_edges(rng, size_m * (size_m - 1) // 2, intra_p, edges, block_pairs(0, size_m))
+    _sample_block_edges(rng, size_big * (size_big - 1) // 2, intra_p, edges, block_pairs(size_m, size_big))
+
+    def cross_at(idx: int) -> tuple[int, int]:
+        return (idx // size_big, size_m + idx % size_big)
+
+    _sample_block_edges(rng, size_m * size_big, inter_p, edges, cross_at)
+    return Graph.from_edges(n, edges), partition

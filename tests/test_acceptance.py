@@ -20,13 +20,13 @@ import pytest
 from cdfair.bias import ib_all_fast
 from cdfair.cli import main as cli_main
 from cdfair.detectors import louvain
-from cdfair.graph import Graph
+from cdfair.graph import Graph, write_edge_list
 from cdfair.groupfair import ols_slope, phi
-from cdfair.partition import Partition, contingency
+from cdfair.partition import Partition, contingency, write_partition
 from cdfair.perturb import SweepConfig, run_sweep
 from cdfair.quality import ari, modularity, nf1, nmi
 from cdfair.synthgen import AbcdParams, generate_abcd_lite
-from oracles import ib_all_naive, perturb_expand, perturb_shrink
+from oracles import generate_two_community, ib_all_naive, perturb_expand, perturb_shrink
 
 
 def _random_partition(rng: np.random.Generator, n: int) -> Partition:
@@ -311,10 +311,11 @@ def test_criterion_10_louvain_directional():
 def test_criterion_11_cli_determinism(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
-    assert cli_main([
-        "generate", "two-community", "--n", "150", "--seed", "8",
-        "--out", str(data), "--prefix", "g",
-    ]) == 0
+    g, gt = generate_two_community(150, seed=8)
+    with open(data / "g.edges", "w", encoding="utf-8") as fh:
+        write_edge_list(g, fh)
+    with open(data / "g.gt", "w", encoding="utf-8") as fh:
+        write_partition(gt, fh)
 
     files: dict[str, list[bytes]] = {}
     for rep in ("r1", "r2"):

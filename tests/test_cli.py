@@ -27,6 +27,7 @@ from cdfair.cli import main
 from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import Graph, load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
+from oracles import generate_two_community
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -49,27 +50,18 @@ def _deadline(seconds: int):
 
 
 def _generate(tmp_path: Path, prefix: str = "g", seed: int = 3) -> tuple[Path, Path]:
-    rc = main([
-        "generate", "two-community", "--n", "120", "--minority", "0.25",
-        "--intra-p", "0.3", "--inter-p", "0.02", "--seed", str(seed),
-        "--out", str(tmp_path), "--prefix", prefix,
-    ])
-    assert rc == 0
-    return tmp_path / f"{prefix}.edges", tmp_path / f"{prefix}.gt"
+    """A two-block graph of 120 nodes and its planted partition, written canonically."""
+    g, p = generate_two_community(120, 0.25, intra_p=0.3, inter_p=0.02, seed=seed)
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    edges, gt = tmp_path / f"{prefix}.edges", tmp_path / f"{prefix}.gt"
+    with open(edges, "w", encoding="utf-8") as fh:
+        write_edge_list(g, fh)
+    with open(gt, "w", encoding="utf-8") as fh:
+        write_partition(p, fh)
+    return edges, gt
 
 
 class TestGenerate:
-    def test_two_community_outputs(self, tmp_path):
-        edges, gt = _generate(tmp_path)
-        assert edges.exists() and gt.exists()
-        prov = json.loads((tmp_path / "g.json").read_text())
-        assert prov["model"] == "two_community"
-        assert prov["params"]["n"] == 120
-        assert prov["realized"]["num_edges"] > 0
-        # ground truth assigns every node exactly once
-        lines = [ln for ln in gt.read_text().splitlines() if ln and not ln.startswith("#")]
-        assert len(lines) == 120
-
     def test_abcd_outputs_and_provenance(self, tmp_path):
         rc = main([
             "generate", "abcd", "--n", "400", "--c-min", "40", "--c-max", "120",
@@ -84,10 +76,10 @@ class TestGenerate:
     def test_generate_is_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):
-            d.mkdir()
-            _generate(d, seed=9)
-        assert _read_bytes(d1 / "g.edges") == _read_bytes(d2 / "g.edges")
-        assert _read_bytes(d1 / "g.gt") == _read_bytes(d2 / "g.gt")
+            assert main(["generate", "abcd", "--n", "200", "--c-min", "20", "--c-max", "60",
+                         "--seed", "9", "--out", str(d), "--prefix", "g"]) == 0
+        for ext in ("edges", "gt", "json"):
+            assert _read_bytes(d1 / f"g.{ext}") == _read_bytes(d2 / f"g.{ext}")
 
     def test_bad_params_exit_1(self, tmp_path):
         rc = main([
@@ -104,6 +96,8 @@ class TestGenerate:
         # every degree is 5 and n is odd, so no parity fix can succeed
         (["--n", "101", "--d-min", "5", "--d-max", "5", "--d-max-iter", "3"],
          "degree sampling failed after d_max_iter attempts"),
+        # numpy would reject it without naming the option
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
     ])
     def test_bad_abcd_input_exit_1(self, tmp_path, capsys, flags, message):
         rc = main(["generate", "abcd", "--n", "100", "--c-min", "10", "--c-max", "50",
@@ -295,6 +289,9 @@ class TestEvaluate:
         ("louvain:seed=2,seed=3", ("seed", "louvain:seed=2,seed=3")),
         ("label_propagation:max_sweeps=0", ("label_propagation", "max_sweeps", "0")),
         ("label_propagation:max_sweeps=-3", ("label_propagation", "max_sweeps", "-3")),
+        # random.Random(-5) would repeat seed 5
+        ("louvain:seed=-5", ("louvain", "seed", "-5")),
+        ("label_propagation:seed=-1", ("label_propagation", "seed", "-1")),
     ])
     def test_bad_detector_parameter_exit_1(self, tmp_path, capsys, detector, named):
         edges, gt = _generate(tmp_path)
@@ -467,24 +464,33 @@ class TestEvaluate:
     def test_external_partition_warning_names_its_file(self, tmp_path, capsys):
         edges, gt = _generate(tmp_path)
         edges2, gt2 = _generate(tmp_path, "h", seed=4)
-        part = tmp_path / "p.part"
+        part, undecodable = tmp_path / "p.part", tmp_path / "q.part"
         part.write_text("0 0\n0 1\n")
+        undecodable.write_bytes(b"0 0\n\xff 1\n")
+        with pytest.raises(UnicodeDecodeError) as text_read:
+            undecodable.read_text(encoding="utf-8")
         rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
                    "--graph", str(edges2), "--gt", str(gt2),
                    "--detector", f"external:path={part}", "--detector", "louvain",
+                   "--detector", f"external:path={undecodable}",
                    "--out", str(tmp_path / "run")])
         assert rc == 0
         warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert warnings == [
             f"warning: external:p on {g}: PartitionError: {part} (external partition): "
             "line 2: node 0 assigned twice" for g in (edges, edges2)
+        ] + [
+            f"warning: external:q on {g}: InputError: {undecodable} (external partition): "
+            f"{text_read.value}" for g in (edges, edges2)
         ]
 
-    def test_undecodable_ground_truth_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("role", ["ground truth", "graph"], ids=["gt", "graph"])
+    def test_undecodable_input_exit_1(self, tmp_path, capsys, role):
         edges, gt = _generate(tmp_path)
-        gt.write_bytes(gt.read_bytes() + b"\xff 0\n")
+        bad = gt if role == "ground truth" else edges
+        bad.write_bytes(bad.read_bytes() + b"\xff 0\n")
         with pytest.raises(UnicodeDecodeError) as text_read:
-            with open(gt, encoding="utf-8") as fh:
+            with open(bad, encoding="utf-8") as fh:
                 list(fh)
         out = tmp_path / "new" / "run"
         rc = main([
@@ -492,8 +498,17 @@ class TestEvaluate:
             "--detector", "louvain", "--out", str(out),
         ])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {text_read.value}\n"
+        assert capsys.readouterr().err == f"error: {bad} ({role}): {text_read.value}\n"
         assert not (tmp_path / "new").exists()
+
+    def test_negative_run_seed_exit_1(self, tmp_path, capsys):
+        # random.Random(-3) would repeat the first cell of --seed 3
+        edges, gt = _generate(tmp_path)
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt), "--detector", "louvain",
+                   "--seed", "-3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -3\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("detectors", [
         ["louvain", "label_propagation", "cnm", "external:path=missing.gt"],

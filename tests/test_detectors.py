@@ -18,7 +18,6 @@ from cdfair.detectors import (
 from cdfair.graph import Graph
 from cdfair.partition import contingency
 from cdfair.quality import ari, modularity, nmi
-from cdfair.synthgen import generate_two_community
 
 
 def two_triangles():

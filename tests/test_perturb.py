@@ -15,8 +15,7 @@ from cdfair.perturb import (
     round_half_away,
     run_sweep,
 )
-from cdfair.synthgen import two_block_partition
-from oracles import perturb_change, perturb_expand, perturb_shrink
+from oracles import perturb_change, perturb_expand, perturb_shrink, two_block_partition
 
 
 def focal_ib(gt, pred, focal):

@@ -1,16 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from cdfair.graph import Graph
 from cdfair.synthgen import (
     AbcdParams,
     GenerationError,
     generate_abcd_lite,
-    generate_two_community,
     truncated_power_law,
-    two_block_partition,
 )
 
 SMALL = dict(n=500, c_min=50, c_max=150, d_min=5, d_max=30)
@@ -128,45 +123,3 @@ def test_mixing_converges_at_scale():
     _, _, info = generate_abcd_lite(params)
     assert abs(info["realized_inter_fraction"] - 0.4) <= 0.05
 
-
-# ------------------------------------------------------- two-community
-
-
-def test_two_block_sizes():
-    p = two_block_partition(100, 0.2)
-    assert p.sizes.tolist() == [20, 80]
-
-
-def test_two_block_degenerate():
-    with pytest.raises(ValueError):
-        two_block_partition(3, 0.01)
-    with pytest.raises(ValueError):
-        two_block_partition(100, 0.0)
-
-
-def test_two_community_cliques():
-    g, p = generate_two_community(20, 0.25, intra_p=1.0, inter_p=0.0, seed=1)
-    expected = set(itertools.combinations(range(5), 2)) | set(
-        itertools.combinations(range(5, 20), 2)
-    )
-    assert set(map(tuple, g.edge_array.tolist())) == expected
-    assert p.sizes.tolist() == [5, 15]
-
-
-def test_two_community_edge_counts_near_expectation():
-    n, frac, ip, xp = 400, 0.2, 0.2, 0.02
-    g, p = generate_two_community(n, frac, intra_p=ip, inter_p=xp, seed=42)
-    sm, sb = 80, 320
-    expected = ip * (sm * (sm - 1) / 2 + sb * (sb - 1) / 2) + xp * sm * sb
-    assert g.num_edges == pytest.approx(expected, rel=0.1)
-
-
-def test_two_community_determinism():
-    a, _ = generate_two_community(200, 0.2, seed=9)
-    b, _ = generate_two_community(200, 0.2, seed=9)
-    assert a.edge_array.tolist() == b.edge_array.tolist()
-
-
-def test_two_community_probability_validation():
-    with pytest.raises(ValueError):
-        generate_two_community(10, 0.5, intra_p=1.5)
