@@ -31,6 +31,16 @@ def _check_max_sweeps(max_sweeps: int, given) -> None:
         )
 
 
+def _check_seed(name: str, seed: int, given) -> None:
+    """Raise ValueError if detector `name`'s `seed` is negative, since
+    random.Random(-s) would repeat seed s; the message shows `given`, the
+    value as the caller wrote it."""
+    if seed < 0:
+        raise ValueError(
+            f"detector {name!r}: parameter 'seed' must be non-negative, got {given!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """A detector and its parameters, checked when the spec is built.
@@ -67,11 +77,8 @@ class DetectorSpec:
                 ) from None
         if "max_sweeps" in kwargs:
             _check_max_sweeps(kwargs["max_sweeps"], self.params["max_sweeps"])
-        if kwargs.get("seed", 0) < 0:  # random.Random(-s) would repeat seed s
-            raise ValueError(
-                f"detector {self.name!r}: parameter 'seed' must be non-negative, "
-                f"got {self.params['seed']!r}"
-            )
+        if "seed" in kwargs:
+            _check_seed(self.name, kwargs["seed"], self.params["seed"])
         if self.name == "external" and not kwargs.get("path"):
             raise ValueError("detector 'external' requires a 'path' parameter")
         object.__setattr__(self, "kwargs", kwargs)
@@ -99,6 +106,7 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     random stream; settled nodes are skipped without counting.
     """
     _check_max_sweeps(max_sweeps, max_sweeps)
+    _check_seed("label_propagation", seed, seed)
     _require_edges(g)
     rng = random.Random(seed)
     adj = g.neighbor_lists()
@@ -185,6 +193,7 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
     defined one. No generated graph in the tests reaches such a level; a
     hand-built one with edge weights 24,809 and 70,399 does.
     """
+    _check_seed("louvain", seed, seed)
     _require_edges(g)
     rng = random.Random(seed)
     # one level: neighbour -> edge weight per node (no self entries), and each

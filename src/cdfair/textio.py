@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import io
 import itertools
+from typing import Sequence
 
 import numpy as np
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
+_BLOCK = 1 << 18  # bytes per block of parse_rows
 
 
 class InputError(ValueError):
@@ -43,16 +45,18 @@ def load_file(path: str, role: str, load):
         raise InputError(f"{path} ({role}): {exc}") from None
 
 
-def read_rows(data: bytes) -> tuple[np.ndarray, np.ndarray, str | None]:
+def read_rows(data: bytes) -> tuple[Sequence[int], np.ndarray, str | None]:
     """The token pairs of a file's data lines, as ``read_pairs`` returns them.
 
     The (m, 2) tokens are int64 when the file is canonical (``parse_rows``),
     and otherwise the text tokens as an object array, which keeps each token
-    whole (``"a\\x00"`` is not ``"a"``).
+    whole (``"a\\x00"`` is not ``"a"``). The line numbers of canonical rows
+    are ``range(1, m + 1)``, which takes no memory per row; callers only
+    index them, to name a line in an error.
     """
     rows = parse_rows(data)
     if rows is not None:  # row r is line r + 1
-        return np.arange(1, len(rows) + 1), rows, None
+        return range(1, len(rows) + 1), rows, None
     linenos, tokens, error = read_pairs(data)
     return linenos, np.array(tokens, dtype=object).reshape(-1, 2), error
 
@@ -95,10 +99,30 @@ def parse_rows(data: bytes) -> np.ndarray | None:
     tokens are equal exactly when their values are, and ``read_pairs`` +
     ``parse_ints`` give the same values. Row r of the (m, 2) int64 result is
     line r + 1. Any other input, an empty one included, gives None.
+
+    The bytes are parsed in blocks of about ``_BLOCK`` bytes, each ending
+    after a newline, into one result array sized from the newline count, so
+    besides its input and result the parse holds only one block's
+    temporaries. A line never spans two blocks, so checking each block
+    checks the file.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if len(buf) == 0 or buf[-1] != ord("\n"):
+    if not data.endswith(b"\n"):
         return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    values = np.empty(2 * np.count_nonzero(buf == ord("\n")), dtype=np.int64)
+    start = done = 0
+    while start < len(data):
+        stop = data.index(b"\n", min(start + _BLOCK, len(data)) - 1) + 1
+        count = _parse_block(buf[start:stop], values[done:])
+        if count is None:
+            return None
+        start, done = stop, done + count
+    return values.reshape(-1, 2)
+
+
+def _parse_block(buf: np.ndarray, out: np.ndarray) -> int | None:
+    """Parse canonical lines ending in a newline into the front of `out`;
+    the number of values written, or None when the lines are not canonical."""
     ends = np.flatnonzero(buf - np.uint8(ord("0")) >= 10)  # the byte after each token
     seps = buf[ends]
     if len(ends) % 2 or (seps[0::2] != ord(" ")).any() or (seps[1::2] != ord("\n")).any():
@@ -115,33 +139,53 @@ def parse_rows(data: bytes) -> np.ndarray | None:
     # column reads as a leading "0", so every token gains the same offset
     width = int(lengths.max())
     padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])  # no index below 0
-    values = np.zeros(len(ends), dtype=np.int64)
+    values = out[: len(ends)]
+    values[:] = 0
     for j in range(width, 0, -1):  # the j-th byte before each token's end
         values *= 10
         values += np.where(lengths >= j, padded[ends + (width - j)], ord("0"))
     values -= ord("0") * int("1" * width)
-    return values.reshape(-1, 2)
+    return len(ends)
 
 
-def parse_ints(tokens: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """``int()`` of each token, up to the first token it rejects.
+def parse_ints(tokens: np.ndarray | list[str]) -> tuple[np.ndarray, int | None]:
+    """The values of node-id tokens, up to the first token that is not one.
 
-    ``tokens`` holds tokens of ``read_rows``: int64 ones are returned as they
-    are. Returns the values as int64 (clipped to its range) and the index of
-    the first non-integer token, or None when every token is an integer.
+    A node id is ASCII digits after an optional ``-``, so ``1_0``, ``+3``
+    and ``\u0663`` (which ``int()`` reads as 10, 3 and 3) are not. ``tokens``
+    holds text tokens, or the int64 tokens of ``read_rows``, which are
+    returned as they are. Returns the values as int64 (clipped to its range)
+    and the index of the first token that is not a node id, or None when
+    every token is one.
     """
-    try:  # numpy parses each string with int()'s rules
-        return np.asarray(tokens, dtype=np.int64), None
+    if isinstance(tokens, np.ndarray) and tokens.dtype == np.int64:
+        return tokens, None
+    stop = _first_non_id(tokens)
+    ids = tokens[:stop]
+    try:
+        return np.asarray(ids, dtype=np.int64), stop
     except (ValueError, OverflowError):
         pass
     values = []
-    for tok in tokens:
+    for tok in ids:
         try:
             values.append(min(max(int(tok), _I64_MIN), _I64_MAX))
-        except ValueError:
-            break
-    bad = len(values) if len(values) < len(tokens) else None
-    return np.array(values, dtype=np.int64), bad
+        except ValueError:  # more digits than int() converts
+            return np.array(values, dtype=np.int64), len(values)
+    return np.array(values, dtype=np.int64), stop
+
+
+def _first_non_id(tokens) -> int | None:
+    """Index of the first text token that is not a node id, or None."""
+    # the UTF-8 bytes of the tokens, which hold no space, with a space
+    # before and after each
+    buf = np.frombuffer(f" {' '.join(tokens)} ".encode(), dtype=np.uint8)
+    digit = buf - np.uint8(ord("0")) < 10
+    bad = ~digit & (buf != ord(" "))
+    minus = np.flatnonzero(buf == ord("-"))  # allowed first in a token, before a digit
+    bad[minus] = (buf[minus - 1] != ord(" ")) | ~digit[minus + 1]
+    at = first_true(bad)
+    return None if at is None else int(np.count_nonzero(buf[:at] == ord(" "))) - 1
 
 
 def first_true(mask: np.ndarray) -> int | None:

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from cdfair.bias import BiasReport
-from cdfair.graph import EdgeListError, Graph
+from cdfair.graph import MAX_NODES, EdgeListError, Graph
 from cdfair.partition import Partition, PartitionError
 from cdfair.perturb import minority_size, round_half_away
 from cdfair.synthgen import AbcdParams, _sample_degrees
@@ -431,6 +432,13 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> tuple[P
     return Partition.from_labels(labels), False
 
 
+def node_id(token: str) -> int:
+    """The value of a node-id token: ASCII digits after an optional '-'."""
+    if re.fullmatch(r"-?[0-9]+", token) is None:
+        raise ValueError(f"not a node id: {token!r}")
+    return int(token)
+
+
 def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
     """(n, edge set, duplicates dropped, self-loops dropped), line by line."""
     pairs = []
@@ -445,11 +453,15 @@ def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
         ids = []
         for tok in tokens:
             try:
-                i = int(tok)
+                i = node_id(tok)
             except ValueError:
                 raise EdgeListError(f"line {lineno}: non-integer node id {tok!r}")
             if i < 0:
                 raise EdgeListError(f"line {lineno}: negative node id {i}")
+            if i >= MAX_NODES:
+                raise EdgeListError(
+                    f"line {lineno}: node id {i} above the largest node id {MAX_NODES - 1}"
+                )
             max_raw = max(max_raw, i)
             ids.append(i)
         pairs.append(tuple(ids))
@@ -478,7 +490,7 @@ def load_partition(lines, n: int) -> Partition:
         if len(tokens) != 2:
             raise PartitionError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         try:
-            node = int(tokens[0])
+            node = node_id(tokens[0])
         except ValueError:
             raise PartitionError(f"line {lineno}: non-integer node id {tokens[0]!r}")
         if not 0 <= node < n:

@@ -85,6 +85,9 @@ def test_lpa_requires_edges():
 @pytest.mark.parametrize("detector, kwargs, message", [
     (label_propagation, {"max_sweeps": 0}, "parameter 'max_sweeps' must be at least 1, got 0"),
     (label_propagation, {"max_sweeps": -3}, "parameter 'max_sweeps' must be at least 1, got -3"),
+    (louvain, {"seed": -5}, "detector 'louvain': parameter 'seed' must be non-negative, got -5"),
+    (label_propagation, {"seed": -7},
+     "detector 'label_propagation': parameter 'seed' must be non-negative, got -7"),
 ])
 def test_direct_call_rejects_parameter_out_of_range(detector, kwargs, message):
     with pytest.raises(ValueError, match=message):

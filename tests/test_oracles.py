@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 import logging
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cdfair import textio
 from cdfair.detectors import _louvain_local_move, greedy_agglomerative, label_propagation, louvain
 from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
 from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
@@ -425,6 +428,11 @@ NON_CANONICAL_LINES = [
 ]
 
 
+# parse_rows block sizes: the default, and ones that put a few lines in a block
+# (the lines above are 4 to 38 bytes long), so a file spans many blocks
+block_sizes = st.just(textio._BLOCK) | st.integers(16, 64)
+
+
 def _file_sources(lines):
     """The bytes of files holding the lines without and with a last newline,
     each with the lines that reading such a file yields."""
@@ -432,11 +440,46 @@ def _file_sources(lines):
         yield text.encode(), io.StringIO(text).readlines()
 
 
-@given(canonical_rows)
+def _assert_edge_list_matches_oracle(source, file_lines):
+    try:
+        n, edges, dup, loops = oracles.load_edge_list(file_lines)
+    except EdgeListError as exc:
+        with pytest.raises(EdgeListError) as got:
+            load_edge_list(source)
+        assert str(got.value) == str(exc)
+        return
+    res = load_edge_list(source)
+    assert res.graph.n == n
+    assert res.graph.edge_array.tolist() == sorted(map(list, edges))
+    assert (res.duplicates_dropped, res.self_loops_dropped) == (dup, loops)
+    adjacency = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
+    assert res.graph.neighbor_lists() == adjacency
+
+
+def _assert_partition_matches_oracle(source, file_lines, n):
+    try:
+        want = oracles.load_partition(file_lines, n)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as got:
+            load_partition(source, n)
+        assert str(got.value) == str(exc)
+        return
+    p = load_partition(source, n)
+    assert p.labels.tolist() == want.labels.tolist()
+    assert p.k == want.k
+
+
+def _read_as_text(source):
+    """The lines of a file as the loaders' text path reads them."""
+    return list(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig"))
+
+
+@given(canonical_rows, block_sizes)
 @settings(max_examples=300, deadline=None)
-def test_parse_rows_matches_text_reader(rows):
+def test_parse_rows_matches_text_reader(rows, block):
     text = "".join(f"{u} {v}\n" for u, v in rows)
-    got = parse_rows(text.encode())
+    with mock.patch.object(textio, "_BLOCK", block):
+        got = parse_rows(text.encode())
     if not rows:
         assert got is None  # an empty file is read as text
         return
@@ -447,13 +490,32 @@ def test_parse_rows_matches_text_reader(rows):
     assert got.dtype == np.int64 and got.tolist() == ids.reshape(-1, 2).tolist() == list(map(list, rows))
 
 
-@given(canonical_rows, st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 20))
+@given(canonical_rows, st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 20), block_sizes)
 @settings(max_examples=300, deadline=None)
-def test_parse_rows_rejects_other_text(rows, line, at):
+def test_parse_rows_rejects_other_text(rows, line, at, block):
     lines = [f"{u} {v}\n" for u, v in rows]
-    assert parse_rows("".join(lines).encode()[:-1]) is None  # no last newline
-    lines.insert(at, line)
-    assert parse_rows("".join(lines).encode()) is None
+    with mock.patch.object(textio, "_BLOCK", block):
+        assert parse_rows("".join(lines).encode()[:-1]) is None  # no last newline
+        lines.insert(at, line)
+        assert parse_rows("".join(lines).encode()) is None
+
+
+@given(st.permutations(range(40)), st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 40),
+       block_sizes)
+@settings(max_examples=300, deadline=None)
+def test_loaders_read_other_text_in_any_block_as_text(nodes, line, at, block):
+    # canonical files over many blocks, with a non-canonical line in any
+    # block or no last newline: the loaders report what the text path does
+    edges = [f"{u} {u * 7 % 40}\n" for u in nodes]
+    labels = [f"{u} {u % 7}\n" for u in nodes]
+    checks = [(edges, _assert_edge_list_matches_oracle),
+              (labels, lambda source, lines: _assert_partition_matches_oracle(source, lines, 40))]
+    with mock.patch.object(textio, "_BLOCK", block):
+        for lines, assert_matches_oracle in checks:
+            for source in ("".join(lines[:at] + [line] + lines[at:]).encode(),
+                           "".join(lines).encode()[:-1]):
+                assert parse_rows(source) is None
+                assert_matches_oracle(source, _read_as_text(source))
 
 
 def test_parse_rows_rejects_empty_and_undecodable_input():
@@ -465,7 +527,7 @@ def test_parse_rows_rejects_empty_and_undecodable_input():
 # canonical lines first: half the examples draw only those, so files of them
 # take the byte reader
 EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", "", "   ",
-              "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2"]
+              "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2", "1_0 2", "\u0663 1", "2 -0"]
 
 
 @given(st.lists(st.sampled_from(EDGE_LINES[:5]), max_size=12)
@@ -473,23 +535,12 @@ EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", ""
 @settings(max_examples=300, deadline=None)
 def test_load_edge_list_matches_line_loop(lines):
     for source, file_lines in _file_sources(lines):
-        try:
-            n, edges, dup, loops = oracles.load_edge_list(file_lines)
-        except EdgeListError as exc:
-            with pytest.raises(EdgeListError) as got:
-                load_edge_list(source)
-            assert str(got.value) == str(exc)
-            continue
-        res = load_edge_list(source)
-        assert res.graph.n == n
-        assert res.graph.edge_array.tolist() == sorted(map(list, edges))
-        assert (res.duplicates_dropped, res.self_loops_dropped) == (dup, loops)
-        adjacency = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
-        assert res.graph.neighbor_lists() == adjacency
+        _assert_edge_list_matches_oracle(source, file_lines)
 
 
 PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1 b", "3 x",
-                   "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07"]
+                   "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07", "1_0 a",
+                   "\u0663 a"]
 
 
 @given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
@@ -497,16 +548,18 @@ PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1
 @settings(max_examples=300, deadline=None)
 def test_load_partition_matches_line_loop(lines, n):
     for source, file_lines in _file_sources(lines):
-        try:
-            want = oracles.load_partition(file_lines, n)
-        except PartitionError as exc:
-            with pytest.raises(PartitionError) as got:
-                load_partition(source, n)
-            assert str(got.value) == str(exc)
-            continue
-        p = load_partition(source, n)
-        assert p.labels.tolist() == want.labels.tolist()
-        assert p.k == want.k
+        _assert_partition_matches_oracle(source, file_lines, n)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "-", "1-2", "--1"])
+def test_node_ids_are_ascii_digits(token):
+    # int() reads the first three as 10, 3 and 3; a negative id such as
+    # "-1" stays a number, which EDGE_LINES and PARTITION_LINES check
+    message = re.escape(f"line 2: non-integer node id {token!r}")
+    with pytest.raises(EdgeListError, match=message):
+        load_edge_list(f"0 1\n{token} 2\n".encode())
+    with pytest.raises(PartitionError, match=message):
+        load_partition(f"0 a\n{token} a\n".encode())
 
 
 def test_canonical_partition_labels_stay_text():
