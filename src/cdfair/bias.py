@@ -19,6 +19,8 @@ import numpy as np
 
 from .partition import ContingencyTable
 
+_BLOCK = 8192  # rows per block of BiasReport.write_csv
+
 
 @dataclass(frozen=True)
 class BiasReport:
@@ -40,14 +42,19 @@ class BiasReport:
 
         Nodes share few values (one per contingency cell at most), so each
         distinct value is formatted once. Values are grouped by their bits,
-        which keeps -0.0 apart from 0.0.
+        which keeps -0.0 apart from 0.0. The rows are written ``_BLOCK``
+        nodes at a time, so the text of one block exists at once, not of n
+        rows.
         """
         bits, inverse = np.unique(np.ascontiguousarray(self.ib, dtype=np.float64).view(np.int64),
                                   return_inverse=True)
-        text = np.array([f",{val!r}\n" for val in bits.view(np.float64).tolist()], dtype=object)
+        text = [f",{val!r}\n" for val in bits.view(np.float64).tolist()]
+        inverse = inverse.reshape(-1)
         sink.write("node_id,ib\n")
-        sink.write("".join(chain.from_iterable(zip(map(str, range(len(inverse))),
-                                                   text[inverse.reshape(-1)].tolist()))))
+        for start in range(0, len(inverse), _BLOCK):
+            block = inverse[start:start + _BLOCK].tolist()
+            sink.write("".join(chain.from_iterable(zip(map(str, range(start, start + len(block))),
+                                                       map(text.__getitem__, block)))))
 
 
 def ib_all_fast(ct: ContingencyTable) -> BiasReport:

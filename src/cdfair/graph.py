@@ -115,9 +115,9 @@ def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
     directly as indices. n is the largest id plus one unless given, in
     which case every id must lie in [0, n) (nodes without edges are
     isolated); either way n is at most ``MAX_NODES``. Lines starting with
-    '#' are comments. Duplicate edges and self-loops are dropped (counted,
-    warned), never fatal. When the input has several problems, the one on
-    the earliest line is reported.
+    '#' or '%' are comments. Duplicate edges and self-loops are dropped
+    (counted, warned), never fatal. When the input has several problems, the
+    one on the earliest line is reported.
     """
     if n is not None and n > MAX_NODES:
         raise EdgeListError(f"n={n} above the largest node count {MAX_NODES}")

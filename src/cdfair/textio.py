@@ -1,9 +1,10 @@
 """Two-column text I/O shared by edge lists and partition files.
 
-Both formats are whitespace-separated token pairs, one per line, with blank
-lines and '#' comments allowed. ``read_rows`` is the one reader: it takes a
-file's bytes and returns its token pairs, as integers when the file is in
-the canonical form and as text otherwise, so each loader has one parse path.
+Both formats are token pairs separated by ASCII whitespace, one per line,
+with blank lines and '#' or '%' comments allowed. ``read_rows`` is the one
+reader: it takes a file's bytes and returns its token pairs, as integers
+when the file is in the canonical form and as text otherwise, so each loader
+has one parse path.
 Checks that fail report the line number of the first offending line, and
 ``load_file`` puts the file's path and role before that. Writing
 formats whole integer columns at once, in the canonical form that
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import re
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +23,12 @@ import numpy as np
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
 _BLOCK = 1 << 18  # bytes per block of parse_rows
+_SPACE = " \t\n\r\x0b\x0c"  # the token separators: what bytes.split() splits on
+# the other characters that str.split() splits on, the ASCII ones first
+_OTHER_SPACE = ("\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+                "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_OTHER_SPACE_RE = re.compile(f"[{_OTHER_SPACE}]")
+_NOT_SPACE_RE = re.compile(f"[^{_SPACE}]+")
 
 
 class InputError(ValueError):
@@ -66,20 +74,24 @@ def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
 
     Bytes are decoded as ``open(path, encoding="utf-8")`` reads a file:
     UTF-8, universal newlines; a byte order mark that opens the first line
-    is dropped. Reading stops at the first line holding other than two
-    tokens, which the error names; the lines before it are returned so the
-    caller can check them first and report whichever problem comes first in
-    the file. Returns ``(line number of each data line, flat token list,
-    error or None)``.
+    is dropped. Tokens are separated by the ASCII whitespace that
+    ``bytes.split()`` splits on, so ``1\u00a02`` is one token. A line whose
+    first token starts with ``#`` or ``%`` is a comment. Reading stops at the
+    first line holding other than two tokens, which the error names; the
+    lines before it are returned so the caller can check them first and
+    report whichever problem comes first in the file. Returns ``(line number
+    of each data line, flat token list, error or None)``.
     """
     lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
         lines[0] = lines[0][1:]
     text = " ".join(lines)  # a line need not end in a newline
-    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    has_comments = "#" in text
+    split = _split_tokens(text)
+    counts = np.fromiter(map(len, map(split, lines)), np.int64, len(lines))
+    has_comments = "#" in text or "%" in text
     if has_comments:
-        comment = np.fromiter((ln.lstrip().startswith("#") for ln in lines), bool, len(lines))
+        comment = np.fromiter((ln.lstrip(_SPACE).startswith(("#", "%")) for ln in lines),
+                              bool, len(lines))
         counts[comment] = 0
     bad = np.flatnonzero((counts != 0) & (counts != 2))
     stop = int(bad[0]) if len(bad) else len(lines)
@@ -87,7 +99,20 @@ def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
     paired = counts[:stop] == 2
     if has_comments or error is not None:
         text = " ".join(itertools.compress(lines[:stop], paired.tolist()))
-    return np.flatnonzero(paired) + 1, text.split(), error
+    return np.flatnonzero(paired) + 1, split(text), error
+
+
+def _split_tokens(text: str):
+    """A function that splits lines of `text` on ASCII whitespace alone.
+
+    That is ``str.split`` unless `text` holds one of the other characters
+    it splits on, which are then kept inside their tokens.
+    """
+    if text.isascii():
+        other = any(c in text for c in _OTHER_SPACE[:4])
+    else:
+        other = _OTHER_SPACE_RE.search(text) is not None
+    return _NOT_SPACE_RE.findall if other else str.split
 
 
 def parse_rows(data: bytes) -> np.ndarray | None:

@@ -5,7 +5,8 @@ arrays-first rewrite (CSR graph, one contingency table per pair), the
 CNM loop that rescans every link per merge, which the heap replaced, Louvain
 on float weights with a 1e-12 tie tolerance, which integer gains replaced,
 label propagation that recounts every node's neighbourhood on every visit, the
-edge-list and partition writers that format each line on its own, and the
+edge-list and partition writers that format each line on its own, the bias
+CSV writer that joins all n rows into one string, and the
 ABCD generator that re-shuffles stub pools which can no longer pair and
 draws each community size with its own ``choice`` call. They are slow but
 obviously correct, and the property tests in ``test_oracles.py`` compare the
@@ -27,6 +28,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +74,16 @@ def ib_all_naive(gt: Partition, pred: Partition, cap: int = NAIVE_NODE_CAP) -> B
     for i in range(gt.n):
         ib[i] = cosine_distance(cc_row(gt, i), cc_row(pred, i))
     return BiasReport.from_values(ib)
+
+
+def write_bias_csv(report: BiasReport, sink) -> None:
+    """``BiasReport.write_csv`` as one string of all n rows."""
+    bits, inverse = np.unique(np.ascontiguousarray(report.ib, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.array([f",{val!r}\n" for val in bits.view(np.float64).tolist()], dtype=object)
+    sink.write("node_id,ib\n")
+    sink.write("".join(chain.from_iterable(zip(map(str, range(len(inverse))),
+                                               text[inverse.reshape(-1)].tolist()))))
 
 
 def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
@@ -439,15 +451,19 @@ def node_id(token: str) -> int:
     return int(token)
 
 
+def split_tokens(line: str) -> list[str]:
+    """The tokens of a line: its text between ASCII whitespace, as bytes split."""
+    return [tok.decode() for tok in line.encode().split()]
+
+
 def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
     """(n, edge set, duplicates dropped, self-loops dropped), line by line."""
     pairs = []
     max_raw = -1
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = split_tokens(line)
+        if not tokens or tokens[0].startswith(("#", "%")):
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         ids = []
@@ -483,10 +499,9 @@ def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
 def load_partition(lines, n: int) -> Partition:
     assigned: dict[int, str] = {}
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = split_tokens(line)
+        if not tokens or tokens[0].startswith(("#", "%")):
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise PartitionError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         try:

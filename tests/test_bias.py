@@ -1,14 +1,17 @@
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdfair.bias import ib_all_fast
+from cdfair import bias
+from cdfair.bias import BiasReport, ib_all_fast
 from cdfair.partition import Partition, contingency
-from oracles import cosine_distance, ib_all_naive
+from oracles import cosine_distance, ib_all_naive, write_bias_csv
 
 
 def random_pair(rng, n):
@@ -179,3 +182,57 @@ def test_report_serialization():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "node_id,ib"
     assert len(lines) == 5
+
+
+class _Writes:
+    """A text sink that keeps the number of rows of each write, and their
+    text when asked to."""
+
+    def __init__(self, keep_text: bool):
+        self.rows: list[int] = []
+        self.text: list[str] | None = [] if keep_text else None
+
+    def write(self, text: str) -> None:
+        self.rows.append(text.count("\n"))
+        if self.text is not None:
+            self.text.append(text)
+
+
+BLOCK = 4  # rows per block in the tests below, so a few nodes span blocks
+# values that nodes share, and the two zeros, which compare equal but print apart
+SHARED_IB = [0.0, -0.0, 0.5, 1 / 3, 0.1 + 0.2]
+
+
+@given(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_write_csv_in_blocks_matches_one_shot_writer(n, data):
+    ib = data.draw(st.lists(st.sampled_from(SHARED_IB) | st.floats(0.0, 1.0, exclude_max=True),
+                            min_size=n, max_size=n))
+    rep = BiasReport.from_values(np.array(ib))
+    sink = _Writes(keep_text=True)
+    with mock.patch.object(bias, "_BLOCK", BLOCK):
+        rep.write_csv(sink)
+    want = io.StringIO()
+    write_bias_csv(rep, want)
+    assert "".join(sink.text) == want.getvalue()
+    # the header, then full blocks and what is left
+    assert sink.rows == [1] + [BLOCK] * (n // BLOCK) + [n % BLOCK] * (n % BLOCK > 0)
+
+
+def test_write_csv_peak_memory_per_node():
+    # 200k nodes sharing 5000 values, about as many as a contingency table
+    # of a graph that size has cells
+    rng = np.random.default_rng(5)
+    n = 200_000
+    rep = BiasReport.from_values(rng.random(5000)[rng.integers(0, 5000, n)])
+    sink = _Writes(keep_text=False)
+    tracemalloc.start()
+    try:
+        rep.write_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sink.rows) == n + 1
+    # measured about 41 bytes per node, the temporaries of np.unique; one
+    # string of all n rows took about 104
+    assert peak / n < 64, peak / n

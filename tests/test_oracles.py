@@ -11,6 +11,7 @@ import io
 import logging
 import random
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -424,7 +425,7 @@ canonical_rows = st.lists(
 NON_CANONICAL_LINES = [
     "# c\n", "\n", "-1 2\n", "+1 2\n", "1\t2\n", "1 2\r\n", "\ufeff1 2\n", "1\n", "1 2 3\n",
     "007 1\n", "1 00\n", "1000000000000000000 1\n", "1  2\n", " 1 2\n", "1 2 \n", "1_0 2\n",
-    "\u0661 2\n", "\xe9 1\n",
+    "\u0661 2\n", "\xe9 1\n", "% c\n", "1\xa02\n",
 ]
 
 
@@ -527,7 +528,8 @@ def test_parse_rows_rejects_empty_and_undecodable_input():
 # canonical lines first: half the examples draw only those, so files of them
 # take the byte reader
 EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", "", "   ",
-              "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2", "1_0 2", "\u0663 1", "2 -0"]
+              "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2", "1_0 2", "\u0663 1", "2 -0",
+              "% note", " %1 2", "1\xa02", "1\u2003 2", "\x1c1 0", "1 2\x1f"]
 
 
 @given(st.lists(st.sampled_from(EDGE_LINES[:5]), max_size=12)
@@ -540,7 +542,7 @@ def test_load_edge_list_matches_line_loop(lines):
 
 PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1 b", "3 x",
                    "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07", "1_0 a",
-                   "\u0663 a"]
+                   "\u0663 a", "% c", "0 a\xa0b", "1\u2003a", "3\x1c a"]
 
 
 @given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
@@ -560,6 +562,53 @@ def test_node_ids_are_ascii_digits(token):
         load_edge_list(f"0 1\n{token} 2\n".encode())
     with pytest.raises(PartitionError, match=message):
         load_partition(f"0 a\n{token} a\n".encode())
+
+
+def test_other_spaces_are_every_space_str_split_splits_on():
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert spaces == set(textio._SPACE) | set(textio._OTHER_SPACE)
+    assert textio._SPACE.isascii() and textio._OTHER_SPACE[:4].isascii()
+    assert not any(map(str.isascii, textio._OTHER_SPACE[4:]))  # the ASCII ones come first
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
+def test_other_unicode_spaces_stay_inside_tokens(space):
+    # str.split() splits on each of them; tokens are separated only by the
+    # ASCII whitespace that bytes.split() splits on
+    token = f"1{space}2"
+    for body, message in ((token, "line 2: expected two tokens, got 1"),
+                          (f"{token} 3", f"line 2: non-integer node id {token!r}")):
+        with pytest.raises(EdgeListError, match=re.escape(message)):
+            load_edge_list(f"0 1\n{body}\n".encode())
+        with pytest.raises(PartitionError, match=re.escape(message)):
+            load_partition(f"0 a\n{body}\n".encode())
+    # a community id keeps the character, so a{space}b is not a
+    p = load_partition(f"0 a{space}b\n1 a\n".encode())
+    assert (p.labels.tolist(), p.k) == ([0, 1], 2)
+
+
+@pytest.mark.parametrize("load, error, body", [
+    (load_edge_list, EdgeListError, b"0 1\n1 x\n"),
+    (load_edge_list, EdgeListError, b"0 1\n1 2 3\n"),
+    (load_partition, PartitionError, b"0 a\n0 b\n"),
+    (load_partition, PartitionError, b"0 a\n  \tx a\n"),
+])
+def test_percent_lines_are_comments(load, error, body):
+    # KONECT files open with '%' lines; they count in the line numbers of
+    # later errors as '#' lines do
+    for head in (b"% sym unweighted\n", b" \t%\n"):
+        with pytest.raises(error) as got:
+            load(head + body)
+        assert str(got.value).startswith("line 3: ")
+        with pytest.raises(error, match=re.escape(str(got.value))):
+            load(b"# c\n" + body)
+
+
+def test_konect_header_reads_as_comments():
+    g = load_edge_list(b"% sym unweighted\n% 3 2 2\n1\t2\n0\t2\n").graph
+    assert g.edge_array.tolist() == [[0, 2], [1, 2]]
+    p = load_partition(b"% konect\n0\t7\n%\n1\t8\n")
+    assert (p.labels.tolist(), p.k) == ([0, 1], 2)
 
 
 def test_canonical_partition_labels_stay_text():

@@ -1,6 +1,6 @@
 """The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
-and ``cdfair report`` run without numpy, and README's library example runs as
-written.
+and ``cdfair report`` run without numpy, ``cdfair evaluate`` without
+``numpy.ma``, and README's library example runs as written.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +62,33 @@ def test_sweep_report_and_version_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 6
     assert (tmp_path / "figures" / "scatter_points.csv").is_file()
+
+
+def test_evaluate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without a return_* argument imports numpy.ma, which costs
+    # each forked worker its import time and memory; one worker runs every
+    # cell in the interpreter that is checked
+    data = ROOT / "tests" / "data"
+    proc = _python(
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit('numpy.ma loaded by numpy')\n"
+        "from cdfair import evaluate\n"
+        "from cdfair.cli import main\n"
+        "evaluate._worker_count = lambda cells: 1\n"
+        f"assert main(['evaluate', '--graph', {str(data / 'karate.edges')!r},\n"
+        f"             '--gt', {str(data / 'karate.gt')!r},\n"
+        "             '--detector', 'louvain', '--detector', 'label_propagation',\n"
+        f"             '--detector', 'cnm', '--detector', 'external:path={data / 'karate.gt'}',\n"
+        f"             '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    if proc.stderr.strip() == "numpy.ma loaded by numpy":  # numpy before 2.0 imports it
+        pytest.skip(proc.stderr.strip())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "run" / "bias").glob("*.csv"))) == 4
 
 
 def test_readme_library_example_runs():
