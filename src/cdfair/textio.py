@@ -24,10 +24,9 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
 _BLOCK = 1 << 18  # bytes per block of parse_rows
 _SPACE = " \t\n\r\x0b\x0c"  # the token separators: what bytes.split() splits on
-# the other characters that str.split() splits on, the ASCII ones first
-_OTHER_SPACE = ("\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
-                "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-_OTHER_SPACE_RE = re.compile(f"[{_OTHER_SPACE}]")
+# the other characters that str.split() splits on
+_OTHER_SPACE_RE = re.compile("[\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+                             "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000]")
 _NOT_SPACE_RE = re.compile(f"[^{_SPACE}]+")
 
 
@@ -86,7 +85,9 @@ def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
     if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
         lines[0] = lines[0][1:]
     text = " ".join(lines)  # a line need not end in a newline
-    split = _split_tokens(text)
+    # str.split splits about twice as fast as the regex, and the same way
+    # when the text holds none of the other spaces
+    split = _NOT_SPACE_RE.findall if _OTHER_SPACE_RE.search(text) else str.split
     counts = np.fromiter(map(len, map(split, lines)), np.int64, len(lines))
     has_comments = "#" in text or "%" in text
     if has_comments:
@@ -100,19 +101,6 @@ def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
     if has_comments or error is not None:
         text = " ".join(itertools.compress(lines[:stop], paired.tolist()))
     return np.flatnonzero(paired) + 1, split(text), error
-
-
-def _split_tokens(text: str):
-    """A function that splits lines of `text` on ASCII whitespace alone.
-
-    That is ``str.split`` unless `text` holds one of the other characters
-    it splits on, which are then kept inside their tokens.
-    """
-    if text.isascii():
-        other = any(c in text for c in _OTHER_SPACE[:4])
-    else:
-        other = _OTHER_SPACE_RE.search(text) is not None
-    return _NOT_SPACE_RE.findall if other else str.split
 
 
 def parse_rows(data: bytes) -> np.ndarray | None:

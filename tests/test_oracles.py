@@ -566,9 +566,8 @@ def test_node_ids_are_ascii_digits(token):
 
 def test_other_spaces_are_every_space_str_split_splits_on():
     spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
-    assert spaces == set(textio._SPACE) | set(textio._OTHER_SPACE)
-    assert textio._SPACE.isascii() and textio._OTHER_SPACE[:4].isascii()
-    assert not any(map(str.isascii, textio._OTHER_SPACE[4:]))  # the ASCII ones come first
+    other = set(textio._OTHER_SPACE_RE.pattern[1:-1])
+    assert spaces == set(textio._SPACE) | other and not other & set(textio._SPACE)
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
