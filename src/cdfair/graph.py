@@ -9,7 +9,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .textio import InputError, first_true, format_rows, parse_ints, read_rows
+from .textio import NOT_ID, InputError, column, first_true, format_rows, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -109,29 +109,29 @@ class LoadedEdgeList:
 def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
     """Parse the bytes of a whitespace-separated edge-list file into a Graph.
 
-    The bytes are read as a UTF-8 file; in the canonical form that
-    ``write_edge_list`` writes they are parsed without decoding, with the
-    same result. Node ids are non-negative integers in ASCII digits, used
-    directly as indices. n is the largest id plus one unless given, in
-    which case every id must lie in [0, n) (nodes without edges are
-    isolated); either way n is at most ``MAX_NODES``. Lines starting with
-    '#' or '%' are comments. Duplicate edges and self-loops are dropped
-    (counted, warned), never fatal. When the input has several problems, the
-    one on the earliest line is reported.
+    The bytes are read as a UTF-8 file (``textio.read_rows``). Node ids are
+    non-negative integers in ASCII digits, used directly as indices. n is
+    the largest id plus one unless given, in which case every id must lie in
+    [0, n) (nodes without edges are isolated); either way n is at most
+    ``MAX_NODES``. Lines starting with '#' or '%' are comments. Duplicate
+    edges and self-loops are dropped (counted, warned), never fatal. When
+    the input has several problems, the one on the earliest line is reported.
     """
     if n is not None and n > MAX_NODES:
         raise EdgeListError(f"n={n} above the largest node count {MAX_NODES}")
-    linenos, tokens, error = read_rows(data)
-    tokens = tokens.reshape(-1)
-    ids, stop = parse_ints(tokens)
-    if stop is not None:
-        error = f"line {linenos[stop // 2]}: non-integer node id {tokens[stop]!r}"
+    values, bad_line, _ = read_rows(data)
+    error = None if bad_line is None else "line {}: expected two tokens, got {}".format(*bad_line)
+    if bad_line is not None and bad_line[1] == 3:  # a weight column
+        error += " (edge weights are not read: the detectors and IB are unweighted)"
+    ids = values.reshape(-1)
     limit = n if n is not None else MAX_NODES
-    if len(ids) and (ids.min() < 0 or ids.max() >= limit):
-        bad = first_true((ids < 0) | (ids >= limit))
-        node = int(tokens[bad])
-        where = f"line {linenos[bad // 2]}"
-        if node < 0:
+    if len(ids) and (ids.min() < 0 or ids.max() >= limit):  # NOT_ID is below 0
+        at = first_true((ids < 0) | (ids >= limit))
+        lines, tokens = column(data, at % 2)
+        where, token = f"line {lines[at // 2]}", tokens[at // 2].decode()
+        if ids[at] == NOT_ID:
+            error = f"{where}: non-integer node id {token!r}"
+        elif (node := int(token)) < 0:
             error = f"{where}: negative node id {node}"
         elif n is None:
             error = f"{where}: node id {node} above the largest node id {MAX_NODES - 1}"
@@ -154,7 +154,7 @@ def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
     loops = int(np.count_nonzero(loop))
     if loops:
         keys = keys[~loop]
-    del tokens, ids, u, v, loop
+    del values, ids, u, v, loop
     edges = len(keys)
     keys = _distinct(keys)
     dup = edges - len(keys)

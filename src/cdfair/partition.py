@@ -12,7 +12,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .textio import InputError, first_true, format_rows, parse_ints, read_rows
+from .textio import NOT_ID, InputError, column, first_true, format_rows, read_rows
 
 
 class PartitionError(InputError):
@@ -111,38 +111,39 @@ def load_partition(data: bytes, n: int | None = None) -> Partition:
     """Parse the bytes of a 'node_id community_id' file; every node in [0, n)
     exactly once.
 
-    The bytes are read as a UTF-8 file; in the canonical form that
-    ``write_partition`` writes they are parsed without decoding, with the
-    same result. With ``n=None`` the node count is the largest node id plus
-    one. Community ids are compared as text. When the input has several
-    problems, the one on the earliest line is reported.
+    The bytes are read as a UTF-8 file (``textio.read_rows``). With
+    ``n=None`` the node count is the largest node id plus one. Community ids
+    are compared as text. When the input has several problems, the one on
+    the earliest line is reported.
     """
     # each check looks only at the lines before any problem found so far, so
     # the last message set belongs to the earliest bad line
-    linenos, tokens, error = read_rows(data)
-    nodes, stop = parse_ints(tokens[:, 0])
-    if stop is not None:
-        error = f"line {linenos[stop]}: non-integer node id {tokens[stop, 0]!r}"
-    if n is None:
-        n = max(int(nodes.max()) + 1, 0) if len(nodes) else 0
-    bad = first_true((nodes < 0) | (nodes >= n))
+    values, bad_line, canonical = read_rows(data)
+    error = None if bad_line is None else "line {}: expected two tokens, got {}".format(*bad_line)
+    nodes = values[:, 0]
+    if n is None:  # from the ids before the first token that is not one
+        n = int(nodes[: first_true(nodes == NOT_ID)].max(initial=-1)) + 1
+    bad = first_true((nodes < 0) | (nodes >= n))  # NOT_ID is below 0
     if bad is not None:
-        error = f"line {linenos[bad]}: node {int(tokens[bad, 0])} outside [0, {n})"
+        lines, tokens = column(data, 0)
+        what = (f"non-integer node id {tokens[bad].decode()!r}" if nodes[bad] == NOT_ID
+                else f"node {int(tokens[bad])} outside [0, {n})")
+        error = f"line {lines[bad]}: {what}"
         nodes = nodes[:bad]
     distinct, first = np.unique(nodes, return_index=True)
     if len(distinct) < len(nodes):
         repeat = np.ones(len(nodes), dtype=bool)
         repeat[first] = False
         dup = first_true(repeat)
-        error = f"line {linenos[dup]}: node {int(nodes[dup])} assigned twice"
+        error = f"line {column(data, 0)[0][dup]}: node {int(nodes[dup])} assigned twice"
     if error is not None:
         raise PartitionError(error)
     if len(nodes) < n:  # distinct ids in [0, n), so the first gap is unassigned
         gap = first_true(distinct != np.arange(len(distinct)))
         raise PartitionError(f"node {len(distinct) if gap is None else gap} unassigned")
-    labels = tokens[:, 1]  # canonical tokens are equal exactly when their values are
-    if labels.dtype == object:  # text: one code per distinct token
-        labels = np.unique(labels, return_inverse=True)[1]
+    labels = values[:, 1]  # canonical tokens are equal exactly when their values are
+    if not canonical[1]:  # one code per distinct token
+        labels = np.unique(np.array(column(data, 1)[1], dtype=object), return_inverse=True)[1]
     return Partition.from_labels(labels[np.argsort(nodes)])
 
 

@@ -1,33 +1,24 @@
 """Two-column text I/O shared by edge lists and partition files.
 
-Both formats are token pairs separated by ASCII whitespace, one per line,
-with blank lines and '#' or '%' comments allowed. ``read_rows`` is the one
-reader: it takes a file's bytes and returns its token pairs, as integers
-when the file is in the canonical form and as text otherwise, so each loader
-has one parse path.
-Checks that fail report the line number of the first offending line, and
-``load_file`` puts the file's path and role before that. Writing
-formats whole integer columns at once, in the canonical form that
-``parse_rows`` reads back without one Python object per token.
+Both formats are UTF-8 text of token pairs, one per line, with blank lines
+and '#' or '%' comments allowed. Tokens are separated by runs of the six
+ASCII whitespace bytes, which ``bytes.split()`` splits on; lines end in LF,
+CRLF or a lone CR, and a leading byte order mark is dropped, as ``open(path,
+encoding="utf-8")`` reads a file. ``read_rows`` is the one reader, into one
+int64 array of token values. Checks that fail report the line number of the
+first offending line (``column``), and ``load_file`` puts the file's path
+and role before that. Writing formats whole integer columns at once, in the
+canonical form that ``read_rows`` parses fastest.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
-import re
-from typing import Sequence
-
 import numpy as np
 
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _MAX_DIGITS = 18  # every 18-digit value fits int64
-_BLOCK = 1 << 18  # bytes per block of parse_rows
-_SPACE = " \t\n\r\x0b\x0c"  # the token separators: what bytes.split() splits on
-# the other characters that str.split() splits on
-_OTHER_SPACE_RE = re.compile("[\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-                             "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000]")
-_NOT_SPACE_RE = re.compile(f"[^{_SPACE}]+")
+_BLOCK = 1 << 18  # bytes per block of read_rows
+NOT_ID = -(2**63)  # the value of a token that is not a node id; no id has it
+_COMMENT = np.frombuffer(b"#%", dtype=np.uint8)  # the first byte of a comment line
 
 
 class InputError(ValueError):
@@ -52,90 +43,83 @@ def load_file(path: str, role: str, load):
         raise InputError(f"{path} ({role}): {exc}") from None
 
 
-def read_rows(data: bytes) -> tuple[Sequence[int], np.ndarray, str | None]:
-    """The token pairs of a file's data lines, as ``read_pairs`` returns them.
-
-    The (m, 2) tokens are int64 when the file is canonical (``parse_rows``),
-    and otherwise the text tokens as an object array, which keeps each token
-    whole (``"a\\x00"`` is not ``"a"``). The line numbers of canonical rows
-    are ``range(1, m + 1)``, which takes no memory per row; callers only
-    index them, to name a line in an error.
-    """
-    rows = parse_rows(data)
-    if rows is not None:  # row r is line r + 1
-        return range(1, len(rows) + 1), rows, None
-    linenos, tokens, error = read_pairs(data)
-    return linenos, np.array(tokens, dtype=object).reshape(-1, 2), error
-
-
-def read_pairs(data: bytes) -> tuple[np.ndarray, list[str], str | None]:
-    """Tokens of the data lines, two per line, in file order.
-
-    Bytes are decoded as ``open(path, encoding="utf-8")`` reads a file:
-    UTF-8, universal newlines; a byte order mark that opens the first line
-    is dropped. Tokens are separated by the ASCII whitespace that
-    ``bytes.split()`` splits on, so ``1\u00a02`` is one token. A line whose
-    first token starts with ``#`` or ``%`` is a comment. Reading stops at the
-    first line holding other than two tokens, which the error names; the
-    lines before it are returned so the caller can check them first and
-    report whichever problem comes first in the file. Returns ``(line number
-    of each data line, flat token list, error or None)``.
-    """
-    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    if lines and lines[0].startswith("\ufeff"):  # a UTF-8 byte order mark
-        lines[0] = lines[0][1:]
-    text = " ".join(lines)  # a line need not end in a newline
-    # str.split splits about twice as fast as the regex, and the same way
-    # when the text holds none of the other spaces
-    split = _NOT_SPACE_RE.findall if _OTHER_SPACE_RE.search(text) else str.split
-    counts = np.fromiter(map(len, map(split, lines)), np.int64, len(lines))
-    has_comments = "#" in text or "%" in text
-    if has_comments:
-        comment = np.fromiter((ln.lstrip(_SPACE).startswith(("#", "%")) for ln in lines),
-                              bool, len(lines))
-        counts[comment] = 0
-    bad = np.flatnonzero((counts != 0) & (counts != 2))
-    stop = int(bad[0]) if len(bad) else len(lines)
-    error = f"line {stop + 1}: expected two tokens, got {counts[stop]}" if len(bad) else None
-    paired = counts[:stop] == 2
-    if has_comments or error is not None:
-        text = " ".join(itertools.compress(lines[:stop], paired.tolist()))
-    return np.flatnonzero(paired) + 1, split(text), error
-
-
-def parse_rows(data: bytes) -> np.ndarray | None:
-    """The integer pairs of canonical two-column text, or None for other text.
-
-    Canonical text is what ``format_rows`` writes for two columns: every line
-    is ``token SP token LF``, and every token is ``0`` or 1 to 18 digits
-    without a leading zero. Such a token is ``str()`` of its value, so two
-    tokens are equal exactly when their values are, and ``read_pairs`` +
-    ``parse_ints`` give the same values. Row r of the (m, 2) int64 result is
-    line r + 1. Any other input, an empty one included, gives None.
-
-    The bytes are parsed in blocks of about ``_BLOCK`` bytes, each ending
-    after a newline, into one result array sized from the newline count, so
-    besides its input and result the parse holds only one block's
-    temporaries. A line never spans two blocks, so checking each block
-    checks the file.
-    """
-    if not data.endswith(b"\n"):
-        return None
+def read_rows(data: bytes) -> tuple[np.ndarray, tuple[int, int] | None, np.ndarray]:
+    """``(values, bad, canonical)`` of a file's bytes. Values is (m, 2) int64:
+    the two tokens of each data line (one holding tokens, the first not
+    starting with ``#`` or ``%``) as node ids, ASCII digits after an optional
+    ``-`` clipped to ±(2**63 - 1), or as ``NOT_ID``. Bad is (line number,
+    token count) of the first line of neither none nor two tokens, or None;
+    the rows stop before it. Canonical[c] tells whether every token of
+    column c is canonical (``_parse_block``). Bytes that are not UTF-8 raise
+    ``data.decode()``'s error. The blocks of ``_blocks`` are parsed into one
+    array sized from the line count, so the parse holds one block's
+    temporaries besides its input and result; a canonical block takes a
+    shortcut."""
+    if not data.isascii():
+        data.decode()  # offsets in its error count every byte, a byte order mark too
     buf = np.frombuffer(data, dtype=np.uint8)
-    values = np.empty(2 * np.count_nonzero(buf == ord("\n")), dtype=np.int64)
-    start = done = 0
+    # every LF and lone CR ends a line, and a last line may end without one
+    size = np.count_nonzero(buf == ord("\n")) + (data[-1:] not in b"\r\n")
+    if b"\r" in data:
+        after = np.take(buf, np.flatnonzero(buf == ord("\r")) + 1, mode="clip")
+        size += np.count_nonzero(after != ord("\n"))
+    flat = np.empty(2 * size, dtype=np.int64)
+    canonical, bad, done, before = np.ones(2, dtype=bool), None, 0, 0  # rows, lines done
+    for start, stop in _blocks(data):
+        block = buf[start:stop]
+        # only a block that ends in a digit and LF and holds no tab can be canonical
+        canonical_bytes = (data[stop - 2 : stop - 1].isdigit() and data[stop - 1 : stop] == b"\n"
+                           and data.find(b"\t", start, stop) < 0)
+        rows = _parse_block(block, flat[2 * done :]) if canonical_bytes else None
+        if rows is not None:  # a canonical block holds a row on every line
+            done, before = done + rows, before + rows
+            continue
+        starts, ends, rows, bad, counts = _split(block)
+        out = flat[2 * done : 2 * done + len(starts)]
+        canonical &= _parse_ids(block, starts, ends, out).reshape(-1, 2).all(axis=0)
+        done += len(rows)
+        if bad is not None:
+            bad = (before + bad + 1, int(counts[bad]))
+            break
+        before += len(counts)
+    return flat[: 2 * done].reshape(-1, 2), bad, canonical
+
+
+def column(data: bytes, col: int) -> tuple[np.ndarray, list[bytes]]:
+    """The line number of each data row, and the bytes of its token in
+    column `col`, found by splitting the file again (``read_rows(data)``'s
+    rows come first): to word an error, or to tell tokens apart by their
+    bytes, which for UTF-8 tells them apart by their text."""
+    buf, lines, tokens, before = np.frombuffer(data, dtype=np.uint8), [], [], 1
+    for start, stop in _blocks(data):
+        starts, ends, rows, _, counts = _split(buf[start:stop])
+        lines.append(rows + before)
+        tokens += map(data.__getitem__, map(slice, (starts[col::2] + start).tolist(),
+                                            (ends[col::2] + start).tolist()))
+        before += len(counts)
+    return np.concatenate(lines or [np.zeros(0, dtype=np.int64)]), tokens
+
+
+def _blocks(data: bytes):
+    """(start, stop) of blocks of about ``_BLOCK`` bytes after a leading byte
+    order mark, each ending after a LF or a lone CR: no line or CRLF spans two."""
+    start, lf = (3 if data.startswith(b"\xef\xbb\xbf") else 0), -1
     while start < len(data):
-        stop = data.index(b"\n", min(start + _BLOCK, len(data)) - 1) + 1
-        count = _parse_block(buf[start:stop], values[done:])
-        if count is None:
-            return None
-        start, done = stop, done + count
-    return values.reshape(-1, 2)
+        at = min(start + _BLOCK, len(data)) - 1
+        if lf < at:  # the first LF from `at` on, or len(data) when there is none
+            lf = data.find(b"\n", at) % (len(data) + 1)
+        cr = data.find(b"\r", at, lf)
+        stop = cr + 1 if 0 <= cr < lf - 1 else lf + 1
+        yield start, stop
+        start = stop
 
 
 def _parse_block(buf: np.ndarray, out: np.ndarray) -> int | None:
-    """Parse canonical lines ending in a newline into the front of `out`;
-    the number of values written, or None when the lines are not canonical."""
+    """Parse canonical lines into the front of `out`; their number, or None
+    when the lines are not canonical: ``token SP token LF`` each, every
+    token ``0`` or 1 to 18 digits without a leading zero, as ``format_rows``
+    writes them. Such a token is ``str()`` of its value, so two tokens are
+    equal exactly when their values are."""
     ends = np.flatnonzero(buf - np.uint8(ord("0")) >= 10)  # the byte after each token
     seps = buf[ends]
     if len(ends) % 2 or (seps[0::2] != ord(" ")).any() or (seps[1::2] != ord("\n")).any():
@@ -144,61 +128,75 @@ def _parse_block(buf: np.ndarray, out: np.ndarray) -> int | None:
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts
-    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+    if (lengths.min() < 1 or lengths.max() > _MAX_DIGITS
+            or ((buf[starts] == ord("0")) & (lengths > 1)).any()):  # a leading zero
         return None
-    if ((buf[starts] == ord("0")) & (lengths > 1)).any():  # a leading zero
-        return None
+    _digits(buf, ends, lengths, out[: len(ends)])
+    return len(ends) // 2
+
+
+def _split(block: np.ndarray):
+    """The data lines of a block of whole lines: (their tokens' starts and
+    ends, two per line; their indices; index of the first line of neither
+    none nor two tokens, before which they stop, or None; token counts)."""
+    lf = block == ord("\n")
+    eol = lf | (block == ord("\r")) & ~np.append(lf[1:], False)  # a CR before LF is a space
+    bounds = np.flatnonzero(np.diff(~_space(block), prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    line_ends = np.flatnonzero(eol)
+    lines = len(line_ends) + (not eol[-1])
+    if (len(starts) == 2 * lines and (ends[1::2][: len(line_ends)] <= line_ends).all()
+            and (starts[2::2] > line_ends[: lines - 1]).all()
+            and not np.isin(block[starts[0::2]], _COMMENT).any()):
+        return starts, ends, np.arange(lines), None, np.full(lines, 2)  # two tokens a line
+    line = np.searchsorted(line_ends, starts)  # the line of each token
+    counts = np.bincount(line, minlength=lines)
+    head = np.diff(line, prepend=-1) > 0  # the first token of each line
+    counts[line[head & np.isin(block[starts], _COMMENT)]] = 0
+    bad = first_true((counts != 0) & (counts != 2))
+    data_line = (counts == 2) & (np.arange(lines) < (lines if bad is None else bad))
+    keep = data_line[line]
+    return starts[keep], ends[keep], np.flatnonzero(data_line), bad, counts
+
+
+def _parse_ids(block: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Write the tokens' values into `out`, as ``read_rows`` returns them;
+    whether each token is canonical."""
+    neg = block[starts] == ord("-")
+    first = starts + neg  # the first digit
+    width = ends - first
+    is_id = width > 0
+    # the bytes in tokens that are neither digits nor a sign before them
+    other = np.flatnonzero((block - np.uint8(ord("0")) >= 10) & ~_space(block))
+    tok = np.searchsorted(starts, other, side="right") - 1
+    inside = (tok >= 0) & (other < np.append(ends, 0)[tok]) & (other >= np.append(first, 0)[tok])
+    is_id[tok[inside]] = False
+    _digits(block, ends, np.where(is_id & (width <= _MAX_DIGITS), width, 0), out)
+    for k in np.flatnonzero(is_id & (width > _MAX_DIGITS)).tolist():  # rare: Python reads them
+        out[k] = min(int(block[first[k] : ends[k]].tobytes()), 2**63 - 1)
+    out[neg] *= -1
+    out[~is_id] = NOT_ID
+    leading_zero = (np.take(block, first, mode="clip") == ord("0")) & (width > 1)
+    return is_id & ~neg & (width <= _MAX_DIGITS) & ~leading_zero
+
+
+def _space(block: np.ndarray) -> np.ndarray:
+    """Which bytes separate tokens: space, and tab, LF, VT, FF, CR (9-13)."""
+    return (block == ord(" ")) | (block - np.uint8(9) < 5)
+
+
+def _digits(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` the value of the ``lengths[i]`` digits before ``ends[i]``."""
     # right-aligned Horner over the token columns; a token shorter than the
     # column reads as a leading "0", so every token gains the same offset
-    width = int(lengths.max())
+    width = int(lengths.max(initial=0))
     padded = np.concatenate([np.zeros(width, dtype=np.uint8), buf])  # no index below 0
-    values = out[: len(ends)]
-    values[:] = 0
+    out[:] = 0
     for j in range(width, 0, -1):  # the j-th byte before each token's end
-        values *= 10
-        values += np.where(lengths >= j, padded[ends + (width - j)], ord("0"))
-    values -= ord("0") * int("1" * width)
-    return len(ends)
-
-
-def parse_ints(tokens: np.ndarray | list[str]) -> tuple[np.ndarray, int | None]:
-    """The values of node-id tokens, up to the first token that is not one.
-
-    A node id is ASCII digits after an optional ``-``, so ``1_0``, ``+3``
-    and ``\u0663`` (which ``int()`` reads as 10, 3 and 3) are not. ``tokens``
-    holds text tokens, or the int64 tokens of ``read_rows``, which are
-    returned as they are. Returns the values as int64 (clipped to its range)
-    and the index of the first token that is not a node id, or None when
-    every token is one.
-    """
-    if isinstance(tokens, np.ndarray) and tokens.dtype == np.int64:
-        return tokens, None
-    stop = _first_non_id(tokens)
-    ids = tokens[:stop]
-    try:
-        return np.asarray(ids, dtype=np.int64), stop
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for tok in ids:
-        try:
-            values.append(min(max(int(tok), _I64_MIN), _I64_MAX))
-        except ValueError:  # more digits than int() converts
-            return np.array(values, dtype=np.int64), len(values)
-    return np.array(values, dtype=np.int64), stop
-
-
-def _first_non_id(tokens) -> int | None:
-    """Index of the first text token that is not a node id, or None."""
-    # the UTF-8 bytes of the tokens, which hold no space, with a space
-    # before and after each
-    buf = np.frombuffer(f" {' '.join(tokens)} ".encode(), dtype=np.uint8)
-    digit = buf - np.uint8(ord("0")) < 10
-    bad = ~digit & (buf != ord(" "))
-    minus = np.flatnonzero(buf == ord("-"))  # allowed first in a token, before a digit
-    bad[minus] = (buf[minus - 1] != ord(" ")) | ~digit[minus + 1]
-    at = first_true(bad)
-    return None if at is None else int(np.count_nonzero(buf[:at] == ord(" "))) - 1
+        out *= 10
+        out += np.where(lengths >= j, padded[ends + (width - j)], ord("0"))
+    out -= ord("0") * ((10**width - 1) // 9)
 
 
 def first_true(mask: np.ndarray) -> int | None:

@@ -465,7 +465,9 @@ def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
         if not tokens or tokens[0].startswith(("#", "%")):
             continue
         if len(tokens) != 2:
-            raise EdgeListError(f"line {lineno}: expected two tokens, got {len(tokens)}")
+            note = " (edge weights are not read: the detectors and IB are unweighted)"
+            raise EdgeListError(f"line {lineno}: expected two tokens, got {len(tokens)}"
+                                + (note if len(tokens) == 3 else ""))
         ids = []
         for tok in tokens:
             try:

@@ -418,8 +418,8 @@ class TestEvaluate:
         assert not (tmp_path / "new").exists()
 
     def test_non_canonical_inputs_give_the_same_bias_csvs(self, tmp_path):
-        # a comment and CRLF line ends take the loaders' text path instead of
-        # the byte reader that canonical files take; both must read the same
+        # a comment and CRLF line ends make every block skip the canonical
+        # shortcut; both readings must give the same result
         edges, gt = _generate(tmp_path / "canonical")
         (tmp_path / "crlf").mkdir()
         for path in (edges, gt):
@@ -445,7 +445,8 @@ class TestEvaluate:
         k_gt.write_text("0 0\n1 0\n2 1\n")
         if case == "three columns":
             k_edges.write_text("0 1 1\n")
-            named = f"{k_edges} (graph): line 1: expected two tokens, got 3"
+            named = (f"{k_edges} (graph): line 1: expected two tokens, got 3 "
+                     "(edge weights are not read: the detectors and IB are unweighted)")
         elif case == "edge outside ground truth":
             k_gt.write_text("0 0\n1 0\n")
             named = (f"{k_edges} (graph): line 2: node id 2 outside [0, 2), "
@@ -489,9 +490,10 @@ class TestEvaluate:
         edges, gt = _generate(tmp_path)
         bad = gt if role == "ground truth" else edges
         bad.write_bytes(bad.read_bytes() + b"\xff 0\n")
+        # the offset in the file: a text reader names one within its 8 KiB
+        # chunk, and the graph file is longer than that
         with pytest.raises(UnicodeDecodeError) as text_read:
-            with open(bad, encoding="utf-8") as fh:
-                list(fh)
+            bad.read_bytes().decode("utf-8")
         out = tmp_path / "new" / "run"
         rc = main([
             "evaluate", "--graph", str(edges), "--gt", str(gt),

@@ -128,23 +128,27 @@ def test_from_edges_rejects_a_node_count_above_max_nodes():
 
 def test_load_edge_list_peak_memory_per_edge():
     # a canonical file of about 200k edges, in random line order with one
-    # duplicate and one self-loop per hundred lines; its bytes exist before
-    # tracing starts, so the peak counts what the load adds to its input
+    # duplicate and one self-loop per hundred lines, and its CRLF and SNAP
+    # (three '#' lines, tabs) copies; their bytes exist before tracing
+    # starts, so the peak counts what the load adds to its input
     rng = np.random.default_rng(11)
     pairs = rng.integers(0, 50_000, size=(200_000, 2))
     pairs[::100, 1] = pairs[::100, 0]
     pairs[1::100] = pairs[2::100]
     data = "".join(f"{u} {v}\n" for u, v in pairs.tolist()).encode()
     del pairs
-    tracemalloc.start()
-    try:
-        res = load_edge_list(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.self_loops_dropped >= 2000 and res.duplicates_dropped >= 2000
-    # measured about 35 bytes per kept edge: the parsed ids (16), the edge
-    # keys (8) and a temporary of their size, with the result's edge array
-    # (16) made after the ids are freed; parsing the whole file at once, and
-    # keeping the ids to the end, took about 100
-    assert peak / res.graph.num_edges < 64
+    snap = b"# Undirected graph\n# Nodes: 50000\n# FromNodeId\tToNodeId\n"
+    for copy in (data, data.replace(b"\n", b"\r\n"), snap + data.replace(b" ", b"\t")):
+        tracemalloc.start()
+        try:
+            res = load_edge_list(copy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.self_loops_dropped >= 2000 and res.duplicates_dropped >= 2000
+        # measured about 35 bytes per kept edge: the parsed ids (16), the
+        # edge keys (8) and a temporary of their size, with the result's edge
+        # array (16) made after the ids are freed; parsing the whole file at
+        # once, and keeping the ids to the end, took about 100, and decoding
+        # a CRLF or SNAP copy to text about 224
+        assert peak / res.graph.num_edges < 64

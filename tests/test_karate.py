@@ -6,8 +6,8 @@ detectors and measures to results that do not share this code's
 conventions: Louvain reaches the proven modularity optimum 0.4198 (Brandes
 et al., IEEE TKDE 20(2), 2008), and CNM finds Newman's three communities with
 Q = 0.381 (Phys. Rev. E 69, 066133, 2004), the partition networkx's
-``greedy_modularity_communities`` gives. The files hold tabs and ``#``
-comments, so they are read through the text path, not the canonical one.
+``greedy_modularity_communities`` gives. The files are in SNAP form, ``#``
+header lines and tab-separated columns, so they also check that form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from cdfair.cli import main
 from cdfair.detectors import greedy_agglomerative
 from cdfair.graph import load_edge_list
 from cdfair.partition import load_partition
-from cdfair.textio import parse_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,7 +40,10 @@ CNM_LABELS = [0, 1, 1, 1, 0, 0, 0, 1, 2, 1, 0, 0, 1, 1, 2, 2, 0,
 
 def test_karate_club_matches_published_values(tmp_path):
     edges, gt = DATA / "karate.edges", DATA / "karate.gt"
-    assert parse_rows(edges.read_bytes()) is None and parse_rows(gt.read_bytes()) is None
+    for path in (edges, gt):
+        head, *body = path.read_text().splitlines()
+        assert head.startswith("#") and all("\t" in line and " " not in line
+                                            for line in body if not line.startswith("#"))
     truth = load_partition(gt.read_bytes())
     g = load_edge_list(edges.read_bytes(), n=truth.n).graph
     assert (g.n, g.num_edges, truth.sizes.tolist()) == (34, 78, [17, 17])

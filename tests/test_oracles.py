@@ -27,7 +27,7 @@ from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
 from cdfair.quality import nf1
 from cdfair.synthgen import AbcdParams, GenerationError, _sample_community_sizes, generate_abcd_lite
-from cdfair.textio import format_rows, parse_ints, parse_rows, read_pairs
+from cdfair.textio import format_rows, read_rows
 
 TOL = 1e-12
 
@@ -417,33 +417,36 @@ def test_abcd_generator_equals_oracle_at_scale():
 
 # the values where the digit count changes, up to the largest canonical token
 CANONICAL_VALUES = sorted({0, 10**18 - 1} | {v for k in range(1, 18) for v in (10**k - 1, 10**k)})
-canonical_rows = st.lists(
-    st.tuples(*[st.one_of(st.sampled_from(CANONICAL_VALUES), st.integers(0, 10**18 - 1))] * 2),
-    max_size=20,
-)
 # each makes a file of canonical lines non-canonical wherever it is inserted
 NON_CANONICAL_LINES = [
     "# c\n", "\n", "-1 2\n", "+1 2\n", "1\t2\n", "1 2\r\n", "\ufeff1 2\n", "1\n", "1 2 3\n",
     "007 1\n", "1 00\n", "1000000000000000000 1\n", "1  2\n", " 1 2\n", "1 2 \n", "1_0 2\n",
-    "\u0661 2\n", "\xe9 1\n", "% c\n", "1\xa02\n",
+    "\u0661 2\n", "\xe9 1\n", "% c\n", "1\xa02\n", "1 2\r", "3 4\r\n", "\ufeff0 1\n",
+    "# Undirected graph: snap.txt\n", "3\t\t4\n",
 ]
 
 
-# parse_rows block sizes: the default, and ones that put a few lines in a block
-# (the lines above are 4 to 38 bytes long), so a file spans many blocks
+# block sizes: the default, and ones that put a few lines in a block (the
+# lines above are 2 to 38 bytes long), so a file spans many blocks
 block_sizes = st.just(textio._BLOCK) | st.integers(16, 64)
 
 
 def _file_sources(lines):
-    """The bytes of files holding the lines without and with a last newline,
-    each with the lines that reading such a file yields."""
-    for text in ("\n".join(lines), "".join(line + "\n" for line in lines)):
-        yield text.encode(), io.StringIO(text).readlines()
+    """The bytes of files holding the lines with and without a newline
+    after each, and joined by one."""
+    for text in ("\n".join(lines), "".join(line + "\n" for line in lines), "".join(lines)):
+        yield text.encode()
 
 
-def _assert_edge_list_matches_oracle(source, file_lines):
+def _read_as_text(source):
+    """The lines of a file as Python reads a UTF-8 text file: universal
+    newlines, without a byte order mark that opens the file."""
+    return list(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig"))
+
+
+def _assert_edge_list_matches_oracle(source):
     try:
-        n, edges, dup, loops = oracles.load_edge_list(file_lines)
+        n, edges, dup, loops = oracles.load_edge_list(_read_as_text(source))
     except EdgeListError as exc:
         with pytest.raises(EdgeListError) as got:
             load_edge_list(source)
@@ -457,9 +460,9 @@ def _assert_edge_list_matches_oracle(source, file_lines):
     assert res.graph.neighbor_lists() == adjacency
 
 
-def _assert_partition_matches_oracle(source, file_lines, n):
+def _assert_partition_matches_oracle(source, n):
     try:
-        want = oracles.load_partition(file_lines, n)
+        want = oracles.load_partition(_read_as_text(source), n)
     except PartitionError as exc:
         with pytest.raises(PartitionError) as got:
             load_partition(source, n)
@@ -470,87 +473,115 @@ def _assert_partition_matches_oracle(source, file_lines, n):
     assert p.k == want.k
 
 
-def _read_as_text(source):
-    """The lines of a file as the loaders' text path reads them."""
-    return list(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig"))
+# node-id tokens: canonical values, with or without a sign and leading zeros,
+# up to 19 digits and past int64
+id_tokens = st.builds(
+    "{}{}{}".format, st.sampled_from(["", "", "-"]), st.sampled_from(["", "", "0", "00"]),
+    st.one_of(st.sampled_from(CANONICAL_VALUES + [10**18, 10**19 - 1, 2**64]),
+              st.integers(0, 10**18 - 1)),
+)
+# (line end, token separator) of the dialects: canonical, Windows, old Mac, SNAP
+DIALECTS = [("\n", " "), ("\r\n", " "), ("\r", " "), ("\n", "\t"), ("\r\n", " \t ")]
 
 
-@given(canonical_rows, block_sizes)
+@given(st.lists(st.tuples(id_tokens, id_tokens), max_size=20), st.sampled_from(DIALECTS),
+       block_sizes)
 @settings(max_examples=300, deadline=None)
-def test_parse_rows_matches_text_reader(rows, block):
-    text = "".join(f"{u} {v}\n" for u, v in rows)
+def test_read_rows_reads_the_value_of_every_token(rows, dialect, block):
+    end, sep = dialect
+    data = "".join(f"{u}{sep}{v}{end}" for u, v in rows).encode()
     with mock.patch.object(textio, "_BLOCK", block):
-        got = parse_rows(text.encode())
-    if not rows:
-        assert got is None  # an empty file is read as text
-        return
-    linenos, tokens, error = read_pairs(text.encode())
-    ids, stop = parse_ints(tokens)
-    assert error is None and stop is None
-    assert linenos.tolist() == list(range(1, len(rows) + 1))
-    assert got.dtype == np.int64 and got.tolist() == ids.reshape(-1, 2).tolist() == list(map(list, rows))
-
-
-@given(canonical_rows, st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 20), block_sizes)
-@settings(max_examples=300, deadline=None)
-def test_parse_rows_rejects_other_text(rows, line, at, block):
-    lines = [f"{u} {v}\n" for u, v in rows]
-    with mock.patch.object(textio, "_BLOCK", block):
-        assert parse_rows("".join(lines).encode()[:-1]) is None  # no last newline
-        lines.insert(at, line)
-        assert parse_rows("".join(lines).encode()) is None
+        values, bad, canonical = read_rows(data)
+        for col in (0, 1):
+            lines, tokens = textio.column(data, col)
+            assert (lines.tolist(), tokens) == (list(range(1, len(rows) + 1)),
+                                                [row[col].encode() for row in rows])
+    # values are clipped to ±(2**63 - 1), so 18 significant digits are exact
+    assert values.tolist() == [[max(1 - 2**63, min(int(t), 2**63 - 1)) for t in row] for row in rows]
+    assert bad is None
+    want = [all(t == str(abs(int(t))) and len(t) <= 18 for t in col) for col in zip(*rows)]
+    assert canonical.tolist() == (want or [True, True])
 
 
 @given(st.permutations(range(40)), st.sampled_from(NON_CANONICAL_LINES), st.integers(0, 40),
-       block_sizes)
+       st.sampled_from(DIALECTS), st.booleans(), block_sizes)
 @settings(max_examples=300, deadline=None)
-def test_loaders_read_other_text_in_any_block_as_text(nodes, line, at, block):
-    # canonical files over many blocks, with a non-canonical line in any
-    # block or no last newline: the loaders report what the text path does
-    edges = [f"{u} {u * 7 % 40}\n" for u in nodes]
-    labels = [f"{u} {u % 7}\n" for u in nodes]
-    checks = [(edges, _assert_edge_list_matches_oracle),
-              (labels, lambda source, lines: _assert_partition_matches_oracle(source, lines, 40))]
+def test_loaders_read_any_line_in_any_dialect_and_block(nodes, line, at, dialect, bom, block):
+    # files over many blocks in each dialect, with any line in any block, with
+    # or without a byte order mark and a last line end: the loaders report
+    # what the line loops do
+    end, sep = dialect
+    edges = [f"{u}{sep}{u * 7 % 40}{end}" for u in nodes]
+    labels = [f"{u}{sep}{u % 7}{end}" for u in nodes]
     with mock.patch.object(textio, "_BLOCK", block):
-        for lines, assert_matches_oracle in checks:
-            for source in ("".join(lines[:at] + [line] + lines[at:]).encode(),
-                           "".join(lines).encode()[:-1]):
-                assert parse_rows(source) is None
-                assert_matches_oracle(source, _read_as_text(source))
+        for lines, assert_matches_oracle in ((edges, _assert_edge_list_matches_oracle),
+                                             (labels, lambda s: _assert_partition_matches_oracle(s, 40))):
+            head = "\ufeff" * bom
+            for text in (head + "".join(lines[:at] + [line] + lines[at:]),
+                         head + "".join(lines)[: -len(end)]):
+                assert_matches_oracle(text.encode())
 
 
-def test_parse_rows_rejects_empty_and_undecodable_input():
-    assert parse_rows(b"") is None
-    assert parse_rows(b"0 1\n\xff 2\n") is None
-    assert parse_rows(b"0 1\n2 3") is None
+def test_blocks_keep_crlf_pairs_whole():
+    # blocks of 16 to 64 bytes over a CRLF file of 5-byte lines start their
+    # search for a line end on every byte of a line, the CR of a pair included
+    data = b"".join(f"{u} {u % 7}\r\n".encode() for u in range(10)) * 10
+    want = load_edge_list(data.replace(b"\r\n", b"\n")).graph.edge_array.tolist()
+    crs = 0
+    for block in range(16, 65):
+        with mock.patch.object(textio, "_BLOCK", block):
+            bounds = list(textio._blocks(data))
+            assert load_edge_list(data).graph.edge_array.tolist() == want
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == len(data) and all(data[stop - 2 : stop] == b"\r\n" for _, stop in bounds)
+        crs += data[block - 1 : block] == b"\r"  # the first block's search starts on a CR
+    assert crs > 0
+
+
+@pytest.mark.parametrize("load", [load_edge_list, load_partition])
+@pytest.mark.parametrize("data, position", [
+    (b"0 1\n" * 5000 + b"\xff 2\n", "position 20000:"),
+    (b"\xef\xbb\xbf" + b"0 1\r\n" * 3000 + b"1 \xe2\x82\n", "position 15005-15006:"),
+])
+def test_decode_errors_name_the_byte_offset(load, data, position):
+    # Python's text reader decodes in chunks of 8 KiB and names an offset
+    # within the chunk; the loaders name the offset in the file, as
+    # bytes.decode does, a leading byte order mark counted
+    with pytest.raises(UnicodeDecodeError) as want:
+        data.decode("utf-8")
+    assert position in str(want.value)
+    with pytest.raises(UnicodeDecodeError, match=re.escape(str(want.value))):
+        load(data)
 
 
 # canonical lines first: half the examples draw only those, so files of them
 # take the byte reader
 EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", "", "   ",
               "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2", "1_0 2", "\u0663 1", "2 -0",
-              "% note", " %1 2", "1\xa02", "1\u2003 2", "\x1c1 0", "1 2\x1f"]
+              "% note", " %1 2", "1\xa02", "1\u2003 2", "\x1c1 0", "1 2\x1f", "1 2\r", "3 4\r\n",
+              "\ufeff0 1", "# Nodes: 8 Edges: 3", "0\t1", "7\t\t5"]
 
 
 @given(st.lists(st.sampled_from(EDGE_LINES[:5]), max_size=12)
        | st.lists(st.sampled_from(EDGE_LINES), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_load_edge_list_matches_line_loop(lines):
-    for source, file_lines in _file_sources(lines):
-        _assert_edge_list_matches_oracle(source, file_lines)
+    for source in _file_sources(lines):
+        _assert_edge_list_matches_oracle(source)
 
 
 PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1 b", "3 x",
                    "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07", "1_0 a",
-                   "\u0663 a", "% c", "0 a\xa0b", "1\u2003a", "3\x1c a"]
+                   "\u0663 a", "% c", "0 a\xa0b", "1\u2003a", "3\x1c a", "1 7\r", "3 0\r\n",
+                   "\ufeff0 7", "# Nodes: 4", "2\t10", "0\t\ta"]
 
 
 @given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
        | st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_load_partition_matches_line_loop(lines, n):
-    for source, file_lines in _file_sources(lines):
-        _assert_partition_matches_oracle(source, file_lines, n)
+    for source in _file_sources(lines):
+        _assert_partition_matches_oracle(source, n)
 
 
 @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "-", "1-2", "--1"])
@@ -564,13 +595,25 @@ def test_node_ids_are_ascii_digits(token):
         load_partition(f"0 a\n{token} a\n".encode())
 
 
-def test_other_spaces_are_every_space_str_split_splits_on():
-    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
-    other = set(textio._OTHER_SPACE_RE.pattern[1:-1])
-    assert spaces == set(textio._SPACE) | other and not other & set(textio._SPACE)
+def test_a_third_column_names_why_it_is_rejected():
+    # ignoring an edge weight would drop data without notice; other token
+    # counts, and a partition's third column, keep the plain message
+    with pytest.raises(EdgeListError) as got:
+        load_edge_list(b"0 1\n1 2 0.5\n")
+    assert str(got.value) == ("line 2: expected two tokens, got 3 (edge weights are not read: "
+                              "the detectors and IB are unweighted)")
+    for load, body in ((load_edge_list, b"0 1\n1 2 3 4\n"), (load_partition, b"0 a\n1 a b\n")):
+        with pytest.raises(ValueError) as got:
+            load(body)
+        assert str(got.value) == f"line 2: expected two tokens, got {len(body.split()) - 2}"
 
 
-@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
+# every character that str.split() splits on and bytes.split() does not
+OTHER_SPACES = [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isspace() and not c.encode().isspace()]
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES)
 def test_other_unicode_spaces_stay_inside_tokens(space):
     # str.split() splits on each of them; tokens are separated only by the
     # ASCII whitespace that bytes.split() splits on
@@ -613,7 +656,7 @@ def test_konect_header_reads_as_comments():
 def test_canonical_partition_labels_stay_text():
     p = load_partition(b"0 10\n1 7\n2 10\n")
     assert (p.labels.tolist(), p.k) == ([0, 1, 0], 2)
-    # a leading zero is not canonical: the text path keeps 07 apart from 7
+    # a leading zero is not canonical: 07 is coded by its bytes, apart from 7
     p = load_partition(b"0 7\n1 07\n2 7\n")
     assert (p.labels.tolist(), p.k) == ([0, 1, 0], 2)
 
