@@ -119,9 +119,8 @@ def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
     """
     if n is not None and n > MAX_NODES:
         raise EdgeListError(f"n={n} above the largest node count {MAX_NODES}")
-    values, bad_line, _ = read_rows(data)
-    error = None if bad_line is None else "line {}: expected two tokens, got {}".format(*bad_line)
-    if bad_line is not None and bad_line[1] == 3:  # a weight column
+    values, error, _ = read_rows(data)
+    if error is not None and error.endswith(" got 3"):  # a weight column
         error += " (edge weights are not read: the detectors and IB are unweighted)"
     ids = values.reshape(-1)
     limit = n if n is not None else MAX_NODES

@@ -118,8 +118,7 @@ def load_partition(data: bytes, n: int | None = None) -> Partition:
     """
     # each check looks only at the lines before any problem found so far, so
     # the last message set belongs to the earliest bad line
-    values, bad_line, canonical = read_rows(data)
-    error = None if bad_line is None else "line {}: expected two tokens, got {}".format(*bad_line)
+    values, error, canonical = read_rows(data)
     nodes = values[:, 0]
     if n is None:  # from the ids before the first token that is not one
         n = int(nodes[: first_true(nodes == NOT_ID)].max(initial=-1)) + 1

@@ -43,18 +43,17 @@ def load_file(path: str, role: str, load):
         raise InputError(f"{path} ({role}): {exc}") from None
 
 
-def read_rows(data: bytes) -> tuple[np.ndarray, tuple[int, int] | None, np.ndarray]:
-    """``(values, bad, canonical)`` of a file's bytes. Values is (m, 2) int64:
-    the two tokens of each data line (one holding tokens, the first not
-    starting with ``#`` or ``%``) as node ids, ASCII digits after an optional
-    ``-`` clipped to ±(2**63 - 1), or as ``NOT_ID``. Bad is (line number,
-    token count) of the first line of neither none nor two tokens, or None;
-    the rows stop before it. Canonical[c] tells whether every token of
-    column c is canonical (``_parse_block``). Bytes that are not UTF-8 raise
-    ``data.decode()``'s error. The blocks of ``_blocks`` are parsed into one
-    array sized from the line count, so the parse holds one block's
-    temporaries besides its input and result; a canonical block takes a
-    shortcut."""
+def read_rows(data: bytes) -> tuple[np.ndarray, str | None, np.ndarray]:
+    """``(values, error, canonical)`` of a file's bytes, parsed block by block
+    (``_blocks``) into one array sized once from the line count. Values is
+    (m, 2) int64: the two tokens of each data line as node ids, ASCII digits
+    after an optional ``-`` clipped to ±(2**63 - 1), or ``NOT_ID`` for a
+    token that is no id or has more digits than ``int()`` reads. Error
+    names the first line of neither none nor two tokens, ``line L: expected
+    two tokens, got C``, or is None; the rows stop before that line.
+    Canonical[c] tells whether every token of column c is canonical
+    (``_parse_block``, the shortcut a canonical block takes). Bytes that
+    are not UTF-8 raise ``data.decode()``'s error."""
     if not data.isascii():
         data.decode()  # offsets in its error count every byte, a byte order mark too
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -64,7 +63,7 @@ def read_rows(data: bytes) -> tuple[np.ndarray, tuple[int, int] | None, np.ndarr
         after = np.take(buf, np.flatnonzero(buf == ord("\r")) + 1, mode="clip")
         size += np.count_nonzero(after != ord("\n"))
     flat = np.empty(2 * size, dtype=np.int64)
-    canonical, bad, done, before = np.ones(2, dtype=bool), None, 0, 0  # rows, lines done
+    canonical, error, done, before = np.ones(2, dtype=bool), None, 0, 0  # rows, lines done
     for start, stop in _blocks(data):
         block = buf[start:stop]
         # only a block that ends in a digit and LF and holds no tab can be canonical
@@ -79,10 +78,10 @@ def read_rows(data: bytes) -> tuple[np.ndarray, tuple[int, int] | None, np.ndarr
         canonical &= _parse_ids(block, starts, ends, out).reshape(-1, 2).all(axis=0)
         done += len(rows)
         if bad is not None:
-            bad = (before + bad + 1, int(counts[bad]))
+            error = f"line {before + bad + 1}: expected two tokens, got {counts[bad]}"
             break
         before += len(counts)
-    return flat[: 2 * done].reshape(-1, 2), bad, canonical
+    return flat[: 2 * done].reshape(-1, 2), error, canonical
 
 
 def column(data: bytes, col: int) -> tuple[np.ndarray, list[bytes]]:
@@ -174,7 +173,10 @@ def _parse_ids(block: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     is_id[tok[inside]] = False
     _digits(block, ends, np.where(is_id & (width <= _MAX_DIGITS), width, 0), out)
     for k in np.flatnonzero(is_id & (width > _MAX_DIGITS)).tolist():  # rare: Python reads them
-        out[k] = min(int(block[first[k] : ends[k]].tobytes()), 2**63 - 1)
+        try:
+            out[k] = min(int(block[first[k] : ends[k]].tobytes()), 2**63 - 1)
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+            is_id[k] = False
     out[neg] *= -1
     out[~is_id] = NOT_ID
     leading_zero = (np.take(block, first, mode="clip") == ord("0")) & (width > 1)

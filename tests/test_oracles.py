@@ -422,7 +422,7 @@ NON_CANONICAL_LINES = [
     "# c\n", "\n", "-1 2\n", "+1 2\n", "1\t2\n", "1 2\r\n", "\ufeff1 2\n", "1\n", "1 2 3\n",
     "007 1\n", "1 00\n", "1000000000000000000 1\n", "1  2\n", " 1 2\n", "1 2 \n", "1_0 2\n",
     "\u0661 2\n", "\xe9 1\n", "% c\n", "1\xa02\n", "1 2\r", "3 4\r\n", "\ufeff0 1\n",
-    "# Undirected graph: snap.txt\n", "3\t\t4\n",
+    "# Undirected graph: snap.txt\n", "3\t\t4\n", "9" * 5000 + " 1\n",
 ]
 
 
@@ -491,14 +491,14 @@ def test_read_rows_reads_the_value_of_every_token(rows, dialect, block):
     end, sep = dialect
     data = "".join(f"{u}{sep}{v}{end}" for u, v in rows).encode()
     with mock.patch.object(textio, "_BLOCK", block):
-        values, bad, canonical = read_rows(data)
+        values, error, canonical = read_rows(data)
         for col in (0, 1):
             lines, tokens = textio.column(data, col)
             assert (lines.tolist(), tokens) == (list(range(1, len(rows) + 1)),
                                                 [row[col].encode() for row in rows])
     # values are clipped to ±(2**63 - 1), so 18 significant digits are exact
     assert values.tolist() == [[max(1 - 2**63, min(int(t), 2**63 - 1)) for t in row] for row in rows]
-    assert bad is None
+    assert error is None
     want = [all(t == str(abs(int(t))) and len(t) <= 18 for t in col) for col in zip(*rows)]
     assert canonical.tolist() == (want or [True, True])
 
@@ -559,7 +559,8 @@ def test_decode_errors_name_the_byte_offset(load, data, position):
 EDGE_LINES = ["0 1", "2 0", "1 0", "2 2", "7 5", "1 2\n", " 3\t4 ", "# note", "", "   ",
               "a b", "1", "1 2 3", "-1 2", "+3 1", "b a", "01 2", "1_0 2", "\u0663 1", "2 -0",
               "% note", " %1 2", "1\xa02", "1\u2003 2", "\x1c1 0", "1 2\x1f", "1 2\r", "3 4\r\n",
-              "\ufeff0 1", "# Nodes: 8 Edges: 3", "0\t1", "7\t\t5"]
+              "\ufeff0 1", "# Nodes: 8 Edges: 3", "0\t1", "7\t\t5", "9" * 5000 + " 1",
+              "0 " + "0" * 5000 + "2"]
 
 
 @given(st.lists(st.sampled_from(EDGE_LINES[:5]), max_size=12)
@@ -573,7 +574,8 @@ def test_load_edge_list_matches_line_loop(lines):
 PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1 b", "3 x",
                    "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07", "1_0 a",
                    "\u0663 a", "% c", "0 a\xa0b", "1\u2003a", "3\x1c a", "1 7\r", "3 0\r\n",
-                   "\ufeff0 7", "# Nodes: 4", "2\t10", "0\t\ta"]
+                   "\ufeff0 7", "# Nodes: 4", "2\t10", "0\t\ta", "9" * 5000 + " a",
+                   "0" * 5000 + "1 a"]
 
 
 @given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
@@ -593,6 +595,25 @@ def test_node_ids_are_ascii_digits(token):
         load_edge_list(f"0 1\n{token} 2\n".encode())
     with pytest.raises(PartitionError, match=message):
         load_partition(f"0 a\n{token} a\n".encode())
+
+
+@pytest.mark.parametrize("digits", [19, 4300, 4301, 5000])
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_long_node_ids_fail_as_the_line_loops_say(digits, zeros):
+    # int() reads at most 4300 digits, leading zeros counted, so a longer
+    # token is no node id to the loaders, as to the line loops; a shorter
+    # one is a number out of range
+    token = "0" * zeros + "9" * digits
+    for n in (None, 3):
+        edges = f"0 1\n1 {token}\n".encode()
+        if n is None:
+            _assert_edge_list_matches_oracle(edges)
+        with pytest.raises(EdgeListError, match=r"^line 2: (non-integer )?node id "):
+            load_edge_list(edges, n=n)
+    labels = f"0 a\n{token} a\n1 b\n".encode()
+    _assert_partition_matches_oracle(labels, 2)
+    with pytest.raises(PartitionError):  # not a ValueError of int()
+        load_partition(labels)
 
 
 def test_a_third_column_names_why_it_is_rejected():
