@@ -34,17 +34,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from .evaluate import write_json
     from .graph import write_edge_list
     from .partition import write_partition
-    from .synthgen import AbcdParams, GenerationError, generate_abcd_lite
+    from .synthgen import AbcdParams, generate_abcd_lite
 
     params = AbcdParams(
         n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
-        beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi,
-        d_max_iter=args.d_max_iter, seed=args.seed,
+        beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi, seed=args.seed,
     )
-    try:
-        g, p, info = generate_abcd_lite(params)
-    except GenerationError as exc:
-        return _error(exc)
+    g, p, info = generate_abcd_lite(params)
     provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
                   "package_version": __version__}
     out, prefix = Path(args.out), args.prefix
@@ -127,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     abcd.add_argument("--c-min", type=int, default=100)
     abcd.add_argument("--c-max", type=int, default=1000)
     abcd.add_argument("--xi", type=float, default=0.2)
-    abcd.add_argument("--d-max-iter", type=int, default=1000)
     abcd.add_argument("--seed", type=int, default=0)
     abcd.add_argument("--out", default=".")
     abcd.add_argument("--prefix", default="graph")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -49,24 +49,6 @@ class Graph:
 
     def __post_init__(self):
         self.edge_array.flags.writeable = False
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from edges (pairs or an (m, 2) array); duplicates are merged."""
-        if n > MAX_NODES:
-            raise ValueError(f"n={n} above the largest node count {MAX_NODES}")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        loop = pairs[:, 0] == pairs[:, 1]
-        bad = first_true(out_of_range | loop)
-        if bad is not None:
-            u, v = pairs[bad].tolist()
-            if out_of_range[bad]:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            raise ValueError(f"self-loop at node {u}")
-        return cls.from_keys(n, _distinct(pairs.min(axis=1) * n + pairs.max(axis=1)))
 
     @classmethod
     def from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
@@ -146,10 +128,10 @@ def load_edge_list(data: bytes, *, n: int | None = None) -> LoadedEdgeList:
     # the keys are built in place and the parsed ids freed before the edge
     # array is made, so a load holds little more than its input and result
     u, v = ids[0::2], ids[1::2]
+    loop = u == v
     keys = np.minimum(u, v)
     keys *= n
-    keys += np.maximum(u, v)
-    loop = u == v
+    keys += np.maximum(u, v, out=u)  # the ids are not read again
     loops = int(np.count_nonzero(loop))
     if loops:
         keys = keys[~loop]

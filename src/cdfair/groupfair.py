@@ -48,16 +48,13 @@ def _minmax(values) -> np.ndarray | None:
     return (values - lo) / (hi - lo)
 
 
-def community_stats(g: Graph, p: Partition) -> dict[str, np.ndarray]:
-    """Size, conductance and density of each community of `p`.
+def _stats(g: Graph, p: Partition, intra: np.ndarray, vol: np.ndarray) -> dict[str, np.ndarray]:
+    """Size, conductance and density of each community of `p`, from its
+    internal edges and volumes (``community_edges``).
 
     Density is 2 e_c / (s (s-1)), 1.0 for singletons by convention;
     conductance is cut / min(vol, vol of the complement), 0 for the full graph.
     """
-    return _stats(g, p, *community_edges(g, p))
-
-
-def _stats(g: Graph, p: Partition, intra: np.ndarray, vol: np.ndarray) -> dict[str, np.ndarray]:
     s = p.sizes
     pairs = s * (s - 1)
     density = np.where(s == 1, 1.0, 2.0 * intra / np.maximum(pairs, 1))
@@ -67,17 +64,14 @@ def _stats(g: Graph, p: Partition, intra: np.ndarray, vol: np.ndarray) -> dict[s
     return {"size": s, "conductance": conductance, "density": density}
 
 
-def community_scores(g: Graph, ct: ContingencyTable) -> dict[str, np.ndarray]:
-    """FCCN / F1 / FCCE of each ground-truth community.
+def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str, np.ndarray]:
+    """FCCN / F1 / FCCE of each ground-truth community, given its internal
+    edge counts.
 
     Each ground-truth community is mapped to the predicted community of
     maximum overlap, ties broken towards the smaller predicted id. FCCE of an
     edgeless community is 1.0 by convention (nothing to misclassify).
     """
-    return _scores(g, ct, community_edges(g, ct.gt)[0])
-
-
-def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str, np.ndarray]:
     gt = ct.gt
     best = ct.best_cells()  # one cell per ground-truth community
     o = ct.overlap[best]

@@ -112,20 +112,21 @@ def load_partition(data: bytes, n: int | None = None) -> Partition:
     exactly once.
 
     The bytes are read as a UTF-8 file (``textio.read_rows``). With
-    ``n=None`` the node count is the largest node id plus one. Community ids
-    are compared as text. When the input has several problems, the one on
-    the earliest line is reported.
+    ``n=None`` the node count is the number of data rows, since every node
+    appears exactly once. Community ids are compared as text. When the input
+    has several problems, the one on the earliest line is reported.
     """
     # each check looks only at the lines before any problem found so far, so
     # the last message set belongs to the earliest bad line
     values, error, canonical = read_rows(data)
     nodes = values[:, 0]
-    if n is None:  # from the ids before the first token that is not one
-        n = int(nodes[: first_true(nodes == NOT_ID)].max(initial=-1)) + 1
-    bad = first_true((nodes < 0) | (nodes >= n))  # NOT_ID is below 0
+    if n is None:  # rows that stop at a malformed line count only some nodes
+        n = len(nodes) if error is None else None
+    bad = first_true(nodes < 0 if n is None else (nodes < 0) | (nodes >= n))  # NOT_ID is below 0
     if bad is not None:
         lines, tokens = column(data, 0)
         what = (f"non-integer node id {tokens[bad].decode()!r}" if nodes[bad] == NOT_ID
+                else f"negative node id {int(tokens[bad])}" if n is None
                 else f"node {int(tokens[bad])} outside [0, {n})")
         error = f"line {lines[bad]}: {what}"
         nodes = nodes[:bad]

@@ -18,10 +18,6 @@ from .graph import Graph
 from .partition import Partition
 
 
-class GenerationError(RuntimeError):
-    """Sampling failure after exhausting a retry cap."""
-
-
 @dataclass(frozen=True)
 class AbcdParams:
     n: int
@@ -32,20 +28,19 @@ class AbcdParams:
     c_min: int = 100
     c_max: int = 1000
     xi: float = 0.2  # fraction of stubs routed to the background graph
-    d_max_iter: int = 1000
     seed: int = 0
 
     def validate(self) -> None:
         if self.d_min < 1 or self.d_min > self.d_max or self.d_max >= self.n:
             raise ValueError("need 1 <= d_min <= d_max < n")
+        if self.d_min == self.d_max and self.n * self.d_min % 2:
+            raise ValueError(f"d_min = d_max = {self.d_min} and n = {self.n} give an odd degree sum")
         if not (1 <= self.c_min <= self.c_max <= self.n):
             raise ValueError("need 1 <= c_min <= c_max <= n")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
         if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
             raise ValueError("gamma and beta must be finite")
-        if self.d_max_iter < 1:
-            raise ValueError("need d_max_iter >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -89,16 +84,17 @@ def _sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int
 
 
 def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
-    for _ in range(p.d_max_iter):
-        degrees = truncated_power_law(rng, p.gamma, p.d_min, p.d_max, p.n).astype(np.int64)
-        if degrees.sum() % 2 == 0:
-            return degrees
-        # flip one node's degree by 1 to fix parity when possible
+    """Power-law degrees in [d_min, d_max] with an even sum.
+
+    An odd sum is made even by moving one random node's degree by 1: up when
+    it is below d_max, down otherwise. ``validate`` rejects d_min = d_max at
+    an odd sum, the one case where neither move stays in range.
+    """
+    degrees = truncated_power_law(rng, p.gamma, p.d_min, p.d_max, p.n).astype(np.int64)
+    if degrees.sum() % 2:
         idx = int(rng.integers(p.n))
-        if degrees[idx] < p.d_max:
-            degrees[idx] += 1
-            return degrees
-    raise GenerationError("degree sampling failed after d_max_iter attempts")
+        degrees[idx] += 1 if degrees[idx] < p.d_max else -1
+    return degrees
 
 
 def _can_pair(stubs: list[int], edges: set[int], n: int, labels: list[int] | None) -> bool:

@@ -58,7 +58,7 @@ def read_rows(data: bytes) -> tuple[np.ndarray, str | None, np.ndarray]:
         data.decode()  # offsets in its error count every byte, a byte order mark too
     buf = np.frombuffer(data, dtype=np.uint8)
     # every LF and lone CR ends a line, and a last line may end without one
-    size = np.count_nonzero(buf == ord("\n")) + (data[-1:] not in b"\r\n")
+    size = data.count(b"\n") + (data[-1:] not in b"\r\n")
     if b"\r" in data:
         after = np.take(buf, np.flatnonzero(buf == ord("\r")) + 1, mode="clip")
         size += np.count_nonzero(after != ord("\n"))

@@ -19,7 +19,8 @@ perturbations whose focal bias the closed-form sweep must reproduce.
 
 ``generate_two_community`` is no reference: it draws the two-block
 minority/majority graphs that tests use as inputs, and
-``two_block_partition`` gives their planted labels.
+``two_block_partition`` gives their planted labels. Nor is
+``graph_from_edges``, which builds a test's graph from its edge pairs.
 """
 
 from __future__ import annotations
@@ -29,17 +30,36 @@ import random
 import re
 from collections import Counter
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from cdfair.bias import BiasReport
-from cdfair.graph import MAX_NODES, EdgeListError, Graph
+from cdfair.graph import MAX_NODES, EdgeListError, Graph, _distinct
 from cdfair.partition import Partition, PartitionError
 from cdfair.perturb import minority_size, round_half_away
 from cdfair.synthgen import AbcdParams, _sample_degrees
+from cdfair.textio import first_true
 
 NAIVE_NODE_CAP = 5000
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from edges (pairs or an (m, 2) array); duplicates are merged."""
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} above the largest node count {MAX_NODES}")
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    loop = pairs[:, 0] == pairs[:, 1]
+    bad = first_true(out_of_range | loop)
+    if bad is not None:
+        u, v = pairs[bad].tolist()
+        if out_of_range[bad]:
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        raise ValueError(f"self-loop at node {u}")
+    return Graph.from_keys(n, _distinct(pairs.min(axis=1) * n + pairs.max(axis=1)))
 
 
 def cc_row(p: Partition, i: int) -> np.ndarray:
@@ -498,7 +518,13 @@ def load_edge_list(lines) -> tuple[int, set[tuple[int, int]], int, int]:
     return max_raw + 1, seen, dup, loops
 
 
-def load_partition(lines, n: int) -> Partition:
+def load_partition(lines, n: int | None = None) -> Partition:
+    """Without `n`, every node appears once, so n is the number of data rows;
+    a line without two tokens leaves n unknown and bounds ids only below."""
+    rows = [split_tokens(line) for line in lines]
+    rows = [tokens for tokens in rows if tokens and not tokens[0].startswith(("#", "%"))]
+    if n is None and all(len(tokens) == 2 for tokens in rows):
+        n = len(rows)
     assigned: dict[int, str] = {}
     for lineno, line in enumerate(lines, start=1):
         tokens = split_tokens(line)
@@ -510,7 +536,9 @@ def load_partition(lines, n: int) -> Partition:
             node = node_id(tokens[0])
         except ValueError:
             raise PartitionError(f"line {lineno}: non-integer node id {tokens[0]!r}")
-        if not 0 <= node < n:
+        if n is None and node < 0:
+            raise PartitionError(f"line {lineno}: negative node id {node}")
+        if n is not None and not 0 <= node < n:
             raise PartitionError(f"line {lineno}: node {node} outside [0, {n})")
         if node in assigned:
             raise PartitionError(f"line {lineno}: node {node} assigned twice")
@@ -518,6 +546,8 @@ def load_partition(lines, n: int) -> Partition:
     missing = [i for i in range(n) if i not in assigned]
     if missing:
         raise PartitionError(f"node {missing[0]} unassigned")
+    if n == 0:
+        raise PartitionError("empty label sequence")
     dense = np.array(from_labels(assigned[i] for i in range(n)), dtype=np.int64)
     sizes = np.bincount(dense)
     return Partition(labels=dense, sizes=sizes, k=len(sizes))
@@ -661,7 +691,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         bg_labels = labels if len(sizes) > 1 else None
         dropped += pair_stubs(rng, stubs, edges, labels=bg_labels)
 
-    graph = Graph.from_edges(p.n, edges)
+    graph = graph_from_edges(p.n, edges)
     partition = Partition.from_labels(labels)
     inter = sum(1 for u, v in edges if labels[u] != labels[v])
     info = {
@@ -729,4 +759,4 @@ def generate_two_community(
         return (idx // size_big, size_m + idx % size_big)
 
     _sample_block_edges(rng, size_m * size_big, inter_p, edges, cross_at)
-    return Graph.from_edges(n, edges), partition
+    return graph_from_edges(n, edges), partition

@@ -26,7 +26,9 @@ from cdfair.partition import Partition, contingency, write_partition
 from cdfair.perturb import SweepConfig, run_sweep
 from cdfair.quality import ari, modularity, nf1, nmi
 from cdfair.synthgen import AbcdParams, generate_abcd_lite
-from oracles import generate_two_community, ib_all_naive, perturb_expand, perturb_shrink
+from oracles import (
+    generate_two_community, graph_from_edges, ib_all_naive, perturb_expand, perturb_shrink,
+)
 
 
 def _random_partition(rng: np.random.Generator, n: int) -> Partition:
@@ -200,11 +202,11 @@ def _three_distinct_communities() -> tuple[Graph, Partition]:
         (7, 8), (8, 9), (9, 10), (10, 11), (7, 11), (7, 9), (8, 10),
         (2, 3), (6, 7),
     ]
-    return Graph.from_edges(12, edges), Partition.from_labels([0] * 3 + [1] * 4 + [2] * 5)
+    return graph_from_edges(12, edges), Partition.from_labels([0] * 3 + [1] * 4 + [2] * 5)
 
 
 def test_criterion_7_quality_goldens():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     two = Partition.from_labels([0, 0, 0, 1, 1, 1])
     assert modularity(g, two) == pytest.approx(0.5, abs=1e-12)
 
@@ -240,7 +242,7 @@ def test_criterion_7_quality_goldens():
 
 def _shatter(shatter_small: bool):
     n = 100
-    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    g = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     gt = Partition.from_labels([0] * 10 + [1] * 90)
     if shatter_small:
         pred = Partition.from_labels(list(range(10)) + [10] * 90)

@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 from cdfair import cli, evaluate
 from cdfair.cli import main
 from cdfair.evaluate import derive_cell_seed
-from cdfair.graph import Graph, load_edge_list, write_edge_list
+from cdfair.graph import load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
-from oracles import generate_two_community
+from oracles import generate_two_community, graph_from_edges
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -89,13 +89,12 @@ class TestGenerate:
         assert rc == 1
 
     @pytest.mark.parametrize("flags, message", [
-        (["--d-max-iter", "0"], "d_max_iter >= 1"),
+        # every degree is 5 and n is odd, so no parity fix can succeed
+        (["--n", "101", "--d-min", "5", "--d-max", "5"],
+         "d_min = d_max = 5 and n = 101 give an odd degree sum"),
         (["--xi", "1.5"], "xi must lie in [0, 1]"),
         (["--gamma", "nan"], "gamma and beta must be finite"),
         (["--beta", "inf"], "gamma and beta must be finite"),
-        # every degree is 5 and n is odd, so no parity fix can succeed
-        (["--n", "101", "--d-min", "5", "--d-max", "5", "--d-max-iter", "3"],
-         "degree sampling failed after d_max_iter attempts"),
         # numpy would reject it without naming the option
         (["--seed", "-1"], "seed must be non-negative, got -1"),
     ])
@@ -437,7 +436,7 @@ class TestEvaluate:
             assert (tmp_path / "crlf" / "out" / "bias" / name).read_bytes() == want
 
     @pytest.mark.parametrize("case", ["three columns", "edge outside ground truth",
-                                      "bad ground truth"])
+                                      "bad ground truth", "stray huge id"])
     def test_load_error_names_its_file(self, tmp_path, capsys, case):
         edges, gt = _generate(tmp_path)
         k_edges, k_gt = tmp_path / "k.edges", tmp_path / "k.gt"
@@ -451,9 +450,12 @@ class TestEvaluate:
             k_gt.write_text("0 0\n1 0\n")
             named = (f"{k_edges} (graph): line 2: node id 2 outside [0, 2), "
                      f"the node count of ground truth {k_gt}")
-        else:
+        elif case == "bad ground truth":
             k_gt.write_text("0 0\n1 0\n0 1\n")
             named = f"{k_gt} (ground truth): line 3: node 0 assigned twice"
+        else:  # three rows hold three nodes, so the id on line 3 is out of range
+            k_gt.write_text("0 a\n1 a\n9000000000000000000 b\n")
+            named = f"{k_gt} (ground truth): line 3: node 9000000000000000000 outside [0, 3)"
         out = tmp_path / "run"
         rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
                    "--graph", str(k_edges), "--gt", str(k_gt),
@@ -610,7 +612,7 @@ def test_round_trip_keeps_isolated_nodes(data):
     edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
                                min_size=1, max_size=3 * n))
     labels = data.draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)) + [4]
-    g, gt = Graph.from_edges(n, edges), Partition.from_labels(labels)
+    g, gt = graph_from_edges(n, edges), Partition.from_labels(labels)
     with tempfile.TemporaryDirectory() as tmp:
         edges_path, gt_path, out = Path(tmp) / "r.edges", Path(tmp) / "r.gt", Path(tmp) / "run"
         with open(edges_path, "w", encoding="utf-8") as fh:

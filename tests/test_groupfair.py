@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from cdfair.graph import Graph
-from cdfair.groupfair import (
-    PROPERTIES,
-    SCORES,
-    community_scores,
-    community_stats,
-    ols_slope,
-    phi,
-)
+from cdfair.groupfair import PROPERTIES, SCORES, _scores, _stats, ols_slope, phi
 from cdfair.partition import Partition, contingency
+from cdfair.quality import community_edges
+from oracles import graph_from_edges
 
 
 def two_triangles():
-    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 # ---------------------------------------------------------------- OLS
@@ -37,7 +31,8 @@ def test_ols_degenerate_x():
 
 
 def test_disconnected_triangle_stats():
-    stats = community_stats(two_triangles(), Partition.from_labels([0, 0, 0, 1, 1, 1]))
+    g, p = two_triangles(), Partition.from_labels([0, 0, 0, 1, 1, 1])
+    stats = _stats(g, p, *community_edges(g, p))
     for c in range(len(stats["size"])):
         assert stats["size"][c] == 3
         assert stats["density"][c] == pytest.approx(1.0)
@@ -45,8 +40,9 @@ def test_disconnected_triangle_stats():
 
 
 def test_path_split_stats():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    stats = community_stats(g, Partition.from_labels([0, 0, 1, 1]))
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p = Partition.from_labels([0, 0, 1, 1])
+    stats = _stats(g, p, *community_edges(g, p))
     for c in range(len(stats["size"])):
         assert stats["size"][c] == 2
         assert stats["density"][c] == pytest.approx(1.0)
@@ -54,15 +50,17 @@ def test_path_split_stats():
 
 
 def test_singleton_community_conventions():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    stats = community_stats(g, Partition.from_labels([0, 1, 1]))
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    p = Partition.from_labels([0, 1, 1])
+    stats = _stats(g, p, *community_edges(g, p))
     assert stats["density"][0] == 1.0  # singleton convention
     assert stats["conductance"][0] == 1.0  # one external edge, volume 1
 
 
 def test_full_graph_conductance_zero():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    stats = community_stats(g, Partition.from_labels([0, 0, 0]))
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    p = Partition.from_labels([0, 0, 0])
+    stats = _stats(g, p, *community_edges(g, p))
     assert stats["conductance"][0] == 0.0
 
 
@@ -72,7 +70,7 @@ def test_full_graph_conductance_zero():
 def test_perfect_prediction_scores():
     g = two_triangles()
     gt = Partition.from_labels([0, 0, 0, 1, 1, 1])
-    scores = community_scores(g, contingency(gt, gt))
+    scores = _scores(g, contingency(gt, gt), community_edges(g, gt)[0])
     for c in range(len(scores["fccn"])):
         assert scores["fccn"][c] == 1.0
         assert scores["f1"][c] == 1.0
@@ -81,28 +79,28 @@ def test_perfect_prediction_scores():
 
 def test_split_community_scores():
     # ground-truth community of 4 split into two halves
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
     gt = Partition.from_labels([0, 0, 0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 1, 1, 2, 2])
-    sc = community_scores(g, contingency(gt, pred))
+    sc = _scores(g, contingency(gt, pred), community_edges(g, gt)[0])
     assert sc["fccn"][0] == pytest.approx(0.5)
     assert sc["f1"][0] == pytest.approx(2 * (1 * 0.5) / 1.5)
 
 
 def test_fcce_partial_triangle():
     # triangle community; prediction keeps 2 of its 3 nodes together
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     gt = Partition.from_labels([0, 0, 0, 1, 1])
     pred = Partition.from_labels([0, 0, 1, 2, 2])
-    sc = community_scores(g, contingency(gt, pred))
+    sc = _scores(g, contingency(gt, pred), community_edges(g, gt)[0])
     assert sc["fcce"][0] == pytest.approx(1 / 3)
 
 
 def test_tie_breaks_smaller_predicted_id():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (2, 3)])
     gt = Partition.from_labels([0, 0, 1, 1])
     pred = Partition.from_labels([0, 1, 2, 2])  # gt 0 ties between pred 0 and 1
-    sc = community_scores(g, contingency(gt, pred))
+    sc = _scores(g, contingency(gt, pred), community_edges(g, gt)[0])
     assert sc["fccn"][0] == pytest.approx(0.5)  # matched to pred 0
 
 
@@ -117,7 +115,7 @@ def three_distinct_communities():
         (7, 8), (8, 9), (9, 10), (10, 11), (7, 11), (7, 9), (8, 10),
         (2, 3), (6, 7),  # bridges
     ]
-    g = Graph.from_edges(12, edges)
+    g = graph_from_edges(12, edges)
     gt = Partition.from_labels([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])
     return g, gt
 
@@ -132,7 +130,7 @@ def test_phi_perfect_prediction_all_zero():
 
 def test_phi_of_one_community_is_null():
     # every property is equal across a single community, so no slope exists
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
     result = phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 1])))
     assert result == {prop: {score: None for score in SCORES} for prop in PROPERTIES}
 
@@ -141,7 +139,7 @@ def shatter_construction(shatter_small: bool):
     """Two communities (10, 90) on a ring; one side shattered into singletons."""
     n = 100
     edges = [(i, (i + 1) % n) for i in range(n)]
-    g = Graph.from_edges(n, edges)
+    g = graph_from_edges(n, edges)
     gt = Partition.from_labels([0] * 10 + [1] * 90)
     if shatter_small:
         pred_labels = list(range(10)) + [10] * 90

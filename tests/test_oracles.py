@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 import oracles
 from cdfair import textio
 from cdfair.detectors import _louvain_local_move, greedy_agglomerative, label_propagation, louvain
-from cdfair.graph import EdgeListError, Graph, load_edge_list, write_edge_list
-from cdfair.groupfair import community_scores, community_stats, ols_slope, phi
+from cdfair.graph import MAX_NODES, EdgeListError, load_edge_list, write_edge_list
+from cdfair.groupfair import _scores, _stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
-from cdfair.quality import nf1
-from cdfair.synthgen import AbcdParams, GenerationError, _sample_community_sizes, generate_abcd_lite
+from cdfair.quality import community_edges, nf1
+from cdfair.synthgen import AbcdParams, _sample_community_sizes, generate_abcd_lite
 from cdfair.textio import format_rows, read_rows
 
 TOL = 1e-12
@@ -48,7 +48,7 @@ def graph_and_pair(draw, max_n=30):
     edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=3 * n))
     gt = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     pred = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    return Graph.from_edges(n, edges), Partition.from_labels(gt), Partition.from_labels(pred)
+    return oracles.graph_from_edges(n, edges), Partition.from_labels(gt), Partition.from_labels(pred)
 
 
 @st.composite
@@ -133,9 +133,10 @@ def _assert_scores_equal(got, want):
 @settings(max_examples=100, deadline=None)
 def test_community_stats_and_scores_match_oracle(case):
     g, gt, pred = case
-    _assert_stats_equal(community_stats(g, gt), oracles.community_stats(g, gt))
-    _assert_stats_equal(community_stats(g, pred), oracles.community_stats(g, pred))
-    _assert_scores_equal(community_scores(g, contingency(gt, pred)), oracles.community_scores(g, gt, pred))
+    for p in (gt, pred):
+        _assert_stats_equal(_stats(g, p, *community_edges(g, p)), oracles.community_stats(g, p))
+    intra = community_edges(g, gt)[0]
+    _assert_scores_equal(_scores(g, contingency(gt, pred), intra), oracles.community_scores(g, gt, pred))
 
 
 @given(tied_pair(), st.data())
@@ -145,12 +146,13 @@ def test_max_overlap_ties_go_to_smaller_id(pair, data):
     n = split_gt.n
     node = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n))
-    g = Graph.from_edges(n, edges)
+    g = oracles.graph_from_edges(n, edges)
     # gt -> pred ties (a split) and pred -> gt ties (the same pair reversed, a merge)
     for gt, pred in ((split_gt, split_pred), (split_pred, split_gt)):
         ct = contingency(gt, pred)
         assert nf1(ct) == pytest.approx(oracles.nf1(gt, pred), abs=TOL)
-        _assert_scores_equal(community_scores(g, ct), oracles.community_scores(g, gt, pred))
+        intra = community_edges(g, gt)[0]
+        _assert_scores_equal(_scores(g, ct, intra), oracles.community_scores(g, gt, pred))
     ct = contingency(split_gt, split_pred)
     best = ct.best_cells()
     for a in range(split_gt.k):
@@ -171,7 +173,7 @@ def phi_case(draw):
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n))
     gt, pred = (split_gt, split_pred) if draw(st.booleans()) else (split_pred, split_gt)
-    return Graph.from_edges(n, edges), gt, pred
+    return oracles.graph_from_edges(n, edges), gt, pred
 
 
 @given(phi_case())
@@ -225,7 +227,7 @@ def cnm_graph(draw):
     if draw(st.booleans()):  # renumber the nodes, so ties fall on other pairs
         order = draw(st.permutations(range(n)))
         edges = [(order[u], order[v]) for u, v in edges]
-    return Graph.from_edges(n, edges)
+    return oracles.graph_from_edges(n, edges)
 
 
 @given(cnm_graph())
@@ -275,7 +277,7 @@ TIED_GRAPHS = {
 @pytest.mark.parametrize("name", TIED_GRAPHS)
 def test_louvain_integer_gains_equal_float_oracle_on_ties(name):
     n, edges = TIED_GRAPHS[name]
-    g = Graph.from_edges(n, edges)
+    g = oracles.graph_from_edges(n, edges)
     for seed in range(20):
         _louvain_against_oracle(g, seed)
 
@@ -387,7 +389,7 @@ def abcd_params(draw):
     return AbcdParams(
         n=n, d_min=d_min, d_max=d_max, c_min=c_min, c_max=c_max, xi=xi,
         gamma=draw(st.floats(1.5, 3.5)), beta=draw(st.floats(1.0, 2.5)),
-        d_max_iter=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**32 - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
@@ -395,7 +397,7 @@ def _generated(generate, p):
     """(edges, labels, info) of one generator run, or its error."""
     try:
         g, part, info = generate(p)
-    except GenerationError as exc:
+    except ValueError as exc:
         return str(exc)
     return g.n, g.edge_array.tolist(), part.labels.tolist(), part.k, info
 
@@ -575,11 +577,11 @@ PARTITION_LINES = ["0 7", "1 7", "2 10", "3 0", "2 0", "0 a", "1 a\n", "2 b", "1
                    "-1 a", "x a", "0", "0 a b", "# c", "", " 2\t07 ", "+1 7", "1 07", "1_0 a",
                    "\u0663 a", "% c", "0 a\xa0b", "1\u2003a", "3\x1c a", "1 7\r", "3 0\r\n",
                    "\ufeff0 7", "# Nodes: 4", "2\t10", "0\t\ta", "9" * 5000 + " a",
-                   "0" * 5000 + "1 a"]
+                   "0" * 5000 + "1 a", "9000000000000000000 b"]
 
 
 @given(st.lists(st.sampled_from(PARTITION_LINES[:5]), max_size=8)
-       | st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.integers(1, 4))
+       | st.lists(st.sampled_from(PARTITION_LINES), max_size=8), st.none() | st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_load_partition_matches_line_loop(lines, n):
     for source in _file_sources(lines):
@@ -710,7 +712,7 @@ def test_format_rows_of_edge_values():
 def test_writers_match_line_oracles(data):
     n = data.draw(st.integers(1, 40))
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
-    g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+    g = oracles.graph_from_edges(n, [(u, v) for u, v in pairs if u != v])
     p = Partition.from_labels(data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
     for write, oracle, obj in ((write_edge_list, oracles.write_edge_list, g),
                                (write_partition, oracles.write_partition, p)):
@@ -721,12 +723,28 @@ def test_writers_match_line_oracles(data):
 
 
 def test_load_partition_infers_n_from_largest_id():
+    # every node appears once, so n is the row count, which here is also the
+    # largest id plus one
     p = load_partition(b"1 x\n0 y\n2 x\n")
     assert p.n == 3
     assert p.labels.tolist() == [0, 1, 1]
     assert p.k == 2
-    with pytest.raises(PartitionError, match="node 1 unassigned"):
+    with pytest.raises(PartitionError, match=re.escape("line 2: node 2 outside [0, 2)")):
         load_partition(b"0 a\n2 a\n")
+
+
+@pytest.mark.parametrize("source, message", [
+    (b"0 a\n1 a\n9000000000000000000 b\n", "line 3: node 9000000000000000000 outside [0, 3)"),
+    (b"0 a\n99999999999999999999 b\n", "line 2: node 99999999999999999999 outside [0, 2)"),
+    # the rows stop at line 3, so they bound n only from below
+    (b"0 a\n99999999999999999999 b\n1 a b\n", "line 3: expected two tokens, got 3"),
+    (b"-1 a\n1 a b\n", "line 1: negative node id -1"),
+])
+def test_load_partition_without_n_bounds_ids_by_the_row_count(source, message):
+    with pytest.raises(PartitionError) as got:
+        load_partition(source)
+    assert str(got.value) == message
+    _assert_partition_matches_oracle(source, None)
 
 
 def test_load_edge_list_with_node_count():
@@ -738,8 +756,14 @@ def test_load_edge_list_with_node_count():
             load_edge_list(source, n=5)
 
 
+def test_from_edges_rejects_a_node_count_above_max_nodes():
+    message = f"n={MAX_NODES + 1} above the largest node count {MAX_NODES}"
+    with pytest.raises(ValueError, match=message):
+        oracles.graph_from_edges(MAX_NODES + 1, [(0, 1)])
+
+
 def test_from_edges_errors_name_the_first_bad_edge():
     with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
-        Graph.from_edges(3, [(0, 1), (0, 3), (2, 2)])
+        oracles.graph_from_edges(3, [(0, 1), (0, 3), (2, 2)])
     with pytest.raises(ValueError, match="self-loop at node 2"):
-        Graph.from_edges(3, [(0, 1), (2, 2), (0, 3)])
+        oracles.graph_from_edges(3, [(0, 1), (2, 2), (0, 3)])

@@ -1,6 +1,7 @@
 """The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
 and ``cdfair report`` run without numpy, ``cdfair evaluate`` without
-``numpy.ma``, and README's library example runs as written.
+``numpy.ma``, README's library example runs as written, and nothing in
+`src/` is there for tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -8,6 +9,7 @@ this test process has imported every module already.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -99,3 +101,32 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
     ib_g, mean_ib, nmi = map(float, proc.stdout.split())
     assert 0.0 <= ib_g <= 0.5 and 0.0 <= mean_ib < 1.0 and 0.0 <= nmi <= 1.0
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    """Code that only tests call lives under tests/ (``tests/oracles.py``).
+    Every module-level function and class of ``src/cdfair``, and every method
+    not named ``__…__``, is read somewhere in ``src/cdfair`` outside its own
+    definition, as a name or an attribute. ``_KeepRecords.emit`` is exempt:
+    ``logging`` calls it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cdfair").glob("*.py"))}
+    reads = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []  # (module, qualified name, node)
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (*functions, ast.ClassDef)):
+                found.append((module, top.name, top))
+            if isinstance(top, ast.ClassDef):
+                found += [(module, f"{top.name}.{node.name}", node) for node in top.body
+                          if isinstance(node, functions) and not re.fullmatch(r"__\w+__", node.name)]
+    uncalled = [
+        f"{module}:{node.lineno} {qualname}" for module, qualname, node in found
+        if qualname != "_KeepRecords.emit" and not any(
+            name == node.name and not (at == module and node.lineno <= line <= node.end_lineno)
+            for at, line, name in reads)
+    ]
+    assert uncalled == []

@@ -1,9 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdfair.synthgen import (
     AbcdParams,
-    GenerationError,
+    _sample_community_sizes,
+    _sample_degrees,
     generate_abcd_lite,
     truncated_power_law,
 )
@@ -27,10 +32,60 @@ def test_param_validation():
         AbcdParams(n=100, xi=1.5).validate()
     with pytest.raises(ValueError):
         AbcdParams(n=100, c_min=200, c_max=300).validate()
-    for bad in ({"d_max_iter": 0}, {"gamma": float("nan")},
-                {"beta": float("inf")}, {"gamma": float("-inf")}):
+    for bad in ({"gamma": float("nan")}, {"beta": float("inf")}, {"gamma": float("-inf")}):
         with pytest.raises(ValueError):
             AbcdParams(n=100, c_min=10, c_max=50, **bad).validate()
+    # all degrees equal at an odd n*d: no single move of one degree stays in range
+    with pytest.raises(ValueError, match="d_min = d_max = 5 and n = 101 give an odd degree sum"):
+        AbcdParams(n=101, d_min=5, d_max=5, c_min=10, c_max=50).validate()
+    AbcdParams(n=100, d_min=5, d_max=5, c_min=10, c_max=50).validate()
+
+
+@st.composite
+def degree_params(draw):
+    """d_min < d_max, with few degree values and exponents down to -2, so the
+    node picked to fix an odd sum is often at d_max."""
+    n = draw(st.integers(3, 60))
+    d_min = draw(st.integers(1, min(5, n - 2)))
+    d_max = draw(st.integers(d_min + 1, min(d_min + 3, n - 1)))
+    return AbcdParams(n=n, d_min=d_min, d_max=d_max, gamma=draw(st.floats(-2.0, 3.5)),
+                      c_min=1, c_max=n, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(degree_params())
+@example(AbcdParams(n=7, d_min=1, d_max=2, c_min=1, c_max=7, seed=0))  # an even sum
+@example(AbcdParams(n=7, d_min=1, d_max=2, c_min=1, c_max=7, seed=1))  # odd, picked node at d_max
+@example(AbcdParams(n=7, d_min=1, d_max=2, c_min=1, c_max=7, seed=2))  # odd, below d_max
+@settings(max_examples=300, deadline=None)
+def test_degree_parity_moves_one_degree_by_one(p):
+    degrees = _sample_degrees(np.random.default_rng(p.seed), p)
+    assert degrees.sum() % 2 == 0
+    assert p.d_min <= degrees.min() and degrees.max() <= p.d_max
+    rng = np.random.default_rng(p.seed)
+    drawn = truncated_power_law(rng, p.gamma, p.d_min, p.d_max, p.n)
+    moved = np.flatnonzero(degrees != drawn).tolist()
+    if drawn.sum() % 2 == 0:
+        assert moved == []
+    else:
+        idx = int(rng.integers(p.n))
+        assert moved == [idx]
+        assert degrees[idx] - drawn[idx] == (1 if drawn[idx] < p.d_max else -1)
+
+
+def test_seed_17812_lowers_a_degree_at_d_max():
+    """Evaluate-detect's seed 178, graph 12: the drawn degree sum is odd and
+    the node picked to fix it is at d_max. The generator once drew every
+    degree again here; now that node's degree goes down by 1."""
+    p = AbcdParams(n=1000, c_min=20, c_max=100, xi=0.3, seed=17812)
+    rng = np.random.default_rng(p.seed)
+    _sample_community_sizes(rng, p)  # as generate_abcd_lite draws before the degrees
+    drawn = truncated_power_law(copy.deepcopy(rng), p.gamma, p.d_min, p.d_max, p.n)
+    degrees = _sample_degrees(rng, p)
+    assert drawn.sum() % 2 == 1
+    (idx,) = np.flatnonzero(degrees != drawn).tolist()
+    assert (drawn[idx], degrees[idx]) == (p.d_max, p.d_max - 1)
+    g, part, _ = generate_abcd_lite(p)
+    assert (g.n, part.n) == (1000, 1000)
 
 
 def test_permuted_replays_shuffle_draws():
