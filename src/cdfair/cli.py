@@ -76,8 +76,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
+def _parse_ratios(text: str) -> tuple[float, ...]:
+    ratios = []
+    for token in text.split(","):
+        try:
+            ratios.append(float(token))
+        except ValueError:
+            raise ValueError(f"--ratios: {token!r} is not a number") from None
+    return tuple(ratios)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    ratios = _parse_ratios(args.ratios)
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
     targets = TARGETS if args.target == "both" else (args.target,)
     # every sweep is computed (and its input checked) before the output

@@ -37,6 +37,9 @@ class WorkerError(RuntimeError):
     """A worker process ended before returning the cells it was given."""
 
 
+_ABRUPT = "a worker process ended abruptly while evaluating cells"
+
+
 @dataclass
 class RunConfig:
     graphs: list[tuple[str, str]]  # (edge-list path, ground-truth path) pairs
@@ -136,31 +139,117 @@ def _worker_count(cells: int) -> int:
     return min(cells, cpus)
 
 
+def _serve_cells(cells: list[tuple[int, int]], task_r: int, out: int, inherited: set[int]):
+    """A forked worker: evaluate the cell of each index read from `task_r` and
+    write its length-prefixed frame to `out`, until the task pipe ends. Never
+    returns into the caller's code."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while index := os.read(task_r, 4):
+            i = int.from_bytes(index, "little")
+            frame = pickle.dumps((i, *_run_cell_in_worker(cells[i])), pickle.HIGHEST_PROTOCOL)
+            os.write(out, len(frame).to_bytes(8, "little"))
+            view = memoryview(frame)
+            while view:
+                view = view[os.write(out, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _map_cells(cells: list[tuple[int, int]]):
     """Yield the row of each cell in order, from forked workers when two or more
     CPUs are available.
 
-    Worker log records are handled here as each row arrives, so stderr and
-    log handlers see them in the order a serial run gives them.
+    The cell indices wait in one task pipe, and each worker claims the next
+    one whenever it finishes a cell. Rows that arrive early are held until
+    their turn. Worker log records are handled here as each row is yielded,
+    so stderr and log handlers see them in the order a serial run gives them.
     """
     workers = _worker_count(len(cells))
     if workers <= 1:
         yield from map(_run_cell, cells)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
+    import select
+    import selectors
+    import signal
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # each write of the task pipe is whole 4-byte records and at most
+    # PIPE_BUF bytes, so it is never split and every 4-byte read returns
+    # one whole index
+    tasks = b"".join(i.to_bytes(4, "little") for i in range(len(cells)))
+    step = select.PIPE_BUF - select.PIPE_BUF % 4
+    task_r, task_w = os.pipe()
+    fds = {task_r, task_w}  # this process's open pipe ends
+    children = set()  # the workers not yet reaped
+    sel = selectors.DefaultSelector()
+    done = 0
     try:
-        for row, records in pool.map(_run_cell_in_worker, cells):
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            yield row
-    except BrokenProcessPool:
-        raise WorkerError("a worker process ended abruptly while evaluating cells") from None
+        for _ in range(workers):
+            r, w = os.pipe()
+            fds |= {r, w}
+            pid = os.fork()
+            if pid == 0:
+                _serve_cells(cells, task_r, w, fds - {task_r, w})
+            children.add(pid)
+            os.close(w)
+            fds.remove(w)
+            sel.register(r, selectors.EVENT_READ, (pid, bytearray()))
+        # the task pipe is written without blocking as room frees, so a run
+        # with more cells than one pipe holds cannot deadlock
+        os.set_blocking(task_w, False)
+        sel.register(task_w, selectors.EVENT_WRITE)
+        sent, arrived = 0, {}
+        while done < len(cells):
+            if done in arrived:
+                row, records = arrived.pop(done)
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
+                done += 1
+                yield row
+                continue
+            if not children:  # every worker has exited and a cell is missing
+                raise WorkerError(_ABRUPT)
+            for key, _ in sel.select():
+                if key.fd == task_w:
+                    try:
+                        sent += os.write(task_w, tasks[sent:sent + step])
+                    except BlockingIOError:
+                        continue
+                    if sent == len(tasks):  # the workers exit when they read its end
+                        sel.unregister(task_w)
+                        os.close(task_w)
+                        fds.remove(task_w)
+                    continue
+                pid, buf = key.data
+                data = os.read(key.fd, 1 << 16)
+                if not data:  # the worker has exited
+                    sel.unregister(key.fd)
+                    children.remove(pid)
+                    if os.waitpid(pid, 0)[1] or buf:  # killed, failed, or a frame cut short
+                        raise WorkerError(_ABRUPT)
+                    continue
+                buf += data
+                while len(buf) >= 8:
+                    end = 8 + int.from_bytes(buf[:8], "little")
+                    if len(buf) < end:
+                        break
+                    i, row, records = pickle.loads(buf[8:end])
+                    arrived[i] = (row, records)
+                    del buf[:end]
     finally:
-        pool.shutdown(cancel_futures=True)
+        sel.close()
+        for fd in fds:
+            os.close(fd)
+        for pid in children:
+            if done < len(cells):  # stopped early: the workers' rows are not wanted
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _load_inputs(graph_path: str, gt_path: str) -> tuple[Graph, Partition]:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from cdfair import cli, evaluate
 from cdfair.cli import main
+from cdfair.detectors import DetectorSpec
 from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
@@ -547,17 +548,9 @@ class TestEvaluate:
             assert [m for _, _, m in logged] == [
                 "label propagation stopped after 1 sweep(s) without converging"] * 3
 
-    def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys):
         edges, gt = _generate(tmp_path)
-        evaluate_cell = evaluate.evaluate_cell
-
-        def die_on_cnm(g, gt, spec, seed):
-            if spec.name == "cnm":
-                os._exit(3)  # as a worker killed by the OOM killer would end
-            return evaluate_cell(g, gt, spec, seed)
-
-        # forked workers inherit both patches
-        monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
         monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
         out = tmp_path / "run"
         with _deadline(120):
@@ -569,6 +562,62 @@ class TestEvaluate:
             "error: a worker process ended abruptly while evaluating cells\n")
         assert not (out / "report.json").exists()
         assert not (out / "results.csv").exists()
+
+    def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys):
+        evaluate_cell = evaluate.evaluate_cell
+
+        def die_on_cnm(g, gt, spec, seed):
+            if spec.name == "cnm":
+                os._exit(3)  # as a worker killed by the OOM killer would end
+            return evaluate_cell(g, gt, spec, seed)
+
+        # forked workers inherit the patches
+        monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
+        self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("death", ["killed mid-cell", "short frame"])
+    def test_killed_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys, death):
+        if death == "killed mid-cell":
+            run_detector = evaluate.run_detector
+
+            def killed_after_cnm(spec, g, seed):
+                pred = run_detector(spec, g, seed)
+                if spec.name == "cnm":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return pred
+
+            monkeypatch.setattr(evaluate, "run_detector", killed_after_cnm)
+        else:
+            def short_frame(cells, task_r, out, inherited):
+                os.write(out, (100).to_bytes(8, "little") + b"cut")  # 3 of 100 bytes
+                os._exit(0)
+
+            monkeypatch.setattr(evaluate, "_serve_cells", short_frame)
+        self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys)
+
+    def test_parallel_runs_leave_no_fd_and_no_child(self, tmp_path, monkeypatch):
+        edges, gt = _generate(tmp_path)
+        monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        for run in ("run1", "run2"):  # as run_xi_experiment.py makes one call per xi
+            cfg = evaluate.RunConfig(graphs=[(str(edges), str(gt))],
+                                     detectors=[DetectorSpec("louvain"), DetectorSpec("cnm")],
+                                     out_dir=str(tmp_path / run))
+            with _deadline(120):
+                evaluate.evaluate_run(cfg)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_more_cells_than_one_pipe_of_tasks_come_in_order(self, monkeypatch):
+        # 20,000 4-byte task records overfill a 64 KiB pipe, so the parent
+        # must feed it as the workers drain it
+        monkeypatch.setattr(evaluate, "_run_cell", lambda cell: {"i": cell})
+        monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
+        cells = [(i // 100, i % 100) for i in range(20_000)]
+        with _deadline(120):
+            rows = list(evaluate._map_cells(cells))
+        assert rows == [{"i": cell} for cell in cells]
 
     def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
@@ -678,6 +727,13 @@ class TestSweep:
             "--ratios", "0,1.5", "--out", str(tmp_path),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("ratios, token", [("0.5,abc", "'abc'"), ("", "''")])
+    def test_non_number_ratio_names_the_option(self, tmp_path, capsys, ratios, token):
+        out = tmp_path / "o"
+        assert main(["sweep", "--n", "10", "--ratios", ratios, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --ratios: {token} is not a number\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--ratios", "0.5,0.2"],  # not ascending

@@ -1,7 +1,8 @@
 """The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
 and ``cdfair report`` run without numpy, ``cdfair evaluate`` without
-``numpy.ma``, README's library example runs as written, and nothing in
-`src/` is there for tests alone.
+``numpy.ma``, and its forked workers without a process pool or a thread,
+README's library example runs as written, and nothing in `src/` is there for
+tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -91,6 +92,27 @@ def test_evaluate_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list((tmp_path / "run" / "bias").glob("*.csv"))) == 4
+
+
+def test_parallel_evaluate_starts_no_thread_and_no_pool(tmp_path):
+    # the workers are plain forked children: no multiprocessing or
+    # concurrent.futures import, and no feeder or manager thread
+    data = ROOT / "tests" / "data"
+    proc = _python(
+        "import sys, threading\n"
+        "from cdfair import evaluate\n"
+        "from cdfair.cli import main\n"
+        "evaluate._worker_count = lambda cells: 2\n"
+        f"assert main(['evaluate', '--graph', {str(data / 'karate.edges')!r},\n"
+        f"             '--gt', {str(data / 'karate.gt')!r},\n"
+        "             '--detector', 'louvain', '--detector', 'cnm',\n"
+        f"             '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "print(threading.active_count())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "1"]
 
 
 def test_readme_library_example_runs():
