@@ -1,4 +1,4 @@
-"""Rewrite tests/golden/evaluate.json from the runs that tests/test_golden.py
+"""Rewrite tests/golden/manifest.json from the runs that tests/test_golden.py
 checks, in one process, serially.
 
     python tests/golden/regenerate.py

@@ -1,11 +1,13 @@
-"""Every output byte of two `cdfair evaluate` runs, pinned by sha256.
+"""Every output byte of two `cdfair evaluate` runs and five `cdfair generate
+abcd` runs, pinned by sha256.
 
-The runs read inputs checked in under tests/data, so the digests do not
-depend on the ABCD generator's random stream. Each run is made with one
-worker and with two, and both must give the digests in
-tests/golden/evaluate.json. After a change that is meant to alter an output,
-regenerate that file with `python tests/golden/regenerate.py` and say in
-CHANGES.md which files changed and why.
+The evaluate runs read inputs checked in under tests/data, so their digests
+do not depend on the ABCD generator's random stream; the generate runs pin
+that stream. Each evaluate run is made with one worker and with two, and
+both must give the digests in tests/golden/manifest.json. After a change
+that is meant to alter an output, regenerate that file with
+`python tests/golden/regenerate.py` and say in CHANGES.md which files
+changed and why.
 """
 
 from __future__ import annotations
@@ -20,34 +22,64 @@ from cdfair import evaluate
 from cdfair.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-MANIFEST = ROOT / "tests" / "golden" / "evaluate.json"
+MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 
-# paths are relative to the repository root, since report.json records them
+# each command writes under <out>/<name>; the evaluate paths are relative to
+# the repository root, since report.json records them
 RUNS = {
-    "karate": ["--graph", "tests/data/karate.edges", "--gt", "tests/data/karate.gt",
-               "--detector", "louvain", "--detector", "label_propagation", "--detector", "cnm",
-               "--detector", "external:path=tests/data/karate.gt"],
+    "evaluate/karate": [
+        "evaluate", "--graph", "tests/data/karate.edges", "--gt", "tests/data/karate.gt",
+        "--detector", "louvain", "--detector", "label_propagation", "--detector", "cnm",
+        "--detector", "external:path=tests/data/karate.gt"],
     # cdfair generate abcd --n 300 --c-min 20 --c-max 60 --xi 0.4 --seed 0 --prefix abcd300;
     # at this mixing the three detectors give three different partitions
-    "abcd300": ["--graph", "tests/data/abcd300.edges", "--gt", "tests/data/abcd300.gt",
-                "--detector", "louvain", "--detector", "label_propagation", "--detector", "cnm"],
+    "evaluate/abcd300": [
+        "evaluate", "--graph", "tests/data/abcd300.edges", "--gt", "tests/data/abcd300.gt",
+        "--detector", "louvain", "--detector", "label_propagation", "--detector", "cnm"],
+    # criterion 9's shape
+    "generate/n2000": ["generate", "abcd", "--n", "2000", "--c-min", "50", "--c-max", "400",
+                       "--xi", "0.3", "--seed", "0"],
+    "generate/n600": ["generate", "abcd", "--n", "600", "--c-min", "20", "--c-max", "100",
+                      "--xi", "0.5", "--seed", "1"],
+    # no background pass: the stubs that do not fit are dropped
+    "generate/xi0": ["generate", "abcd", "--n", "300", "--c-min", "20", "--c-max", "60",
+                     "--xi", "0.0", "--seed", "2"],
+    # one community, so the background pairs without the inter-community rule
+    "generate/one-community": ["generate", "abcd", "--n", "200", "--c-min", "200",
+                               "--c-max", "200", "--xi", "0.4", "--seed", "3"],
+    # communities of 2 to 5 nodes, whose stub pools get stuck and are dropped
+    "generate/tiny-communities": ["generate", "abcd", "--n", "500", "--c-min", "2",
+                                  "--c-max", "5", "--d-min", "1", "--d-max", "30",
+                                  "--xi", "0.5", "--seed", "4"],
 }
 
 
-def run_digests(out: Path) -> dict[str, str]:
-    """Run every command of RUNS from the repository root, writing under `out`,
-    and give the sha256 of every file written, keyed by its path under `out`."""
-    for name, argv in RUNS.items():
-        assert main(["evaluate", *argv, "--out", str(out / name)]) == 0, name
+def run_digests(out: Path, names=RUNS) -> dict[str, str]:
+    """Run the commands of RUNS named in `names` from the repository root,
+    writing under `out`, and give the sha256 of every file written, keyed by
+    its path under `out`."""
+    for name in names:
+        assert main([*RUNS[name], "--out", str(out / name)]) == 0, name
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _differ(out: Path, command: str) -> list[str]:
+    """The files of the `command` runs whose digest is not the manifest's."""
+    got = run_digests(out, [name for name in RUNS if name.startswith(f"{command}/")])
+    want = {path: digest for path, digest in json.loads(MANIFEST.read_text(encoding="utf-8")).items()
+            if path.startswith(f"{command}/")}
+    return sorted(path for path in want.keys() | got.keys() if want.get(path) != got.get(path))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evaluate_outputs_match_the_manifest(tmp_path, monkeypatch, workers):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(evaluate, "_worker_count", lambda cells: workers)
-    got = run_digests(tmp_path)
-    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    differ = sorted(path for path in want.keys() | got.keys() if want.get(path) != got.get(path))
+    differ = _differ(tmp_path, "evaluate")
+    assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
+
+
+def test_generate_outputs_match_the_manifest(tmp_path):
+    differ = _differ(tmp_path, "generate")
     assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
