@@ -11,12 +11,13 @@ evaluate workers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import __version__
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
-from .report import write_report_outputs
+from .report import write_json, write_report_outputs
 
 # generate and evaluate import the numpy modules they use when they run, so
 # sweep, report, --help and --version start without numpy
@@ -31,7 +32,6 @@ def _error(exc: Exception) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .evaluate import write_json
     from .graph import write_edge_list
     from .partition import write_partition
     from .synthgen import AbcdParams, generate_abcd_lite
@@ -41,7 +41,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi, seed=args.seed,
     )
     g, p, info = generate_abcd_lite(params)
-    provenance = {"model": "abcd_lite", "params": params.to_dict(), "realized": info,
+    provenance = {"model": "abcd_lite", "params": dataclasses.asdict(params), "realized": info,
                   "package_version": __version__}
     out, prefix = Path(args.out), args.prefix
     out.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import os
@@ -25,7 +24,8 @@ from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi
 from .partition import Partition, contingency, load_partition
 from .quality import ari, modularity, nf1, nmi
-from .report import PHI_METRICS, PROPERTIES, QUALITY_METRICS, REPORT_SCHEMA_VERSION, SCORES
+from .report import (PHI_METRICS, PROPERTIES, QUALITY_METRICS, REPORT_SCHEMA_VERSION, SCORES,
+                     write_json)
 from .textio import load_file
 
 
@@ -93,22 +93,6 @@ def _aggregate(rows: list[dict]) -> dict:
     return agg
 
 
-# the run whose cells are being evaluated: (config, [(graph path, graph, ground
-# truth)]); forked workers inherit it, so no graph is pickled
-_RUN: tuple[RunConfig, list[tuple[str, Graph, Partition]]] | None = None
-
-
-def _run_cell(cell: tuple[int, int]) -> dict:
-    """The row of cell (detector index, graph index) of the current run."""
-    di, gi = cell
-    cfg, loaded = _RUN
-    _, g, gt = loaded[gi]
-    try:
-        return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
-    except Exception as exc:  # failure of one cell must not abort the run
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 class _KeepRecords(logging.Handler):
     """Holds a worker's log records, message formatted, until its row is sent."""
 
@@ -123,13 +107,6 @@ class _KeepRecords(logging.Handler):
         self.records.append(record)
 
 
-def _run_cell_in_worker(cell: tuple[int, int]) -> tuple[dict, list[logging.LogRecord]]:
-    """The cell's row and the records it logged, which the worker does not print."""
-    kept = _KeepRecords()
-    logging.root.handlers = [kept]
-    return _run_cell(cell), kept.records
-
-
 def _worker_count(cells: int) -> int:
     """One worker per CPU this process may run on, and no more than there are cells."""
     try:
@@ -139,19 +116,22 @@ def _worker_count(cells: int) -> int:
     return min(cells, cpus)
 
 
-def _serve_cells(cells: list[tuple[int, int]], task_r: int, out: int, inherited: set[int]):
-    """A forked worker: evaluate the cell of each index read from `task_r` and
-    write its length-prefixed frame to `out`, until the task pipe ends. Never
-    returns into the caller's code."""
+def _serve_cells(run, task_r: int, out: int, inherited: set[int]):
+    """A forked worker: for each index i read from `task_r`, write the
+    length-prefixed frame of (i, run(i), the records it logged) to `out`,
+    until the task pipe ends. Never returns into the caller's code."""
     import pickle
 
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
+        kept = _KeepRecords()  # the worker prints no record; its parent handles them
+        logging.root.handlers = [kept]
         while index := os.read(task_r, 4):
             i = int.from_bytes(index, "little")
-            frame = pickle.dumps((i, *_run_cell_in_worker(cells[i])), pickle.HIGHEST_PROTOCOL)
+            frame = pickle.dumps((i, run(i), kept.records), pickle.HIGHEST_PROTOCOL)
+            kept.records.clear()
             os.write(out, len(frame).to_bytes(8, "little"))
             view = memoryview(frame)
             while view:
@@ -161,18 +141,19 @@ def _serve_cells(cells: list[tuple[int, int]], task_r: int, out: int, inherited:
         os._exit(code)
 
 
-def _map_cells(cells: list[tuple[int, int]]):
-    """Yield the row of each cell in order, from forked workers when two or more
-    CPUs are available.
+def _map_cells(run, count: int):
+    """Yield the row ``run(i)`` of each cell i in range(count), in order, from
+    forked workers when two or more CPUs are available. The workers inherit
+    `run` and what it reads, so no input is pickled.
 
     The cell indices wait in one task pipe, and each worker claims the next
     one whenever it finishes a cell. Rows that arrive early are held until
     their turn. Worker log records are handled here as each row is yielded,
     so stderr and log handlers see them in the order a serial run gives them.
     """
-    workers = _worker_count(len(cells))
+    workers = _worker_count(count)
     if workers <= 1:
-        yield from map(_run_cell, cells)
+        yield from map(run, range(count))
         return
     import pickle
     import select
@@ -182,7 +163,7 @@ def _map_cells(cells: list[tuple[int, int]]):
     # each write of the task pipe is whole 4-byte records and at most
     # PIPE_BUF bytes, so it is never split and every 4-byte read returns
     # one whole index
-    tasks = b"".join(i.to_bytes(4, "little") for i in range(len(cells)))
+    tasks = b"".join(i.to_bytes(4, "little") for i in range(count))
     step = select.PIPE_BUF - select.PIPE_BUF % 4
     task_r, task_w = os.pipe()
     fds = {task_r, task_w}  # this process's open pipe ends
@@ -195,7 +176,7 @@ def _map_cells(cells: list[tuple[int, int]]):
             fds |= {r, w}
             pid = os.fork()
             if pid == 0:
-                _serve_cells(cells, task_r, w, fds - {task_r, w})
+                _serve_cells(run, task_r, w, fds - {task_r, w})
             children.add(pid)
             os.close(w)
             fds.remove(w)
@@ -205,7 +186,7 @@ def _map_cells(cells: list[tuple[int, int]]):
         os.set_blocking(task_w, False)
         sel.register(task_w, selectors.EVENT_WRITE)
         sent, arrived = 0, {}
-        while done < len(cells):
+        while done < count:
             if done in arrived:
                 row, records = arrived.pop(done)
                 for record in records:
@@ -247,7 +228,7 @@ def _map_cells(cells: list[tuple[int, int]]):
         for fd in fds:
             os.close(fd)
         for pid in children:
-            if done < len(cells):  # stopped early: the workers' rows are not wanted
+            if done < count:  # stopped early: the workers' rows are not wanted
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -273,7 +254,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
     affinity mask, or in this process when that is one CPU. Every output
     byte is the same either way.
     """
-    global _RUN
     loaded = [(graph_path, *_load_inputs(graph_path, gt_path))
               for graph_path, gt_path in cfg.graphs]
     # made only once every input has loaded, so a bad input leaves no directory
@@ -282,8 +262,17 @@ def evaluate_run(cfg: RunConfig) -> dict:
 
     detectors_block: dict = {}
     warnings = []
-    _RUN = (cfg, loaded)
-    rows = _map_cells([(di, gi) for di in range(len(cfg.detectors)) for gi in range(len(loaded))])
+
+    def run_cell(i: int) -> dict:
+        """The row of the i-th cell, detector-major; forked workers inherit it."""
+        di, gi = divmod(i, len(loaded))
+        _, g, gt = loaded[gi]
+        try:
+            return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
+        except Exception as exc:  # failure of one cell must not abort the run
+            return {"error": f"{type(exc).__name__}: {exc}"}
+
+    rows = _map_cells(run_cell, len(cfg.detectors) * len(loaded))
     try:
         for spec in cfg.detectors:
             label = spec.label()
@@ -306,7 +295,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
             }
     finally:
         rows.close()  # stops the workers now, also when a write failed
-        _RUN = None
 
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -325,12 +313,6 @@ def evaluate_run(cfg: RunConfig) -> dict:
     write_json(out_dir / "report.json", doc)
     _write_results_csv(doc, out_dir / "results.csv")
     return doc
-
-
-def write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _write_results_csv(doc: dict, path: Path) -> None:
@@ -371,11 +353,6 @@ def _parse_detector(text: str) -> DetectorSpec:
     return DetectorSpec(name, params)
 
 
-def _spec_text(spec: DetectorSpec) -> str:
-    params = ",".join(f"{k}={v}" for k, v in spec.params.items())
-    return f"{spec.name}:{params}" if params else spec.name
-
-
 def _bias_name(label: str, graph_path: str) -> str:
     """The file under bias/ holding the per-node bias of one (detector, graph) cell."""
     return f"{label}_{Path(graph_path).stem}.csv"
@@ -396,10 +373,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     # stem, or when a label or stem holds "_": external:a on b_c.edges and
     # external:a_b on c.edges
     by_name: dict[str, str] = {}
-    for spec in detectors:
+    for text, spec in zip(args.detector, detectors):
         for graph_path, _ in graphs:
             name = _bias_name(spec.label(), graph_path)
-            cell = f"detector {_spec_text(spec)!r} on graph {graph_path!r}"
+            cell = f"detector {text!r} on graph {graph_path!r}"
             if name in by_name:
                 raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
             by_name[name] = cell

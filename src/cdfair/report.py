@@ -1,4 +1,4 @@
-"""Plot-data exports: long-format CSV and minimal SVG scatter renderings."""
+"""Run-report JSON, and plot-data exports: long-format CSV and minimal SVG scatter renderings."""
 
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ def _finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """`doc` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_run_report(path: str | Path) -> dict:

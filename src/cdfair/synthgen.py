@@ -7,8 +7,6 @@ background configuration model.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +14,8 @@ import numpy as np
 
 from .graph import Graph
 from .partition import Partition
+
+MAX_ROUNDS = 50  # shuffle-and-pair rounds of a stub pool before its rejects are dropped
 
 
 @dataclass(frozen=True)
@@ -41,42 +41,48 @@ class AbcdParams:
             raise ValueError("xi must lie in [0, 1]")
         if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
             raise ValueError("gamma and beta must be finite")
+        # `_power_law` divides the weights v^-exponent by their float64 sum
+        for name, exponent, lo, hi in (("gamma", self.gamma, self.d_min, self.d_max),
+                                       ("beta", self.beta, self.c_min, self.c_max)):
+            with np.errstate(over="ignore", under="ignore"):
+                total = (np.arange(lo, hi + 1, dtype=np.float64) ** -exponent).sum()
+            if not 0.0 < total < math.inf:
+                raise ValueError(f"{name} = {exponent}: the weights v^-{name} over "
+                                 f"[{lo}, {hi}] sum to 0 or overflow float64")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
+def _power_law(exponent: float, lo: int, hi: int):
+    """A sampler ``draw(rng, size)`` of `size` integers in [lo, hi] with P(v)
+    proportional to v^-exponent.
 
-def _power_law_weights(exponent: float, lo: int, hi: int) -> np.ndarray:
-    """P(v) proportional to v^-exponent for the integers v in [lo, hi]."""
-    weights = np.arange(lo, hi + 1, dtype=np.float64) ** (-exponent)
-    return weights / weights.sum()
-
-
-def truncated_power_law(rng: np.random.Generator, exponent: float, lo: int, hi: int, size: int) -> np.ndarray:
-    """Sample integers in [lo, hi] with P(v) proportional to v^-exponent."""
-    return rng.choice(np.arange(lo, hi + 1), size=size, p=_power_law_weights(exponent, lo, hi))
+    ``draw`` gives the integers that ``rng.choice(np.arange(lo, hi + 1), size,
+    p=weights / weights.sum())`` gives, and leaves `rng` in the same state:
+    ``Generator.choice`` maps one ``random()`` per sample through ``cdf``,
+    built here once by the same arithmetic. Community sizes come in batches
+    of as little as one draw, so the O(hi − lo) table is not rebuilt per call.
+    """
+    weights = np.arange(lo, hi + 1, dtype=np.float64) ** -exponent
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return lambda rng, size: cdf.searchsorted(rng.random(size), side="right") + lo
 
 
 def _sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int]:
     """Power-law sizes in [c_min, c_max] until they cover n; the last is trimmed.
 
-    The sizes are the ones that one ``truncated_power_law(rng, beta, c_min,
-    c_max, 1)`` call per community gives, and `rng` ends in the same state:
-    ``Generator.choice`` maps one ``random()`` per sample through ``cdf``,
-    built here once by the same arithmetic. A batch of
-    ceil((n − total) / c_max) draws cannot reach n before its last draw, so
-    the per-community loop would have consumed all of it. The trimmed size
-    is at least 1, because the sizes before it sum to less than n.
+    The sizes and the state `rng` ends in are those of one ``draw(rng, 1)``
+    call per community: a batch of ceil((n − total) / c_max) draws cannot
+    reach n before its last draw, so the per-community loop would have
+    consumed all of it. The trimmed size is at least 1, because the sizes
+    before it sum to less than n.
     """
-    cdf = _power_law_weights(p.beta, p.c_min, p.c_max).cumsum()
-    cdf /= cdf[-1]
+    draw = _power_law(p.beta, p.c_min, p.c_max)
     sizes: list[int] = []
     total = 0
     while total < p.n:
-        draws = rng.random(-(-(p.n - total) // p.c_max))
-        batch = (cdf.searchsorted(draws, side="right") + p.c_min).tolist()
+        batch = draw(rng, -(-(p.n - total) // p.c_max)).tolist()
         sizes += batch
         total += sum(batch)
     sizes[-1] -= total - p.n
@@ -90,7 +96,7 @@ def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
     it is below d_max, down otherwise. ``validate`` rejects d_min = d_max at
     an odd sum, the one case where neither move stays in range.
     """
-    degrees = truncated_power_law(rng, p.gamma, p.d_min, p.d_max, p.n).astype(np.int64)
+    degrees = _power_law(p.gamma, p.d_min, p.d_max)(rng, p.n)
     if degrees.sum() % 2:
         idx = int(rng.integers(p.n))
         degrees[idx] += 1 if degrees[idx] < p.d_max else -1
@@ -112,7 +118,6 @@ def _pair_stubs(
     pool: list[int],
     edges: set[int],
     n: int,
-    max_rounds: int = 50,
     labels: np.ndarray | None = None,
 ) -> int:
     """Configuration-model pairing with rejection of self-loops/multi-edges.
@@ -140,7 +145,7 @@ def _pair_stubs(
     dropped as irreparable.
     """
     community_of = labels.tolist() if labels is not None else None
-    for done in range(1, max_rounds + 1):
+    for done in range(1, MAX_ROUNDS + 1):
         if len(pool) < 2:
             break
         rng.shuffle(pool)
@@ -156,8 +161,8 @@ def _pair_stubs(
         if not bad:
             return 0
         if len(bad) == len(pool) and not _can_pair(bad, edges, n, community_of):
-            if done < max_rounds:
-                rng.permuted(np.zeros((max_rounds - done, len(bad)), np.int64), axis=1)
+            if done < MAX_ROUNDS:
+                rng.permuted(np.zeros((MAX_ROUNDS - done, len(bad)), np.int64), axis=1)
             return len(bad)
         pool = bad
     return len(pool)
@@ -175,24 +180,16 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     sizes = _sample_community_sizes(rng, p)
     degrees = _sample_degrees(rng, p)
 
-    # assign shuffled nodes to communities sequentially
-    order = rng.permutation(p.n)
+    # the nodes of a random permutation fill the communities in order
     labels = np.empty(p.n, dtype=np.int64)
-    pos = 0
-    for c, s in enumerate(sizes):
-        labels[order[pos : pos + s]] = c
-        pos += s
-    community_size = np.array(sizes, dtype=np.int64)
+    labels[rng.permutation(p.n)] = np.repeat(np.arange(len(sizes)), sizes)
 
     # split each node's stubs between its community and the background
     frac = (1.0 - p.xi) * degrees
     base = np.floor(frac).astype(np.int64)
     extra = (rng.random(p.n) < (frac - base)).astype(np.int64)
-    intra_target = base + extra
     # a community of size s can host at most s-1 distinct neighbors
-    cap = community_size[labels] - 1
-    overflow = np.maximum(intra_target - cap, 0)
-    intra_target -= overflow
+    intra_target = np.minimum(base + extra, np.array(sizes, dtype=np.int64)[labels] - 1)
     background = degrees - intra_target
     dropped = 0
     if p.xi == 0.0:
@@ -215,13 +212,12 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     else:
         background[by_community[odd]] += 1
     stubs = np.repeat(by_community, counts).tolist()
-    # the intra edges of disjoint communities cannot collide, so each
-    # community gets its own edge set
-    edge_sets: list[set[int]] = []
+    # one set holds every edge key: the pools of disjoint communities cannot
+    # collide, and the background pass adds inter-community edges only
+    edges: set[int] = set()
     start = 0
     for end in np.cumsum(np.add.reduceat(counts, starts)).tolist():
-        edge_sets.append(set())
-        dropped += _pair_stubs(rng, stubs[start:end], edge_sets[-1], p.n)
+        dropped += _pair_stubs(rng, stubs[start:end], edges, p.n)
         start = end
 
     if background.sum() > 0:
@@ -230,23 +226,17 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
             background[j] -= 1
             dropped += 1
         stubs = np.repeat(np.arange(p.n), background).tolist()
-        if len(sizes) > 1:
-            # inter-community edges only, so none collides with an intra edge
-            edge_sets.append(set())
-            dropped += _pair_stubs(rng, stubs, edge_sets[-1], p.n, labels=labels)
-        else:
-            # no inter-community pair exists; pair unconstrained instead of
-            # dropping every stub, sharing the one community's edge set
-            dropped += _pair_stubs(rng, stubs, edge_sets[0], p.n)
+        # with one community no inter-community pair exists, so its
+        # background stubs pair unconstrained instead of all being dropped
+        dropped += _pair_stubs(rng, stubs, edges, p.n, labels=labels if len(sizes) > 1 else None)
 
-    # the sets are disjoint, so the keys are distinct
-    m = sum(map(len, edge_sets))
-    keys = np.fromiter(itertools.chain.from_iterable(edge_sets), np.int64, m)
+    m = len(edges)
+    keys = np.fromiter(edges, np.int64, m)
     keys.sort()
     graph = Graph.from_keys(p.n, keys)
     partition = Partition.from_labels(labels)
-    edges = graph.edge_array
-    inter = int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))
+    ends = graph.edge_array
+    inter = int(np.count_nonzero(labels[ends[:, 0]] != labels[ends[:, 1]]))
     info = {
         "dropped_stubs": int(dropped),
         "num_edges": m,

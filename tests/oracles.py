@@ -6,9 +6,9 @@ CNM loop that rescans every link per merge, which the heap replaced, Louvain
 on float weights with a 1e-12 tie tolerance, which integer gains replaced,
 label propagation that recounts every node's neighbourhood on every visit, the
 edge-list and partition writers that format each line on its own, the bias
-CSV writer that joins all n rows into one string, and the
-ABCD generator that re-shuffles stub pools which can no longer pair and
-draws each community size with its own ``choice`` call. They are slow but
+CSV writer that joins all n rows into one string, and the ABCD generator
+that re-shuffles stub pools which can no longer pair and draws its degrees
+and each community size with ``Generator.choice``. They are slow but
 obviously correct, and the property tests in ``test_oracles.py`` compare the
 package against them.
 
@@ -38,7 +38,7 @@ from cdfair.bias import BiasReport
 from cdfair.graph import MAX_NODES, EdgeListError, Graph, _distinct
 from cdfair.partition import Partition, PartitionError
 from cdfair.perturb import minority_size, round_half_away
-from cdfair.synthgen import AbcdParams, _sample_degrees
+from cdfair.synthgen import AbcdParams
 from cdfair.textio import first_true
 
 NAIVE_NODE_CAP = 5000
@@ -608,20 +608,33 @@ def pair_stubs(
     return len(pool)
 
 
+def truncated_power_law(rng: np.random.Generator, exponent: float, lo: int, hi: int, size: int) -> np.ndarray:
+    """Sample integers in [lo, hi] with P(v) proportional to v^-exponent."""
+    weights = np.arange(lo, hi + 1, dtype=np.float64) ** (-exponent)
+    return rng.choice(np.arange(lo, hi + 1), size=size, p=weights / weights.sum())
+
+
 def sample_community_sizes(rng: np.random.Generator, p: AbcdParams) -> list[int]:
     """One ``Generator.choice`` draw per community until the sizes cover n."""
-    values = np.arange(p.c_min, p.c_max + 1, dtype=np.float64)
-    weights = values ** (-p.beta)
-    weights /= weights.sum()
     sizes: list[int] = []
     total = 0
     while total < p.n:
-        s = int(rng.choice(np.arange(p.c_min, p.c_max + 1), size=1, p=weights)[0])
+        s = int(truncated_power_law(rng, p.beta, p.c_min, p.c_max, 1)[0])
         sizes.append(s)
         total += s
     # the sizes before the last sum to less than n, so the trimmed one is >= 1
     sizes[-1] -= total - p.n
     return sizes
+
+
+def sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
+    """``Generator.choice`` degrees; an odd sum moves one random node's degree
+    by 1, up when it is below d_max and down otherwise."""
+    degrees = truncated_power_law(rng, p.gamma, p.d_min, p.d_max, p.n).astype(np.int64)
+    if degrees.sum() % 2:
+        idx = int(rng.integers(p.n))
+        degrees[idx] += 1 if degrees[idx] < p.d_max else -1
+    return degrees
 
 
 def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
@@ -634,7 +647,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     rng = np.random.default_rng(p.seed)
 
     sizes = sample_community_sizes(rng, p)
-    degrees = _sample_degrees(rng, p)
+    degrees = sample_degrees(rng, p)
 
     # assign shuffled nodes to communities sequentially
     order = rng.permutation(p.n)

@@ -15,6 +15,7 @@ import re
 import shutil
 import signal
 import tempfile
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -98,15 +99,26 @@ class TestGenerate:
         (["--beta", "inf"], "gamma and beta must be finite"),
         # numpy would reject it without naming the option
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        # v^-gamma underflows to 0 at every v, or overflows: numpy's error
+        # would not name the option
+        (["--gamma", "1000"],
+         "gamma = 1000.0: the weights v^-gamma over [5, 50] sum to 0 or overflow float64"),
+        (["--gamma", "-1000"],
+         "gamma = -1000.0: the weights v^-gamma over [5, 50] sum to 0 or overflow float64"),
+        # 50^200 overflows float64; the community sizes were once all c_min
+        (["--beta", "-200"],
+         "beta = -200.0: the weights v^-beta over [10, 50] sum to 0 or overflow float64"),
     ])
     def test_bad_abcd_input_exit_1(self, tmp_path, capsys, flags, message):
-        rc = main(["generate", "abcd", "--n", "100", "--c-min", "10", "--c-max", "50",
-                   *flags, "--out", str(tmp_path)])
+        out = tmp_path / "graphs"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["generate", "abcd", "--n", "100", "--c-min", "10", "--c-max", "50",
+                       *flags, "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "graph.edges").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [str(w.message) for w in caught] == []  # no numpy warning either
+        assert not out.exists()
 
     def test_failed_generate_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "new" / "graphs"
@@ -588,7 +600,7 @@ class TestEvaluate:
 
             monkeypatch.setattr(evaluate, "run_detector", killed_after_cnm)
         else:
-            def short_frame(cells, task_r, out, inherited):
+            def short_frame(run, task_r, out, inherited):
                 os.write(out, (100).to_bytes(8, "little") + b"cut")  # 3 of 100 bytes
                 os._exit(0)
 
@@ -612,12 +624,10 @@ class TestEvaluate:
     def test_more_cells_than_one_pipe_of_tasks_come_in_order(self, monkeypatch):
         # 20,000 4-byte task records overfill a 64 KiB pipe, so the parent
         # must feed it as the workers drain it
-        monkeypatch.setattr(evaluate, "_run_cell", lambda cell: {"i": cell})
         monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
-        cells = [(i // 100, i % 100) for i in range(20_000)]
         with _deadline(120):
-            rows = list(evaluate._map_cells(cells))
-        assert rows == [{"i": cell} for cell in cells]
+            rows = list(evaluate._map_cells(lambda i: {"i": i}, 20_000))
+        assert rows == [{"i": i} for i in range(20_000)]
 
     def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))

@@ -1,8 +1,8 @@
 """The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
-and ``cdfair report`` run without numpy, ``cdfair evaluate`` without
-``numpy.ma``, and its forked workers without a process pool or a thread,
-README's library example runs as written, and nothing in `src/` is there for
-tests alone.
+and ``cdfair report`` run without numpy, ``cdfair generate`` without the
+evaluate pipeline, ``cdfair evaluate`` without ``numpy.ma``, and its forked
+workers without a process pool or a thread, README's library example runs
+as written, and nothing in `src/` is there for tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -65,6 +65,22 @@ def test_sweep_report_and_version_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 6
     assert (tmp_path / "figures" / "scatter_points.csv").is_file()
+
+
+def test_generate_loads_no_evaluate_pipeline(tmp_path):
+    proc = _python(
+        "import sys\n"
+        "from cdfair.cli import main\n"
+        "assert main(['generate', 'abcd', '--n', '300', '--c-min', '20', '--c-max', '60',\n"
+        f"             '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cdfair.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert {"cdfair.synthgen", "cdfair.report"} <= set(loaded)
+    pipeline = ("evaluate", "detectors", "bias", "quality", "groupfair")
+    assert [m for m in loaded if m.removeprefix("cdfair.") in pipeline] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.edges", "graph.gt", "graph.json"]
 
 
 def test_evaluate_leaves_numpy_ma_unloaded(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -7,22 +8,37 @@ from hypothesis import strategies as st
 
 from cdfair.synthgen import (
     AbcdParams,
+    _power_law,
     _sample_community_sizes,
     _sample_degrees,
     generate_abcd_lite,
-    truncated_power_law,
 )
+from oracles import truncated_power_law
 
 SMALL = dict(n=500, c_min=50, c_max=150, d_min=5, d_max=30)
 
 
 def test_power_law_respects_bounds_and_shape():
     rng = np.random.default_rng(1)
-    vals = truncated_power_law(rng, 2.5, 5, 50, 10000)
+    vals = _power_law(2.5, 5, 50)(rng, 10000)
     assert vals.min() >= 5
     assert vals.max() <= 50
     # heavier mass at the low end
     assert (vals == 5).sum() > (vals == 50).sum() * 5
+
+
+@pytest.mark.parametrize("exponent, lo, hi", [
+    (2.5, 5, 50), (1.5, 100, 1000), (-2.0, 1, 4), (0.0, 3, 3), (300.0, 5, 50), (-150.0, 10, 50),
+])
+def test_power_law_replays_generator_choice(exponent, lo, hi):
+    """A ``_power_law`` sampler gives the integers of ``Generator.choice``
+    and leaves the stream where it does, also where some weights underflow
+    to 0."""
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draw = _power_law(exponent, lo, hi)
+    for size in (1, 7, 1000):
+        assert draw(rng, size).tolist() == truncated_power_law(ref, exponent, lo, hi, size).tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_param_validation():
@@ -39,6 +55,16 @@ def test_param_validation():
     with pytest.raises(ValueError, match="d_min = d_max = 5 and n = 101 give an odd degree sum"):
         AbcdParams(n=101, d_min=5, d_max=5, c_min=10, c_max=50).validate()
     AbcdParams(n=100, d_min=5, d_max=5, c_min=10, c_max=50).validate()
+    # weights v^-exponent whose sum is 0 in float64 (all underflow) or
+    # overflows it; Generator.choice would divide by that sum
+    for name, value in (("gamma", 1000.0), ("gamma", -1000.0), ("beta", 1000.0), ("beta", -200.0)):
+        lo, hi = (5, 50) if name == "gamma" else (10, 50)
+        message = (f"{name} = {value}: the weights v^-{name} over [{lo}, {hi}] "
+                   "sum to 0 or overflow float64")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AbcdParams(n=100, c_min=10, c_max=50, **{name: value}).validate()
+    # a negative exponent is a valid, increasing power law
+    AbcdParams(n=100, c_min=10, c_max=50, gamma=-2.0).validate()
 
 
 @st.composite
