@@ -117,9 +117,9 @@ def _worker_count(cells: int) -> int:
 
 
 def _serve_cells(run, task_r: int, out: int, inherited: set[int]):
-    """A forked worker: for each index i read from `task_r`, write the
-    length-prefixed frame of (i, run(i), the records it logged) to `out`,
-    until the task pipe ends. Never returns into the caller's code."""
+    """A forked worker: for each index i read from `task_r`, pickle (i, run(i),
+    the records it logged) to `out`, until the task pipe ends. Never returns
+    into the caller's code."""
     import pickle
 
     code = 1
@@ -128,14 +128,12 @@ def _serve_cells(run, task_r: int, out: int, inherited: set[int]):
             os.close(fd)
         kept = _KeepRecords()  # the worker prints no record; its parent handles them
         logging.root.handlers = [kept]
-        while index := os.read(task_r, 4):
-            i = int.from_bytes(index, "little")
-            frame = pickle.dumps((i, run(i), kept.records), pickle.HIGHEST_PROTOCOL)
-            kept.records.clear()
-            os.write(out, len(frame).to_bytes(8, "little"))
-            view = memoryview(frame)
-            while view:
-                view = view[os.write(out, view):]
+        with open(out, "wb") as rows:
+            while index := os.read(task_r, 4):
+                i = int.from_bytes(index, "little")
+                pickle.dump((i, run(i), kept.records), rows, pickle.HIGHEST_PROTOCOL)
+                kept.records.clear()
+                rows.flush()
         code = 0
     finally:
         os._exit(code)
@@ -146,46 +144,54 @@ def _map_cells(run, count: int):
     forked workers when two or more CPUs are available. The workers inherit
     `run` and what it reads, so no input is pickled.
 
-    The cell indices wait in one task pipe, and each worker claims the next
-    one whenever it finishes a cell. Rows that arrive early are held until
-    their turn. Worker log records are handled here as each row is yielded,
-    so stderr and log handlers see them in the order a serial run gives them.
+    Each worker has its own task pipe and holds one cell at a time: it is
+    given the index of its next cell when its previous row arrives, and its
+    task pipe is closed when no cell is left. So a row pipe never holds
+    bytes past the row being read, and each row is read with one
+    `pickle.load`. Rows that arrive early are held until their turn. Worker
+    log records are handled here as each row is yielded, so stderr and log
+    handlers see them in the order a serial run gives them.
     """
     workers = _worker_count(count)
     if workers <= 1:
         yield from map(run, range(count))
         return
     import pickle
-    import select
     import selectors
     import signal
 
-    # each write of the task pipe is whole 4-byte records and at most
-    # PIPE_BUF bytes, so it is never split and every 4-byte read returns
-    # one whole index
-    tasks = b"".join(i.to_bytes(4, "little") for i in range(count))
-    step = select.PIPE_BUF - select.PIPE_BUF % 4
-    task_r, task_w = os.pipe()
-    fds = {task_r, task_w}  # this process's open pipe ends
+    cells = iter(range(count))
+    fds = set()  # this process's open pipe ends
     children = set()  # the workers not yet reaped
     sel = selectors.DefaultSelector()
     done = 0
+
+    def hand_next_cell(task_w: int) -> None:
+        i = next(cells, None)
+        if i is None:  # the worker exits when it reads the pipe's end
+            os.close(task_w)
+            fds.remove(task_w)
+            return
+        try:
+            os.write(task_w, i.to_bytes(4, "little"))
+        except BrokenPipeError:  # the worker has exited; its row pipe's end says how
+            pass
+
     try:
         for _ in range(workers):
+            task_r, task_w = os.pipe()
             r, w = os.pipe()
-            fds |= {r, w}
+            fds |= {task_r, task_w, r, w}
             pid = os.fork()
             if pid == 0:
                 _serve_cells(run, task_r, w, fds - {task_r, w})
             children.add(pid)
-            os.close(w)
-            fds.remove(w)
-            sel.register(r, selectors.EVENT_READ, (pid, bytearray()))
-        # the task pipe is written without blocking as room frees, so a run
-        # with more cells than one pipe holds cannot deadlock
-        os.set_blocking(task_w, False)
-        sel.register(task_w, selectors.EVENT_WRITE)
-        sent, arrived = 0, {}
+            for fd in (task_r, w):
+                os.close(fd)
+                fds.remove(fd)
+            sel.register(r, selectors.EVENT_READ, (pid, task_w, open(r, "rb", closefd=False)))
+            hand_next_cell(task_w)
+        arrived = {}
         while done < count:
             if done in arrived:
                 row, records = arrived.pop(done)
@@ -197,32 +203,19 @@ def _map_cells(run, count: int):
             if not children:  # every worker has exited and a cell is missing
                 raise WorkerError(_ABRUPT)
             for key, _ in sel.select():
-                if key.fd == task_w:
-                    try:
-                        sent += os.write(task_w, tasks[sent:sent + step])
-                    except BlockingIOError:
-                        continue
-                    if sent == len(tasks):  # the workers exit when they read its end
-                        sel.unregister(task_w)
-                        os.close(task_w)
-                        fds.remove(task_w)
-                    continue
-                pid, buf = key.data
-                data = os.read(key.fd, 1 << 16)
-                if not data:  # the worker has exited
+                pid, task_w, rows = key.data
+                try:
+                    i, row, records = pickle.load(rows)
+                except EOFError:  # the worker has exited
                     sel.unregister(key.fd)
                     children.remove(pid)
-                    if os.waitpid(pid, 0)[1] or buf:  # killed, failed, or a frame cut short
+                    if os.waitpid(pid, 0)[1]:  # killed or failed
                         raise WorkerError(_ABRUPT)
                     continue
-                buf += data
-                while len(buf) >= 8:
-                    end = 8 + int.from_bytes(buf[:8], "little")
-                    if len(buf) < end:
-                        break
-                    i, row, records = pickle.loads(buf[8:end])
-                    arrived[i] = (row, records)
-                    del buf[:end]
+                except pickle.UnpicklingError:  # a row cut short
+                    raise WorkerError(_ABRUPT)
+                arrived[i] = (row, records)
+                hand_next_cell(task_w)
     finally:
         sel.close()
         for fd in fds:

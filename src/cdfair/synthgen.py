@@ -191,26 +191,23 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
     # a community of size s can host at most s-1 distinct neighbors
     intra_target = np.minimum(base + extra, np.array(sizes, dtype=np.int64)[labels] - 1)
     background = degrees - intra_target
-    dropped = 0
-    if p.xi == 0.0:
-        # keep the graph purely intra-community: drop the excess stubs
-        dropped += int(background.sum())
-        background = np.zeros_like(background)
 
     # each community's members in ascending node order, and their intra stubs
     by_community = np.argsort(labels, kind="stable")
     counts = intra_target[by_community]
     starts = np.cumsum([0, *sizes[:-1]])
     # a community with an odd stub count takes one stub from its first member
-    # with the most stubs, and drops it (xi = 0) or sends it to the background
+    # with the most stubs, and sends it to the background
     most = np.flatnonzero(counts == np.repeat(np.maximum.reduceat(counts, starts), sizes))
     first_most = most[np.r_[True, np.diff(labels[by_community[most]]) != 0]]
     odd = first_most[np.add.reduceat(counts, starts) % 2 == 1]
     counts[odd] -= 1
+    background[by_community[odd]] += 1
+    dropped = 0
     if p.xi == 0.0:
-        dropped += len(odd)
-    else:
-        background[by_community[odd]] += 1
+        # keep the graph purely intra-community: drop every background stub
+        dropped = int(background.sum())
+        background[:] = 0
     stubs = np.repeat(by_community, counts).tolist()
     # one set holds every edge key: the pools of disjoint communities cannot
     # collide, and the background pass adds inter-community edges only

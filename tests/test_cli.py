@@ -11,10 +11,12 @@ import contextlib
 import csv
 import json
 import os
+import pickle
 import re
 import shutil
 import signal
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -587,7 +589,8 @@ class TestEvaluate:
         monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
         self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("death", ["killed mid-cell", "short frame"])
+    @pytest.mark.parametrize("death", ["killed mid-cell", "short frame",
+                                       "exit 0 after one cell", "exit 3 after one cell"])
     def test_killed_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys, death):
         if death == "killed mid-cell":
             run_detector = evaluate.run_detector
@@ -599,12 +602,28 @@ class TestEvaluate:
                 return pred
 
             monkeypatch.setattr(evaluate, "run_detector", killed_after_cnm)
-        else:
+        elif death == "short frame":
             def short_frame(run, task_r, out, inherited):
-                os.write(out, (100).to_bytes(8, "little") + b"cut")  # 3 of 100 bytes
+                i = int.from_bytes(os.read(task_r, 4), "little")
+                row = pickle.dumps((i, run(i), []), pickle.HIGHEST_PROTOCOL)
+                os.write(out, row[:len(row) // 2])  # a real row, cut short
                 os._exit(0)
 
             monkeypatch.setattr(evaluate, "_serve_cells", short_frame)
+        else:
+            code = int(death.split()[1])
+
+            def one_cell(run, task_r, out, inherited):
+                i = int.from_bytes(os.read(task_r, 4), "little")
+                # with its task pipe closed before its row is sent, handing
+                # this worker a second cell always meets a broken pipe; the
+                # cell left over when both workers are gone is missing
+                os.close(task_r)
+                with open(out, "wb") as rows:
+                    pickle.dump((i, run(i), []), rows, pickle.HIGHEST_PROTOCOL)
+                os._exit(code)
+
+            monkeypatch.setattr(evaluate, "_serve_cells", one_cell)
         self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys)
 
     def test_parallel_runs_leave_no_fd_and_no_child(self, tmp_path, monkeypatch):
@@ -621,9 +640,43 @@ class TestEvaluate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_write_error_stops_the_workers(self, tmp_path, monkeypatch, capsys):
+        edges, gt = _generate(tmp_path)
+        monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "bias").write_text("")  # a file where the bias directory goes
+        before = sorted(os.listdir("/proc/self/fd"))
+        with _deadline(120):
+            rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                       "--detector", "louvain", "--detector", "cnm",
+                       "--detector", "label_propagation", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert not (out / "report.json").exists()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closing_the_rows_early_kills_the_workers(self, monkeypatch):
+        def run(i):
+            if i:  # every cell but the first outlasts the deadline
+                time.sleep(60)
+            return {"i": i}
+
+        monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with _deadline(30):
+            rows = evaluate._map_cells(run, 10)
+            assert next(rows) == {"i": 0}
+            rows.close()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_more_cells_than_one_pipe_of_tasks_come_in_order(self, monkeypatch):
-        # 20,000 4-byte task records overfill a 64 KiB pipe, so the parent
-        # must feed it as the workers drain it
+        # two workers are handed 20,000 cells one at a time, and their rows,
+        # which arrive out of cell order, are yielded in it
         monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
         with _deadline(120):
             rows = list(evaluate._map_cells(lambda i: {"i": i}, 20_000))

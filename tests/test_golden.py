@@ -1,5 +1,5 @@
-"""Every output byte of two `cdfair evaluate` runs and five `cdfair generate
-abcd` runs, pinned by sha256.
+"""Every output byte of three `cdfair evaluate` runs, five `cdfair generate
+abcd` runs, one `cdfair sweep` and one `cdfair report`, pinned by sha256.
 
 The evaluate runs read inputs checked in under tests/data, so their digests
 do not depend on the ABCD generator's random stream; the generate runs pin
@@ -24,8 +24,9 @@ from cdfair.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 
-# each command writes under <out>/<name>; the evaluate paths are relative to
-# the repository root, since report.json records them
+# each command writes under <out>/<name>, and "{out}" in an argument stands
+# for <out>; the evaluate paths are relative to the repository root, since
+# report.json records them
 RUNS = {
     "evaluate/karate": [
         "evaluate", "--graph", "tests/data/karate.edges", "--gt", "tests/data/karate.gt",
@@ -36,6 +37,14 @@ RUNS = {
     "evaluate/abcd300": [
         "evaluate", "--graph", "tests/data/abcd300.edges", "--gt", "tests/data/abcd300.gt",
         "--detector", "louvain", "--detector", "label_propagation", "--detector", "cnm"],
+    # the karate edges in SNAP form: two "#" lines, tabs, the larger id first,
+    # sorted by it; its bias CSV must be louvain_karate.csv's bytes
+    "evaluate/karate-snap": [
+        "evaluate", "--graph", "tests/data/karate-snap.edges", "--gt", "tests/data/karate.gt",
+        "--detector", "louvain"],
+    # the plot data and scatters of the evaluate/karate run
+    "report/karate": ["report", "{out}/evaluate/karate/report.json"],
+    "sweep/default": ["sweep", "--n", "1000"],
     # criterion 9's shape
     "generate/n2000": ["generate", "abcd", "--n", "2000", "--c-min", "50", "--c-max", "400",
                        "--xi", "0.3", "--seed", "0"],
@@ -59,16 +68,23 @@ def run_digests(out: Path, names=RUNS) -> dict[str, str]:
     writing under `out`, and give the sha256 of every file written, keyed by
     its path under `out`."""
     for name in names:
-        assert main([*RUNS[name], "--out", str(out / name)]) == 0, name
+        args = [arg.replace("{out}", str(out)) for arg in RUNS[name]]
+        assert main([*args, "--out", str(out / name)]) == 0, name
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def _manifest() -> dict[str, str]:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
 def _differ(out: Path, command: str) -> list[str]:
     """The files of the `command` runs whose digest is not the manifest's."""
-    got = run_digests(out, [name for name in RUNS if name.startswith(f"{command}/")])
-    want = {path: digest for path, digest in json.loads(MANIFEST.read_text(encoding="utf-8")).items()
-            if path.startswith(f"{command}/")}
+    def ours(digests):
+        return {path: digest for path, digest in digests.items() if path.startswith(f"{command}/")}
+
+    got = ours(run_digests(out, [name for name in RUNS if name.startswith(f"{command}/")]))
+    want = ours(_manifest())
     return sorted(path for path in want.keys() | got.keys() if want.get(path) != got.get(path))
 
 
@@ -83,3 +99,21 @@ def test_evaluate_outputs_match_the_manifest(tmp_path, monkeypatch, workers):
 def test_generate_outputs_match_the_manifest(tmp_path):
     differ = _differ(tmp_path, "generate")
     assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
+
+
+def test_sweep_outputs_match_the_manifest(tmp_path):
+    differ = _differ(tmp_path, "sweep")
+    assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
+
+
+def test_report_outputs_match_the_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    run_digests(tmp_path, ["evaluate/karate"])  # the report run reads its report.json
+    differ = _differ(tmp_path, "report")
+    assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
+
+
+def test_snap_form_copy_gives_the_karate_bias_bytes():
+    manifest = _manifest()
+    assert (manifest["evaluate/karate-snap/bias/louvain_karate-snap.csv"]
+            == manifest["evaluate/karate/bias/louvain_karate.csv"])
