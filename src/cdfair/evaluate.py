@@ -9,6 +9,7 @@ a run gives the same bytes whatever the number of worker processes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import math
@@ -246,13 +247,41 @@ def evaluate_run(cfg: RunConfig) -> dict:
     The cells run in forked worker processes, one per CPU in this process's
     affinity mask, or in this process when that is one CPU. Every output
     byte is the same either way.
+
+    A run that fails once the inputs have loaded, as when a worker dies or a
+    write fails, removes the files and directories it made, so no bias CSV
+    is left without its report; whatever was there before stays.
     """
     loaded = [(graph_path, *_load_inputs(graph_path, gt_path))
               for graph_path, gt_path in cfg.graphs]
     # made only once every input has loaded, so a bad input leaves no directory
     out_dir = Path(cfg.out_dir)
+    # what this run creates, in the order it does: the missing directories
+    # down to --out, then whatever _new notes
+    made = [p for p in (*reversed(out_dir.parents), out_dir) if not os.path.lexists(p)]
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _write_outputs(cfg, loaded, out_dir, made)
+    except BaseException:
+        for path in reversed(made):  # a directory goes only when it is empty
+            with contextlib.suppress(OSError):
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
 
+
+def _new(made: list[Path], path: Path) -> Path:
+    """`path`, appended to `made` when it does not exist yet."""
+    if not os.path.lexists(path):
+        made.append(path)
+    return path
+
+
+def _write_outputs(cfg: RunConfig, loaded: list, out_dir: Path, made: list[Path]) -> dict:
+    """Evaluate every cell of `loaded` into `out_dir`, appending each path it
+    creates to `made`."""
     detectors_block: dict = {}
     warnings = []
 
@@ -277,8 +306,9 @@ def evaluate_run(cfg: RunConfig) -> dict:
                 report = row.pop("_bias_report", None)
                 if report is not None:
                     bias_dir = out_dir / "bias"
-                    bias_dir.mkdir(exist_ok=True)
-                    with open(bias_dir / _bias_name(label, graph_path), "w", encoding="utf-8") as fh:
+                    _new(made, bias_dir).mkdir(exist_ok=True)
+                    with open(_new(made, bias_dir / _bias_name(label, graph_path)), "w",
+                              encoding="utf-8") as fh:
                         report.write_csv(fh)
                 per_graph.append({"graph": str(graph_path), **row})
             ok_rows = [r for r in per_graph if r["error"] is None]
@@ -303,8 +333,8 @@ def evaluate_run(cfg: RunConfig) -> dict:
         "warnings": warnings,
         "detectors": detectors_block,
     }
-    write_json(out_dir / "report.json", doc)
-    _write_results_csv(doc, out_dir / "results.csv")
+    write_json(_new(made, out_dir / "report.json"), doc)
+    _write_results_csv(doc, _new(made, out_dir / "results.csv"))
     return doc
 
 

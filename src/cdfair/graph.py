@@ -70,11 +70,16 @@ class Graph:
         return np.bincount(self.edge_array.reshape(-1), minlength=self.n)
 
     def neighbor_lists(self) -> list[list[int]]:
-        """Sorted neighbors of every node as Python ints, for the detectors' loops."""
+        """Sorted neighbors of every node as Python ints, for the detectors' loops.
+
+        Every mention of node v is the same int object, so the detectors'
+        per-node rows share n int objects instead of holding 2m of them.
+        """
         u, v = self.edge_array.T
         # both directions as sorted keys src * n + dst: node after node, each
         # node's neighbours ascending, each node holding degree-many entries
-        flat = (np.sort(np.concatenate([u * self.n + v, v * self.n + u])) % self.n).tolist()
+        keys = np.sort(np.concatenate([u * self.n + v, v * self.n + u]))
+        flat = np.arange(self.n).astype(object)[keys % self.n].tolist()
         bounds = [0, *np.cumsum(self.degrees).tolist()]
         return [flat[bounds[i] : bounds[i + 1]] for i in range(self.n)]
 

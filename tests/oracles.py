@@ -4,7 +4,9 @@ These are the per-node and per-line loops the package used before its
 arrays-first rewrite (CSR graph, one contingency table per pair), the
 CNM loop that rescans every link per merge, which the heap replaced, Louvain
 on float weights with a 1e-12 tie tolerance, which integer gains replaced,
-label propagation that recounts every node's neighbourhood on every visit, the
+Louvain's integer local move and label propagation as they were before they
+kept state between visits, recounting every node's neighbourhood on every
+visit, the
 edge-list and partition writers that format each line on its own, the bias
 CSV writer that joins all n rows into one string, and the ABCD generator
 that re-shuffles stub pools which can no longer pair and draws its degrees
@@ -394,6 +396,40 @@ def _louvain_local_move(level: _LouvainLevel, rng: random.Random, resolution: fl
                 ):
                     best_c, best_gain = c, gain
             comm_tot[best_c] += ki
+            if best_c != cu:
+                comm[u] = best_c
+                improved = True
+    return comm
+
+
+def louvain_local_move_recount(adj: list[dict[int, int]], strength: list[int],
+                               rng: random.Random) -> list[int]:
+    """Louvain's integer-gain local move on one level, counting every visited
+    node's edge weight into each neighbouring community afresh."""
+    comm = list(range(len(adj)))
+    comm_tot = strength[:]  # total strength per community
+    two_m = sum(strength)
+    order = list(range(len(adj)))
+    improved = True
+    while improved:
+        improved = False
+        rng.shuffle(order)
+        for u in order:
+            cu = comm[u]
+            ku = strength[u]
+            # edge weight from u to each neighbouring community, its own first
+            links = {cu: 0}
+            for v, w in adj[u].items():
+                c = comm[v]
+                links[c] = links.get(c, 0) + w
+            comm_tot[cu] -= ku
+            best_c = cu
+            best = two_m * links[cu] - ku * comm_tot[cu]
+            for c, w_uc in links.items():
+                gain = two_m * w_uc - ku * comm_tot[c]
+                if gain > best or (gain == best and best_c != cu and c < best_c):
+                    best_c, best = c, gain
+            comm_tot[best_c] += ku
             if best_c != cu:
                 comm[u] = best_c
                 improved = True

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from cdfair import cli, evaluate
 from cdfair.cli import main
+from cdfair.bias import BiasReport
 from cdfair.detectors import DetectorSpec
 from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import load_edge_list, write_edge_list
@@ -563,10 +564,15 @@ class TestEvaluate:
                 "label propagation stopped after 1 sweep(s) without converging"] * 3
 
     @staticmethod
-    def _run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys):
+    def _run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys, keep=False):
+        """With `keep`, --out exists and holds keep.txt, which must be all it
+        holds afterwards; otherwise --out must not be left at all."""
         edges, gt = _generate(tmp_path)
         monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
         out = tmp_path / "run"
+        if keep:
+            out.mkdir()
+            (out / "keep.txt").write_text("mine\n")
         with _deadline(120):
             rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
                        "--detector", "louvain", "--detector", "cnm",
@@ -576,8 +582,13 @@ class TestEvaluate:
             "error: a worker process ended abruptly while evaluating cells\n")
         assert not (out / "report.json").exists()
         assert not (out / "results.csv").exists()
+        if keep:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+            assert (out / "keep.txt").read_text() == "mine\n"
+        else:
+            assert not out.exists()
 
-    def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys):
+    def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys, keep=False):
         evaluate_cell = evaluate.evaluate_cell
 
         def die_on_cnm(g, gt, spec, seed):
@@ -587,7 +598,40 @@ class TestEvaluate:
 
         # forked workers inherit the patches
         monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
-        self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys)
+        self._run_with_two_workers_exits_1(tmp_path, monkeypatch, capsys, keep)
+
+    def test_dead_worker_keeps_what_out_held(self, tmp_path, monkeypatch, capsys):
+        self.test_dead_worker_exits_1_without_report(tmp_path, monkeypatch, capsys, keep=True)
+
+    @pytest.mark.parametrize("held", ["nothing", "keep.txt", "bias/old.csv"])
+    def test_write_error_removes_what_the_run_made(self, tmp_path, monkeypatch, capsys, held):
+        # the second bias CSV fails to write, after the first one was written
+        edges, gt = _generate(tmp_path)
+        out = tmp_path / "nested" / "run"
+        if held != "nothing":
+            (out / held).parent.mkdir(parents=True)
+            (out / held).write_text("mine\n")
+        write_csv, calls = BiasReport.write_csv, []
+
+        def fail_second(report, sink):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write_csv(report, sink)
+
+        monkeypatch.setattr(BiasReport, "write_csv", fail_second)
+        with _deadline(120):
+            rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                       "--detector", "louvain", "--detector", "cnm", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
+        assert len(calls) == 2
+        if held == "nothing":  # --out and its parent were made by the run
+            assert sorted(tmp_path.iterdir()) == [edges, gt]
+        else:
+            assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == (
+                ["bias", held] if "/" in held else [held])
+            assert (out / held).read_text() == "mine\n"
 
     @pytest.mark.parametrize("death", ["killed mid-cell", "short frame",
                                        "exit 0 after one cell", "exit 3 after one cell"])
@@ -653,7 +697,8 @@ class TestEvaluate:
                        "--detector", "label_propagation", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("I/O error: ")
-        assert not (out / "report.json").exists()
+        assert [p.name for p in out.iterdir()] == ["bias"]
+        assert (out / "bias").read_text() == ""  # the file that was there stays
         assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -16,12 +16,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cdfair import textio
-from cdfair.detectors import _louvain_local_move, greedy_agglomerative, label_propagation, louvain
+from cdfair.detectors import (_louvain_local_move, _shuffle, greedy_agglomerative,
+                              label_propagation, louvain)
 from cdfair.graph import MAX_NODES, EdgeListError, load_edge_list, write_edge_list
 from cdfair.groupfair import _scores, _stats, ols_slope, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
@@ -312,6 +313,62 @@ def test_louvain_float_rule_splits_equal_gains_at_large_strengths():
     # seed 0 visits node 0 first
     assert _louvain_local_move(adj, strength, random.Random(0)) == [1, 1, 2]
     assert oracles._louvain_local_move(level, random.Random(0), 1.0) == [2, 1, 2]
+
+
+# the level of test_louvain_float_rule_splits_equal_gains_at_large_strengths
+LARGE_STRENGTHS = ([{1: 24809, 2: 70399}, {0: 24809}, {0: 70399}],
+                   [24809 + 70399 + 2 * 86741, 24809 + 2 * 2878, 70399 + 2 * 13782])
+
+
+@st.composite
+def weighted_level(draw):
+    """A Louvain level as aggregation builds it: integer edge weights up to
+    10^5, small ones often so that gains tie, each node's self-weight counted
+    twice in its strength, and nodes without edges."""
+    n = draw(st.integers(2, 30))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    weight = st.integers(1, 3) | st.integers(1, 10**5)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), w in draw(st.dictionaries(pair, weight, max_size=3 * n)).items():
+        adj[u][v] = adj[v][u] = w
+    self_w = draw(st.lists(st.just(0) | st.integers(0, 10**5), min_size=n, max_size=n))
+    return adj, [sum(row.values()) + 2 * w for row, w in zip(adj, self_w)]
+
+
+@given(weighted_level(), st.integers(0, 2**32 - 1))
+@example(LARGE_STRENGTHS, 0)
+@settings(max_examples=400, deadline=None)
+def test_louvain_kept_weights_equal_recount_on_weighted_levels(level, seed):
+    adj, strength = level
+    rows = [dict(row) for row in adj]
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _louvain_local_move(adj, strength, rng) == oracles.louvain_local_move_recount(
+        adj, strength, ref)
+    assert rng.getstate() == ref.getstate()
+    assert adj == rows  # the level itself is left as it was for aggregation
+
+
+def _shuffle_as_random(length, seed):
+    got, want = list(range(length)), list(range(length))
+    rng, ref = random.Random(seed), random.Random(seed)
+    _shuffle(rng, got)
+    ref.shuffle(want)
+    assert got == want
+    assert rng.getstate() == ref.getstate()
+
+
+@given(st.integers(0, 2100), st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_shuffle_draws_what_random_shuffle_draws(length, seed):
+    _shuffle_as_random(length, seed)
+
+
+@pytest.mark.parametrize("length", [m for k in range(12) for m in (2**k, 2**k + 1)])
+def test_shuffle_draws_what_random_shuffle_draws_at_powers_of_two(length):
+    # the first swap of a list of 2^k + 1 draws k + 1 bits and rejects about half its draws
+    for seed in range(3):
+        _shuffle_as_random(length, seed)
 
 
 class _Messages(logging.Handler):
