@@ -1,14 +1,15 @@
 """Synthetic benchmarks with planted communities.
 
 A simplified ABCD-style model: power-law degrees and community sizes, with
-a mixing fraction xi of edge stubs routed through a community-agnostic
-background configuration model.
+a mixing fraction xi of edge stubs routed through a background configuration
+model that joins nodes of different communities only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -103,31 +104,28 @@ def _sample_degrees(rng: np.random.Generator, p: AbcdParams) -> np.ndarray:
     return degrees
 
 
-def _can_pair(stubs: list[int], edges: set[int], n: int, labels: list[int] | None) -> bool:
-    """Whether two distinct nodes among `stubs` may still be joined by an edge."""
-    nodes = sorted(set(stubs))
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if u * n + v not in edges and (labels is None or labels[u] != labels[v]):
-                return True
-    return False
+def _can_pair(stubs: list[int], is_edge, n: int, labels=None) -> bool:
+    """Whether two distinct nodes u < v among `stubs`, of two communities when
+    `labels` is given, may still be joined: ``is_edge(u * n + v)`` is false."""
+    return any(not is_edge(u * n + v) for u, v in combinations(sorted(set(stubs)), 2)
+               if labels is None or labels[u] != labels[v])
 
 
-def _pair_stubs(
-    rng: np.random.Generator,
-    pool: list[int],
-    edges: set[int],
-    n: int,
-    labels: np.ndarray | None = None,
-) -> int:
+def _replay(rng: np.random.Generator, done: int, length: int) -> int:
+    """Draw, in one ``permuted`` call, the shuffles that the rounds after
+    round `done` would make of a pool of `length` stubs that can no longer
+    pair (Fisher-Yates draws depend on the length only), so the stream that
+    later pairings read is as if every round had run; returns `length`."""
+    if done < MAX_ROUNDS:
+        rng.permuted(np.zeros((MAX_ROUNDS - done, length), np.int64), axis=1)
+    return length
+
+
+def _pair_stubs(rng: np.random.Generator, pool: list[int], edges: set[int], n: int) -> int:
     """Configuration-model pairing with rejection of self-loops/multi-edges.
 
     Each round shuffles the pool and pairs it off in order; rejected pairs
-    go back to the pool, behind the odd stub out. When `labels` is given,
-    pairs falling inside one community are rejected too, so the background
-    pass yields inter-community edges only and the realized mixing fraction
-    tracks xi instead of undershooting it by the same-community collision
-    rate.
+    go back to the pool, behind the odd stub out.
 
     The pool is a list of node ids, shuffled in place: ``Generator.shuffle``
     takes the same draws for a list as for a 1-D array of its length, so a
@@ -136,15 +134,13 @@ def _pair_stubs(
     ``u * n + v``.
 
     After a round that adds no edge, the pool may hold no pair that can ever
-    be joined; every later round would only shuffle it. Those shuffles are
-    drawn in one ``permuted`` call, which takes the same numbers from `rng`
-    (Fisher-Yates draws depend on the pool's length only), so the stream
-    that later pairings read is the same as if every round had run.
+    be joined; then `_replay` draws the shuffles of the rounds left. Until an
+    edge is added, `_can_pair` is not asked again once it found a pair.
 
     Adds accepted edges to `edges` in place; returns the number of stubs
     dropped as irreparable.
     """
-    community_of = labels.tolist() if labels is not None else None
+    joinable = False  # _can_pair found a pair and no edge was added since
     for done in range(1, MAX_ROUNDS + 1):
         if len(pool) < 2:
             break
@@ -153,19 +149,50 @@ def _pair_stubs(
         it = iter(pool)
         for u, v in zip(it, it):
             key = u * n + v if u < v else v * n + u
-            if (u == v or key in edges
-                    or (community_of is not None and community_of[u] == community_of[v])):
+            if u == v or key in edges:
                 bad += (u, v)
             else:
                 edges.add(key)
-        if not bad:
-            return 0
-        if len(bad) == len(pool) and not _can_pair(bad, edges, n, community_of):
-            if done < MAX_ROUNDS:
-                rng.permuted(np.zeros((MAX_ROUNDS - done, len(bad)), np.int64), axis=1)
-            return len(bad)
+        if len(bad) < len(pool):
+            joinable = False
+        elif not (joinable or (joinable := _can_pair(bad, edges.__contains__, n))):
+            return _replay(rng, done, len(bad))
         pool = bad
     return len(pool)
+
+
+def _pair_background(rng: np.random.Generator, pool: np.ndarray, labels: np.ndarray,
+                     n: int) -> tuple[np.ndarray, int]:
+    """`_pair_stubs` for the background of two or more communities, also
+    rejecting pairs inside one community so that the mixing tracks xi;
+    returns the sorted edge keys and the number of stubs dropped.
+
+    Each round is one numpy pass over the int64 pool. A pair is rejected
+    when its ends share a community (so also when u == v), when an earlier
+    round placed its key, or when it repeats a key earlier in its round
+    (``np.unique(..., return_index=True)`` gives first occurrences). The next
+    pool is the odd stub, then the rejected pairs in the order drawn, as in
+    `_pair_stubs`'s loop, so the rounds draw and add what that loop would.
+    """
+    keys = np.array([n * n], dtype=np.int64)  # sorted, ending in a sentinel above every key
+    joinable = False
+    for done in range(1, MAX_ROUNDS + 1):
+        if len(pool) < 2:
+            break
+        rng.shuffle(pool)
+        pairs = pool[: len(pool) // 2 * 2].reshape(-1, 2)
+        u, v = pairs.T
+        unique, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        at = keys.searchsorted(unique)
+        fresh = (labels[u[first]] != labels[v[first]]) & (keys[at] != unique)
+        keys = np.insert(keys, at[fresh], unique[fresh])
+        pool = np.concatenate((pool[pairs.size :], np.delete(pairs, first[fresh], axis=0).ravel()))
+        if fresh.any():
+            joinable = False
+        elif not (joinable or (joinable := _can_pair(
+                pool.tolist(), lambda key: keys[keys.searchsorted(key)] == key, n, labels))):
+            return keys[:-1], _replay(rng, done, len(pool))
+    return keys[:-1], len(pool)
 
 
 def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
@@ -209,36 +236,43 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         dropped = int(background.sum())
         background[:] = 0
     stubs = np.repeat(by_community, counts).tolist()
-    # one set holds every edge key: the pools of disjoint communities cannot
-    # collide, and the background pass adds inter-community edges only
-    edges: set[int] = set()
+    # each community's pool pairs into its own small key set: the pools of
+    # disjoint communities never share a key
+    intra: list[int] = []
     start = 0
     for end in np.cumsum(np.add.reduceat(counts, starts)).tolist():
+        edges: set[int] = set()
         dropped += _pair_stubs(rng, stubs[start:end], edges, p.n)
+        intra += edges
         start = end
 
+    inter = np.empty(0, dtype=np.int64)  # the background's keys, each joining two communities
     if background.sum() > 0:
         if background.sum() % 2 == 1:
             j = int(np.argmax(background))
             background[j] -= 1
             dropped += 1
-        stubs = np.repeat(np.arange(p.n), background).tolist()
-        # with one community no inter-community pair exists, so its
-        # background stubs pair unconstrained instead of all being dropped
-        dropped += _pair_stubs(rng, stubs, edges, p.n, labels=labels if len(sizes) > 1 else None)
+        stubs = np.repeat(np.arange(p.n, dtype=np.int64), background)
+        if len(sizes) > 1:
+            inter, rest = _pair_background(rng, stubs, labels, p.n)
+            dropped += rest
+        else:
+            # with one community no inter-community pair exists, so its
+            # background stubs pair unconstrained, into its key set, instead
+            # of all being dropped
+            dropped += _pair_stubs(rng, stubs.tolist(), edges, p.n)
+            intra = list(edges)
 
-    m = len(edges)
-    keys = np.fromiter(edges, np.int64, m)
+    keys = np.concatenate((np.array(intra, dtype=np.int64), inter))
     keys.sort()
+    m = len(keys)
     graph = Graph.from_keys(p.n, keys)
     partition = Partition.from_labels(labels)
-    ends = graph.edge_array
-    inter = int(np.count_nonzero(labels[ends[:, 0]] != labels[ends[:, 1]]))
     info = {
         "dropped_stubs": int(dropped),
         "num_edges": m,
         "num_communities": len(sizes),
-        "realized_inter_fraction": inter / m if m else 0.0,
+        "realized_inter_fraction": len(inter) / m if m else 0.0,
         "mean_degree": 2 * m / p.n,
     }
     return graph, partition, info

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from cdfair import synthgen
 from cdfair.synthgen import (
     AbcdParams,
+    _can_pair,
+    _pair_background,
+    _pair_stubs,
     _power_law,
     _sample_community_sizes,
     _sample_degrees,
@@ -135,10 +140,12 @@ def test_permuted_replays_shuffle_draws():
 
 
 def test_list_shuffle_takes_array_shuffle_draws():
-    """The generator shuffles its stub pools as lists; that must permute them
-    as a shuffle of the same values in an array does and leave the generator
-    in the same state."""
-    for length in [*range(41), 5000]:
+    """The generator shuffles community pools as lists and the background
+    pool as an array, and the oracle shuffles arrays everywhere; a list must
+    be permuted as an array of the same values is, and leave the generator in
+    the same state. 193,767 is an odd length of the size of a background pool
+    at n=50k."""
+    for length in [*range(41), 5000, 193_767]:
         as_list = np.random.default_rng([length, 1])
         as_array = np.random.default_rng([length, 1])
         pool = list(range(length))
@@ -149,6 +156,120 @@ def test_list_shuffle_takes_array_shuffle_draws():
             assert pool == array.tolist(), length
         assert as_list.bit_generator.state == as_array.bit_generator.state, length
         assert as_list.integers(0, 1 << 40, 4).tolist() == as_array.integers(0, 1 << 40, 4).tolist()
+
+
+@st.composite
+def background_pools(draw):
+    """(pool, labels, seed) with few nodes and communities, so rounds often
+    draw one pair twice and pools often stall or get stuck."""
+    n = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pool = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return pool, labels, draw(st.integers(0, 2**32 - 1))
+
+
+def _background_against_oracle(pool, labels, seed):
+    """Pair `pool` with `_pair_background` and with the oracle's labelled
+    loop; returns the background's keys after checking that both add the same
+    edges, drop the same stubs and leave the generator in the same state."""
+    n = len(labels)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    keys, dropped = _pair_background(rng, np.array(pool, dtype=np.int64),
+                                     np.array(labels, dtype=np.int64), n)
+    edges: set[tuple[int, int]] = set()
+    expected = oracles.pair_stubs(ref, np.array(pool, dtype=np.int64), edges,
+                                  labels=np.array(labels, dtype=np.int64))
+    assert keys.tolist() == sorted(u * n + v for u, v in edges)
+    assert dropped == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
+    return keys.tolist()
+
+
+@given(background_pools())
+@example(([], [0, 1], 0))  # no stub
+@example(([1], [0, 1], 0))  # one stub
+@example(([0, 1, 2, 0, 1], [0, 1, 2], 3))  # an odd pool
+@example(([0, 0, 2, 2, 0, 2], [0, 1, 0], 1))  # only same-community pairs: stuck, replayed
+@settings(max_examples=300, deadline=None)
+def test_background_rounds_equal_labelled_loop(case):
+    _background_against_oracle(*case)
+
+
+def test_background_round_keeps_the_first_of_a_repeated_pair():
+    """Two stubs of each of nodes 0-3, each node its own community: at seed 1
+    round 1 draws (2, 0), (0, 2), (1, 3), (1, 3). The first pair of each key
+    becomes the edge, and round 2 shuffles the later ones, [0, 2, 1, 3];
+    keeping the later pairs instead would shuffle [2, 0, 1, 3], and round 2
+    would add other edges."""
+    pool = [0, 0, 1, 1, 2, 2, 3, 3]
+    drawn = np.array(pool, dtype=np.int64)
+    np.random.default_rng(1).shuffle(drawn)
+    assert drawn.tolist() == [2, 0, 0, 2, 1, 3, 1, 3]
+    # {0, 2} and {1, 3} in round 1, then {0, 3} and {1, 2}
+    assert _background_against_oracle(pool, [0, 1, 2, 3], 1) == [2, 3, 6, 7]
+
+
+def _joinable_pair_exists(stubs, edges, n, labels):
+    """`_can_pair` by brute force: every ordered pair of stubs."""
+    return any(u != v and min(u, v) * n + max(u, v) not in edges
+               and (labels is None or labels[u] != labels[v])
+               for u in stubs for v in stubs)
+
+
+@st.composite
+def stuck_candidates(draw):
+    """(stubs, edge keys, n, labels or None) on a few nodes, so that every
+    pair is often an edge already or inside one community."""
+    n = draw(st.integers(1, 6))
+    stubs = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    pairs = [u * n + v for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    labels = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return stubs, edges, n, labels
+
+
+@given(stuck_candidates())
+@example(([2, 2, 2], set(), 4, None))  # one distinct node
+@example(([0, 1, 2, 1], {1, 2, 6}, 4, None))  # every pair already an edge
+@example(([0, 1, 3], {3, 7}, 4, [0, 0, 1, 1]))  # only same-community pairs left
+@example(([0, 1, 3], {3}, 4, [0, 0, 1, 1]))  # {1, 3} can still be joined
+@settings(max_examples=300, deadline=None)
+def test_can_pair_equals_all_pairs_check(case):
+    stubs, edges, n, labels = case
+    assert _can_pair(stubs, edges.__contains__, n, labels) == _joinable_pair_exists(*case)
+
+
+class _EdgeCountingRng:
+    """A generator that records how many keys `edges` holds at each shuffle."""
+
+    def __init__(self, seed, edges):
+        self.rng, self.edges, self.counts = np.random.default_rng(seed), edges, []
+
+    def shuffle(self, pool):
+        self.counts.append(len(self.edges))
+        self.rng.shuffle(pool)
+
+    def permuted(self, *args, **kwargs):
+        return self.rng.permuted(*args, **kwargs)
+
+
+def test_stalled_pool_asks_can_pair_once(monkeypatch):
+    """Four stubs of node 0, whose pairs with 1 and 2 are edges, and one each
+    of 1 and 2: at seed 6 rounds 1-6 draw no {1, 2}, round 7 does, and round
+    8 finds only 0-0 pairs. `_can_pair` is asked after round 1 and after
+    round 8; no edge was added in between, so rounds 2-6 do not ask again."""
+    answers = []
+    monkeypatch.setattr(synthgen, "_can_pair",
+                        lambda *args: answers.append(_can_pair(*args)) or answers[-1])
+    edges = {1, 2}
+    rng, ref = _EdgeCountingRng(6, edges), np.random.default_rng(6)
+    assert _pair_stubs(rng, [0, 0, 0, 0, 1, 2], edges, 3) == 4
+    assert rng.counts == [2] * 7 + [3]
+    assert answers == [True, False]
+    ref_edges = {(0, 1), (0, 2)}
+    assert oracles.pair_stubs(ref, np.array([0, 0, 0, 0, 1, 2]), ref_edges) == 4
+    assert edges == {u * 3 + v for u, v in ref_edges} == {1, 2, 5}
+    assert rng.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_xi_zero_all_intra():
