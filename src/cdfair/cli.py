@@ -11,16 +11,15 @@ evaluate workers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import sys
 from pathlib import Path
 
 from . import __version__
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
-from .report import write_json, write_report_outputs
 
-# generate and evaluate import the numpy modules they use when they run, so
-# sweep, report, --help and --version start without numpy
+# a command imports what only it uses when it runs (numpy; `report`, with json
+# and csv), so sweep, --help and --version load neither and report no numpy
 
 
 def _error(exc: Exception) -> int:
@@ -32,8 +31,11 @@ def _error(exc: Exception) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict  # loaded by synthgen anyway
+
     from .graph import write_edge_list
     from .partition import write_partition
+    from .report import write_json
     from .synthgen import AbcdParams, generate_abcd_lite
 
     params = AbcdParams(
@@ -41,7 +43,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi, seed=args.seed,
     )
     g, p, info = generate_abcd_lite(params)
-    provenance = {"model": "abcd_lite", "params": dataclasses.asdict(params), "realized": info,
+    provenance = {"model": "abcd_lite", "params": asdict(params), "realized": info,
                   "package_version": __version__}
     out, prefix = Path(args.out), args.prefix
     out.mkdir(parents=True, exist_ok=True)
@@ -108,6 +110,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import write_report_outputs
+
     written = write_report_outputs(args.reports, args.out)
     for path in written:
         print(f"wrote {path}")
@@ -181,5 +185,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The `cdfair` command. It freezes the heap before exit, so teardown leaves
+    the import graph to the OS instead of collecting it; main() does not, as
+    in-process callers would keep their cyclic garbage forever."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -14,8 +14,8 @@ The tests check it against random perturbations that move those counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TextIO
+from collections import namedtuple
+from io import TextIOBase
 
 SCENARIOS = ("expand", "shrink", "change")
 TARGETS = ("minority", "majority")
@@ -28,7 +28,8 @@ def minority_size(n: int, minority_frac: float) -> int:
         raise ValueError("minority_frac must lie in (0, 1)")
     size_m = int(math.floor(minority_frac * n + 0.5))
     if size_m < 1 or size_m >= n:
-        raise ValueError("degenerate block sizes")
+        raise ValueError(f"degenerate block sizes: n={n} and minority_frac={minority_frac} "
+                         f"give blocks of {size_m} and {n - size_m} nodes")
     return size_m
 
 
@@ -37,15 +38,11 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    scenario: str
-    target: str
-    ratios: tuple[float, ...] = tuple(r / 10 for r in range(11))
-    n: int = 1000
-    minority_frac: float = 0.2
-
-    def __post_init__(self):
+# namedtuples: importing dataclasses (and inspect) would be most of a sweep's start-up
+class SweepConfig(namedtuple("SweepConfig", "scenario target ratios n minority_frac",
+                             defaults=(tuple(r / 10 for r in range(11)), 1000, 0.2))):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.target not in TARGETS:
@@ -54,14 +51,13 @@ class SweepConfig:
             raise ValueError("ratios must be sorted ascending")
         if any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    mean_ib: tuple[float, ...]  # one entry per ratio: the exact focal bias
+class SweepResult(namedtuple("SweepResult", "config mean_ib")):
+    """`mean_ib` holds one entry per ratio of `config`: the exact focal bias."""
 
-    def write_csv(self, sink: TextIO) -> None:
+    def write_csv(self, sink: TextIOBase) -> None:
         # the spread over runs is always 0.0: every run moves the same counts
         sink.write("scenario,target,n,ratio,mean_ib,std_ib\n")
         c = self.config

@@ -843,6 +843,15 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: --ratios: {token} is not a number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, blocks", [("1", "0 and 1"), ("-3", "-1 and -2")])
+    def test_degenerate_blocks_name_the_input(self, tmp_path, capsys, n, blocks):
+        out = tmp_path / "o"
+        assert main(["sweep", "--n", n, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: degenerate block sizes: n={n} and minority_frac=0.2 "
+            f"give blocks of {blocks} nodes\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--ratios", "0.5,0.2"],  # not ascending
         ["--n", "3", "--minority", "0.01"],  # no minority block

@@ -1,8 +1,11 @@
 """The import surface: ``import cdfair`` loads nothing else, ``cdfair sweep``
-and ``cdfair report`` run without numpy, ``cdfair generate`` without the
-evaluate pipeline, ``cdfair evaluate`` without ``numpy.ma``, and its forked
-workers without a process pool or a thread, README's library example runs
-as written, and nothing in `src/` is there for tests alone.
+and ``cdfair report`` run without numpy, and with ``--help`` and ``--version``
+without dataclasses (sweep, --help and --version without the report module
+too), ``cdfair generate`` without the evaluate pipeline, ``cdfair evaluate``
+without ``numpy.ma``, and its forked workers without a process pool or a
+thread; the `cdfair` command keeps main's exit codes and exits with a frozen
+heap, README's library example runs as written, and nothing in `src/` is
+there for tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -65,6 +68,103 @@ def test_sweep_report_and_version_run_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len(list((tmp_path / "sweep").glob("sweep_*.csv"))) == 6
     assert (tmp_path / "figures" / "scatter_points.csv").is_file()
+
+
+@pytest.fixture(scope="module")
+def karate_report(tmp_path_factory) -> Path:
+    from cdfair.cli import main
+
+    out = tmp_path_factory.mktemp("karate")
+    data = ROOT / "tests" / "data"
+    assert main(["evaluate", "--graph", str(data / "karate.edges"), "--gt", str(data / "karate.gt"),
+                 "--detector", "louvain", "--out", str(out)]) == 0
+    return out / "report.json"
+
+
+RECORDS = ("dataclasses", "inspect")
+REPORTING = ("json", "csv", "cdfair.report")
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("sweep", RECORDS + REPORTING),
+    ("report", RECORDS),
+    ("--help", RECORDS + REPORTING),
+    ("--version", RECORDS + REPORTING),
+])
+def test_a_command_loads_no_module_that_only_other_commands_use(tmp_path, karate_report,
+                                                                 command, unloaded):
+    # dataclasses pulls in inspect, ast, dis and tokenize, and report json and
+    # csv: about 17 ms of a sweep process. Modules loaded before cdfair.cli
+    # (the interpreter's site may import some) are not counted
+    argv = {"sweep": ["sweep", "--n", "200", "--out", str(tmp_path / "sweep")],
+            "report": ["report", str(karate_report), "--out", str(tmp_path / "figures")],
+            }.get(command, [command])
+    proc = _python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from cdfair.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code)\n"
+        f"print(sorted(m for m in {unloaded!r} if m in sys.modules and m not in before))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", "[]"]
+
+
+def _script_target() -> str:
+    """The `cdfair` console script's ``module:function`` in pyproject.toml,
+    read with a regex, since Python 3.10 has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, flags=re.S | re.M)
+    return re.search(r'^cdfair\s*=\s*"([\w.]+:\w+)"\s*$', section.group(1), flags=re.M).group(1)
+
+
+# how each entry starts the CLI, after argv is set: as `python -m` does, and
+# as the installed script's wrapper does
+ENTRIES = {
+    "python -m cdfair.cli": "import runpy\nrunpy.run_module('cdfair.cli', run_name='__main__', "
+                            "alter_sys=True)\n",
+    "console script": "from importlib import import_module\n"
+                      "module, function = {target!r}.split(':')\n"
+                      "sys.exit(getattr(import_module(module), function)())\n",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("case", ["sweep", "unsorted ratios", "unknown option", "out under a file"])
+def test_the_cdfair_command_keeps_mains_exit_codes_and_exits_frozen(tmp_path, entry, case):
+    # gc.freeze() before exit spares the interpreter's teardown from
+    # collecting the import graph; every byte must still be written
+    out = tmp_path / "out"
+    (tmp_path / "file").write_text("")
+    # (argv, exit code, the last stderr line's start, stderr lines)
+    argv, code, error, lines = {
+        "sweep": (["sweep", "--n", "200", "--out", str(out)], 0, "", 0),
+        "unsorted ratios": (["sweep", "--ratios", "0.5,0.1", "--out", str(out)], 1,
+                            "error: ratios must be sorted ascending", 1),
+        # argparse prints its usage line first
+        "unknown option": (["sweep", "--bogus", "--out", str(out)], 2, "cdfair: error: ", 2),
+        "out under a file": (["sweep", "--n", "200", "--out", str(tmp_path / "file" / "o")], 2,
+                             "I/O error: ", 1),
+    }[case]
+    frozen = tmp_path / "freeze_count"
+    proc = _python(
+        "import atexit, gc, sys\n"
+        f"atexit.register(lambda: open({str(frozen)!r}, 'w').write(str(gc.get_freeze_count())))\n"
+        f"sys.argv = ['cdfair', *{argv!r}]\n"
+        + ENTRIES[entry].format(target=_script_target())
+    )
+    assert proc.returncode == code, proc.stderr
+    assert int(frozen.read_text()) > 0
+    errors = proc.stderr.splitlines()
+    assert len(errors) == lines and all(line.startswith(error) for line in errors[-1:])
+    paths = sorted(out.glob("sweep_*.csv"))
+    assert len(paths) == (6 if code == 0 else 0)
+    assert sorted(proc.stdout.splitlines()) == [f"wrote {path}" for path in paths]
+    assert all(len(path.read_text().splitlines()) == 12 for path in paths)
 
 
 def test_generate_loads_no_evaluate_pipeline(tmp_path):
