@@ -1,17 +1,20 @@
 """Command-line pipeline: generate, evaluate, sweep, report.
 
-Exit codes: 0 success (possibly with per-detector warnings), 1 config or
-parse error, or an evaluate worker process that ended abruptly, 2 I/O error.
-All randomness flows from the run seed through the documented derivation in
-`derive_cell_seed`, and sweeps use no randomness, so any command re-run with
-the same arguments produces byte-identical outputs, whatever the number of
-evaluate workers.
+Exit codes: 0 success (possibly with warnings: only bad input fails an
+evaluate cell), 1 config or parse error, or an evaluate worker process that
+ended abruptly, 2 I/O error; any other exception is a defect and stops the
+run. All randomness flows from the run seed through `derive_cell_seed`, and
+sweeps use no randomness, so any command re-run with the same arguments
+produces byte-identical outputs, whatever the number of evaluate workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +28,45 @@ from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
 def _error(exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 1
+
+
+@contextlib.contextmanager
+def staged(out_dir):
+    """Yield `place(name)`: the path to write `out_dir/name` to, in a fresh
+    `out_dir/.cdfair-partial-<pid>/`, once its directory is made and no
+    directory stands in its place. The files are moved into place, in the
+    order placed, when the block ends; a failure before then removes every
+    path this call made, so `out_dir` is left as it was."""
+    out = Path(out_dir)
+    staging = out / f".cdfair-partial-{os.getpid()}"
+    made = [p for p in (*reversed(out.parents), out, staging) if not os.path.lexists(p)]
+    dests: list[Path] = []
+
+    def place(name: str) -> Path:
+        dest = out / name
+        if not os.path.lexists(dest.parent):
+            made.append(dest.parent)
+            dest.parent.mkdir()
+        if not dest.parent.is_dir():  # a file where a directory goes
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(dest))
+        if dest.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
+        dests.append(dest)
+        made.append(staging / str(len(dests)))
+        return made[-1]
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        staging.mkdir()
+        yield place
+        for i, dest in enumerate(dests, 1):
+            os.replace(staging / str(i), dest)
+        staging.rmdir()
+    except BaseException:
+        for path in reversed(made):  # children first; a directory goes only when empty
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
 
 
 # ---------------------------------------------------------------- generate
@@ -46,12 +88,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     provenance = {"model": "abcd_lite", "params": asdict(params), "realized": info,
                   "package_version": __version__}
     out, prefix = Path(args.out), args.prefix
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{prefix}.edges", "w", encoding="utf-8") as fh:
-        write_edge_list(g, fh)
-    with open(out / f"{prefix}.gt", "w", encoding="utf-8") as fh:
-        write_partition(p, fh)
-    write_json(out / f"{prefix}.json", provenance)
+    with staged(out) as place:
+        with open(place(f"{prefix}.edges"), "w", encoding="utf-8") as fh:
+            write_edge_list(g, fh)
+        with open(place(f"{prefix}.gt"), "w", encoding="utf-8") as fh:
+            write_partition(p, fh)
+        write_json(place(f"{prefix}.json"), provenance)
     summary = (f"n={g.n}, |E|={g.num_edges}, dropped_stubs={info['dropped_stubs']}, "
                f"realized_inter_fraction={info['realized_inter_fraction']:.4f}")
     print(f"wrote {out / prefix}.edges / .gt / .json  ({summary})")
@@ -99,13 +141,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                               n=args.n, minority_frac=args.minority))
         for scenario in scenarios for target in targets
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        path = out / f"sweep_{result.config.scenario}_{result.config.target}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            result.write_csv(fh)
-        print(f"wrote {path}")
+    names = [f"sweep_{r.config.scenario}_{r.config.target}.csv" for r in results]
+    with staged(args.out) as place:
+        for result, name in zip(results, names):
+            with open(place(name), "w", encoding="utf-8") as fh:
+                result.write_csv(fh)
+    print("\n".join(f"wrote {Path(args.out) / name}" for name in names))
     return 0
 
 

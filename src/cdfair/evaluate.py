@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .bias import ib_all_fast
+from .cli import staged
 from .detectors import DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi
@@ -118,9 +119,9 @@ def _worker_count(cells: int) -> int:
 
 
 def _serve_cells(run, task_r: int, out: int, inherited: set[int]):
-    """A forked worker: for each index i read from `task_r`, pickle (i, run(i),
-    the records it logged) to `out`, until the task pipe ends. Never returns
-    into the caller's code."""
+    """A forked worker: for each index i read from `task_r`, pickle (i, run(i)
+    or the exception it raised, the records it logged) to `out`, until the
+    task pipe ends. Never returns into the caller's code."""
     import pickle
 
     code = 1
@@ -132,7 +133,11 @@ def _serve_cells(run, task_r: int, out: int, inherited: set[int]):
         with open(out, "wb") as rows:
             while index := os.read(task_r, 4):
                 i = int.from_bytes(index, "little")
-                pickle.dump((i, run(i), kept.records), rows, pickle.HIGHEST_PROTOCOL)
+                try:
+                    row = run(i)
+                except Exception as exc:  # raised in the parent when its cell's turn comes
+                    row = exc
+                pickle.dump((i, row, kept.records), rows, pickle.HIGHEST_PROTOCOL)
                 kept.records.clear()
                 rows.flush()
         code = 0
@@ -151,7 +156,8 @@ def _map_cells(run, count: int):
     bytes past the row being read, and each row is read with one
     `pickle.load`. Rows that arrive early are held until their turn. Worker
     log records are handled here as each row is yielded, so stderr and log
-    handlers see them in the order a serial run gives them.
+    handlers see them in the order a serial run gives them, and an exception
+    that `run(i)` raised in a worker is raised here in cell i's turn.
     """
     workers = _worker_count(count)
     if workers <= 1:
@@ -198,6 +204,8 @@ def _map_cells(run, count: int):
                 row, records = arrived.pop(done)
                 for record in records:
                     logging.getLogger(record.name).handle(record)
+                if isinstance(row, Exception):
+                    raise row
                 done += 1
                 yield row
                 continue
@@ -242,46 +250,15 @@ def _load_inputs(graph_path: str, gt_path: str) -> tuple[Graph, Partition]:
 
 
 def evaluate_run(cfg: RunConfig) -> dict:
-    """Run every detector on every graph; failures are isolated per cell.
+    """Run every detector on every graph. Only bad input, a ValueError or an
+    OSError, fails one cell, with a warning; any other exception stops the run.
 
     The cells run in forked worker processes, one per CPU in this process's
     affinity mask, or in this process when that is one CPU. Every output
-    byte is the same either way.
-
-    A run that fails once the inputs have loaded, as when a worker dies or a
-    write fails, removes the files and directories it made, so no bias CSV
-    is left without its report; whatever was there before stays.
+    byte is the same either way. A failed run leaves --out as it was (`staged`).
     """
     loaded = [(graph_path, *_load_inputs(graph_path, gt_path))
               for graph_path, gt_path in cfg.graphs]
-    # made only once every input has loaded, so a bad input leaves no directory
-    out_dir = Path(cfg.out_dir)
-    # what this run creates, in the order it does: the missing directories
-    # down to --out, then whatever _new notes
-    made = [p for p in (*reversed(out_dir.parents), out_dir) if not os.path.lexists(p)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return _write_outputs(cfg, loaded, out_dir, made)
-    except BaseException:
-        for path in reversed(made):  # a directory goes only when it is empty
-            with contextlib.suppress(OSError):
-                if path.is_dir():
-                    path.rmdir()
-                else:
-                    path.unlink()
-        raise
-
-
-def _new(made: list[Path], path: Path) -> Path:
-    """`path`, appended to `made` when it does not exist yet."""
-    if not os.path.lexists(path):
-        made.append(path)
-    return path
-
-
-def _write_outputs(cfg: RunConfig, loaded: list, out_dir: Path, made: list[Path]) -> dict:
-    """Evaluate every cell of `loaded` into `out_dir`, appending each path it
-    creates to `made`."""
     detectors_block: dict = {}
     warnings = []
 
@@ -291,11 +268,12 @@ def _write_outputs(cfg: RunConfig, loaded: list, out_dir: Path, made: list[Path]
         _, g, gt = loaded[gi]
         try:
             return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
-        except Exception as exc:  # failure of one cell must not abort the run
+        except (ValueError, OSError) as exc:  # bad input fails its cell, not the run
             return {"error": f"{type(exc).__name__}: {exc}"}
 
     rows = _map_cells(run_cell, len(cfg.detectors) * len(loaded))
-    try:
+    # after every input has loaded; closing the rows stops the workers on any failure
+    with staged(cfg.out_dir) as place, contextlib.closing(rows):
         for spec in cfg.detectors:
             label = spec.label()
             per_graph = []
@@ -305,9 +283,7 @@ def _write_outputs(cfg: RunConfig, loaded: list, out_dir: Path, made: list[Path]
                     warnings.append(f"{label} on {graph_path}: {row['error']}")
                 report = row.pop("_bias_report", None)
                 if report is not None:
-                    bias_dir = out_dir / "bias"
-                    _new(made, bias_dir).mkdir(exist_ok=True)
-                    with open(_new(made, bias_dir / _bias_name(label, graph_path)), "w",
+                    with open(place(f"bias/{_bias_name(label, graph_path)}"), "w",
                               encoding="utf-8") as fh:
                         report.write_csv(fh)
                 per_graph.append({"graph": str(graph_path), **row})
@@ -316,25 +292,24 @@ def _write_outputs(cfg: RunConfig, loaded: list, out_dir: Path, made: list[Path]
                 "per_graph": per_graph,
                 "aggregate": _aggregate(ok_rows) if ok_rows else None,
             }
-    finally:
-        rows.close()  # stops the workers now, also when a write failed
 
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "graph_group": cfg.graph_group,
-        "provenance": {
-            "package_version": __version__,
-            "config": {
-                "graphs": [list(p) for p in cfg.graphs],
-                "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
-                "seed": cfg.seed,
+        doc = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "graph_group": cfg.graph_group,
+            "provenance": {
+                "package_version": __version__,
+                "config": {
+                    "graphs": [list(p) for p in cfg.graphs],
+                    "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
+                    "seed": cfg.seed,
+                },
             },
-        },
-        "warnings": warnings,
-        "detectors": detectors_block,
-    }
-    write_json(_new(made, out_dir / "report.json"), doc)
-    _write_results_csv(doc, _new(made, out_dir / "results.csv"))
+            "warnings": warnings,
+            "detectors": detectors_block,
+        }
+        # report.json last, as the index of the files before it
+        _write_results_csv(doc, place("results.csv"))
+        write_json(place("report.json"), doc)
     return doc
 
 

@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+from .cli import staged
+
 # the group-fairness properties and scores of `groupfair.phi`, one slope per pair
 PROPERTIES = ("size", "conductance", "density")
 SCORES = ("fccn", "f1", "fcce")
@@ -178,16 +180,10 @@ def write_report_outputs(report_paths: list[str | Path], out_dir: str | Path) ->
     """Emit the long-format CSV plus one SVG scatter per metric present."""
     reports = [load_run_report(p) for p in report_paths]
     points = collect_points(reports)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = out / "scatter_points.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        write_points_csv(points, fh)
-    written.append(csv_path)
-    metrics = sorted({p["metric_name"] for p in points})
-    for metric in metrics:
-        svg_path = out / f"scatter_ibg_vs_{metric}.svg"
-        svg_path.write_text(_svg_scatter(points, metric), encoding="utf-8")
-        written.append(svg_path)
-    return written
+    svgs = {f"scatter_ibg_vs_{m}.svg": m for m in sorted({p["metric_name"] for p in points})}
+    with staged(out_dir) as place:
+        with open(place("scatter_points.csv"), "w", encoding="utf-8", newline="") as fh:
+            write_points_csv(points, fh)
+        for name, metric in svgs.items():
+            place(name).write_text(_svg_scatter(points, metric), encoding="utf-8")
+    return [Path(out_dir) / name for name in ("scatter_points.csv", *svgs)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
 import os
 import pickle
@@ -52,6 +53,12 @@ def _deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _digests(root: Path) -> dict[str, str | None]:
+    """Every path under `root`, hidden ones too: a file's sha256, None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else
+            hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.rglob("*"))}
 
 
 def _generate(tmp_path: Path, prefix: str = "g", seed: int = 3) -> tuple[Path, Path]:
@@ -703,6 +710,69 @@ class TestEvaluate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("blocked, error", [
+        ("bias/cnm_g.csv", "[Errno 21] Is a directory: '{out}/bias/cnm_g.csv'"),
+        ("bias", "[Errno 20] Not a directory: '{out}/bias/louvain_g.csv'"),
+    ], ids=["directory at bias/cnm_g.csv", "file at bias"])
+    def test_failed_rerun_keeps_the_earlier_run_whole(self, tmp_path, capsys, blocked, error):
+        # a directory where the re-run's bias/cnm_g.csv goes, or a file where
+        # bias/ goes: none of its files may land, and the seed-1 report keeps
+        # what stood beside it
+        edges, gt = _generate(tmp_path)
+        out = tmp_path / "run"
+        argv = ["evaluate", "--graph", str(edges), "--gt", str(gt),
+                "--detector", "louvain", "--detector", "cnm", "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        if blocked == "bias":
+            shutil.rmtree(out / "bias")
+            (out / "bias").write_text("mine\n")
+        else:
+            (out / blocked).unlink()
+            (out / blocked).mkdir()
+        before = _digests(out)
+        capsys.readouterr()
+        with _deadline(120):
+            assert main([*argv, "--seed", "2"]) == 2
+        assert capsys.readouterr().err == f"I/O error: {error.format(out=out)}\n"
+        assert _digests(out) == before  # no .cdfair-partial-* either
+
+    def test_a_defect_in_a_metric_stops_the_run(self, tmp_path, monkeypatch):
+        # only bad input (ValueError, OSError) fails a single cell; a worker
+        # sends any other exception back, raised in its cell's turn, so the
+        # slow first cell's error wins over the second's with two workers too
+        edges, gt = _generate(tmp_path)
+        split = tmp_path / "split.gt"
+        split.write_text("".join(f"{v} {v % 4}\n" for v in range(120)))
+
+        def broken_nmi(ct):
+            if len(ct.overlap) > 2:  # the split cell, against the two planted blocks
+                time.sleep(0.5)
+            raise TypeError(f"nmi broken on a table of {len(ct.overlap)} cells")
+
+        monkeypatch.setattr(evaluate, "nmi", broken_nmi)
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluate, "_worker_count", lambda cells, w=workers: w)
+            out = tmp_path / f"workers{workers}"
+            with _deadline(120), pytest.raises(TypeError) as exc:
+                main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                      "--detector", f"external:path={split}", "--detector", f"external:path={gt}",
+                      "--out", str(out)])
+            assert str(exc.value) == "nmi broken on a table of 8 cells"
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):  # every worker was reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_edgeless_graph_is_a_cell_warning(self, tmp_path, capsys):
+        # every edge is a self-loop, dropped on load, so modularity is
+        # undefined: bad input for its cell, not a defect
+        edges, gt = tmp_path / "loops.edges", tmp_path / "loops.gt"
+        edges.write_text("0 0\n1 1\n2 2\n")
+        gt.write_text("0 0\n1 0\n2 1\n")
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                   "--detector", f"external:path={gt}", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert "modularity undefined on an edgeless graph" in capsys.readouterr().err
+
     def test_closing_the_rows_early_kills_the_workers(self, monkeypatch):
         def run(i):
             if i:  # every cell but the first outlasts the deadline
@@ -860,6 +930,34 @@ class TestSweep:
         out = tmp_path / "new" / "sweep"
         assert main(["sweep", *flags, "--out", str(out)]) == 1
         assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("generate", "g.gt"),
+    ("sweep", "sweep_change_majority.csv"),
+    ("report", "scatter_ibg_vs_nmi.svg"),
+])
+def test_a_blocked_destination_lands_no_file(tmp_path, capsys, command, blocked):
+    # a directory stands where the command's file goes: the files placed
+    # before it must not land either, and no staging directory is left
+    argv = {"generate": ["generate", "abcd", "--n", "300", "--c-min", "20", "--c-max", "60",
+                         "--prefix", "g"],
+            "sweep": ["sweep", "--n", "200"],
+            "report": ["report", str(tmp_path / "run" / "report.json")]}[command]
+    if command == "report":
+        edges, gt = _generate(tmp_path)
+        assert main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                     "--detector", "louvain", "--out", str(tmp_path / "run")]) == 0
+    done = tmp_path / "done"
+    assert main([*argv, "--out", str(done)]) == 0
+    assert (done / blocked).is_file()
+    assert not list(done.glob(".cdfair-partial-*"))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"I/O error: [Errno 21] Is a directory: '{out / blocked}'\n"
+    assert _digests(out) == {blocked: None}
 
 
 class TestReport:
