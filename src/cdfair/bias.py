@@ -26,33 +26,35 @@ _BLOCK = 8192  # rows per block of BiasReport.write_csv
 class BiasReport:
     """Per-node bias values plus graph-level summary statistics."""
 
-    ib: np.ndarray  # shape (n,), each value in [0, 1)
+    cell_ib: np.ndarray  # one value per contingency cell, each in [0, 1)
+    node_cell: np.ndarray  # shape (n,), the index of each node's cell
     ib_g: float  # population std of ib, in [0, 0.5]
     mean_ib: float
 
+    @property
+    def ib(self) -> np.ndarray:
+        """The bias of each node, shape (n,)."""
+        return self.cell_ib[self.node_cell]
+
     @classmethod
-    def from_values(cls, ib: np.ndarray) -> "BiasReport":
-        # two-pass population std: mean first, then deviations
+    def from_values(cls, cell_ib: np.ndarray, node_cell: np.ndarray) -> "BiasReport":
+        # two-pass population std over the n node values: mean first, then deviations
+        ib = cell_ib[node_cell]
         mean = float(ib.mean())
         ib_g = math.sqrt(float(np.mean((ib - mean) ** 2)))
-        return cls(ib=ib, ib_g=ib_g, mean_ib=mean)
+        return cls(cell_ib=cell_ib, node_cell=node_cell, ib_g=ib_g, mean_ib=mean)
 
     def write_csv(self, sink: TextIO) -> None:
         """One ``node_id,ib`` row per node, each value as ``repr`` writes it.
 
-        Nodes share few values (one per contingency cell at most), so each
-        distinct value is formatted once. Values are grouped by their bits,
-        which keeps -0.0 apart from 0.0. The rows are written ``_BLOCK``
-        nodes at a time, so the text of one block exists at once, not of n
-        rows.
+        Each cell's value is formatted once, and the rows are written
+        ``_BLOCK`` nodes at a time, so the text of one block exists at once,
+        not of n rows.
         """
-        bits, inverse = np.unique(np.ascontiguousarray(self.ib, dtype=np.float64).view(np.int64),
-                                  return_inverse=True)
-        text = [f",{val!r}\n" for val in bits.view(np.float64).tolist()]
-        inverse = inverse.reshape(-1)
+        text = [f",{val!r}\n" for val in self.cell_ib.tolist()]
         sink.write("node_id,ib\n")
-        for start in range(0, len(inverse), _BLOCK):
-            block = inverse[start:start + _BLOCK].tolist()
+        for start in range(0, len(self.node_cell), _BLOCK):
+            block = self.node_cell[start:start + _BLOCK].tolist()
             sink.write("".join(chain.from_iterable(zip(map(str, range(start, start + len(block))),
                                                        map(text.__getitem__, block)))))
 
@@ -65,4 +67,4 @@ def ib_all_fast(ct: ContingencyTable) -> BiasReport:
     s = ct.row_sums[ct.rows].astype(np.float64)
     sp = ct.col_sums[ct.cols].astype(np.float64)
     cell_ib = 1.0 - ct.overlap / np.sqrt(s * sp)
-    return BiasReport.from_values(cell_ib[ct.node_cell])
+    return BiasReport.from_values(cell_ib, ct.node_cell)

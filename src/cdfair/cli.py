@@ -11,15 +11,13 @@ produces byte-identical outputs, whatever the number of evaluate workers.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import gc
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
+from .staging import staged
 
 # a command imports what only it uses when it runs (numpy; `report`, with json
 # and csv), so sweep, --help and --version load neither and report no numpy
@@ -28,45 +26,6 @@ from .perturb import SCENARIOS, TARGETS, SweepConfig, run_sweep
 def _error(exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 1
-
-
-@contextlib.contextmanager
-def staged(out_dir):
-    """Yield `place(name)`: the path to write `out_dir/name` to, in a fresh
-    `out_dir/.cdfair-partial-<pid>/`, once its directory is made and no
-    directory stands in its place. The files are moved into place, in the
-    order placed, when the block ends; a failure before then removes every
-    path this call made, so `out_dir` is left as it was."""
-    out = Path(out_dir)
-    staging = out / f".cdfair-partial-{os.getpid()}"
-    made = [p for p in (*reversed(out.parents), out, staging) if not os.path.lexists(p)]
-    dests: list[Path] = []
-
-    def place(name: str) -> Path:
-        dest = out / name
-        if not os.path.lexists(dest.parent):
-            made.append(dest.parent)
-            dest.parent.mkdir()
-        if not dest.parent.is_dir():  # a file where a directory goes
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(dest))
-        if dest.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
-        dests.append(dest)
-        made.append(staging / str(len(dests)))
-        return made[-1]
-
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        staging.mkdir()
-        yield place
-        for i, dest in enumerate(dests, 1):
-            os.replace(staging / str(i), dest)
-        staging.rmdir()
-    except BaseException:
-        for path in reversed(made):  # children first; a directory goes only when empty
-            with contextlib.suppress(OSError):
-                path.rmdir() if path.is_dir() else path.unlink()
-        raise
 
 
 # ---------------------------------------------------------------- generate

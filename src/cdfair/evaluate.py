@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .bias import ib_all_fast
-from .cli import staged
+from .staging import staged
 from .detectors import DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi

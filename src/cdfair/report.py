@@ -7,7 +7,7 @@ import json
 import math
 from pathlib import Path
 
-from .cli import staged
+from .staging import staged
 
 # the group-fairness properties and scores of `groupfair.phi`, one slope per pair
 PROPERTIES = ("size", "conductance", "density")

@@ -31,7 +31,6 @@ import math
 import random
 import re
 from collections import Counter
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,17 +94,12 @@ def ib_all_naive(gt: Partition, pred: Partition, cap: int = NAIVE_NODE_CAP) -> B
     ib = np.empty(gt.n, dtype=np.float64)
     for i in range(gt.n):
         ib[i] = cosine_distance(cc_row(gt, i), cc_row(pred, i))
-    return BiasReport.from_values(ib)
+    return BiasReport.from_values(ib, np.arange(gt.n))
 
 
 def write_bias_csv(report: BiasReport, sink) -> None:
-    """``BiasReport.write_csv`` as one string of all n rows."""
-    bits, inverse = np.unique(np.ascontiguousarray(report.ib, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    text = np.array([f",{val!r}\n" for val in bits.view(np.float64).tolist()], dtype=object)
-    sink.write("node_id,ib\n")
-    sink.write("".join(chain.from_iterable(zip(map(str, range(len(inverse))),
-                                               text[inverse.reshape(-1)].tolist()))))
+    """``BiasReport.write_csv`` as one string of all n rows, one ``repr`` per node."""
+    sink.write("node_id,ib\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(report.ib.tolist())))
 
 
 def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:

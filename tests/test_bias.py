@@ -208,7 +208,7 @@ SHARED_IB = [0.0, -0.0, 0.5, 1 / 3, 0.1 + 0.2]
 def test_write_csv_in_blocks_matches_one_shot_writer(n, data):
     ib = data.draw(st.lists(st.sampled_from(SHARED_IB) | st.floats(0.0, 1.0, exclude_max=True),
                             min_size=n, max_size=n))
-    rep = BiasReport.from_values(np.array(ib))
+    rep = BiasReport.from_values(np.array(ib), np.arange(n))
     sink = _Writes(keep_text=True)
     with mock.patch.object(bias, "_BLOCK", BLOCK):
         rep.write_csv(sink)
@@ -224,7 +224,7 @@ def test_write_csv_peak_memory_per_node():
     # of a graph that size has cells
     rng = np.random.default_rng(5)
     n = 200_000
-    rep = BiasReport.from_values(rng.random(5000)[rng.integers(0, 5000, n)])
+    rep = BiasReport.from_values(rng.random(5000), rng.integers(0, 5000, n))
     sink = _Writes(keep_text=False)
     tracemalloc.start()
     try:
@@ -233,6 +233,6 @@ def test_write_csv_peak_memory_per_node():
     finally:
         tracemalloc.stop()
     assert sum(sink.rows) == n + 1
-    # measured about 41 bytes per node, the temporaries of np.unique; one
-    # string of all n rows took about 104
+    # measured about 7.5 bytes per node, one block's text and each cell's;
+    # one string of all n rows took about 104
     assert peak / n < 64, peak / n

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdfair import cli, evaluate
+from cdfair import bias, cli, evaluate, textio
 from cdfair.cli import main
 from cdfair.bias import BiasReport
 from cdfair.detectors import DetectorSpec
@@ -149,6 +149,60 @@ class TestGenerate:
             f"(n=400, |E|={realized['num_edges']}, dropped_stubs={realized['dropped_stubs']}, "
             f"realized_inter_fraction={realized['realized_inter_fraction']:.4f})"
         )
+
+
+# other tools' forms of a canonical file's bytes
+DIALECTS = {
+    # a comment and CRLF line ends make every block skip the canonical shortcut
+    "crlf": lambda data: (b"# a copy with CRLF line ends\n" + data).replace(b"\n", b"\r\n"),
+    "konect": lambda data: b"% a KONECT-style copy with tabs\n" + data.replace(b" ", b"\t"),
+    "snap": lambda data: b"# a SNAP-form copy\n# FromNodeId\tToNodeId\n" + data.replace(b" ", b"\t"),
+    "lone cr": lambda data: data.replace(b"\n", b"\r"),
+}
+
+
+def _bias_and_scores(out: Path) -> tuple[bytes, list[list[str]]]:
+    """A run's one bias CSV, and its results.csv past the graph path."""
+    with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+        scores = [row[1:] for row in csv.reader(fh)]
+    return (out / "bias" / "external:big1_big0.csv").read_bytes(), scores
+
+
+@pytest.fixture(scope="module")
+def big_run(tmp_path_factory) -> tuple[Path, tuple[bytes, list[list[str]]]]:
+    """Two n=20000 ABCD graphs, and what evaluating the first against the
+    second's ground truth as an external partition writes. The edge list
+    spans several read blocks and the bias CSV several write blocks."""
+    graphs = tmp_path_factory.mktemp("big")
+    for seed in (0, 1):
+        assert main(["generate", "abcd", "--n", "20000", "--seed", str(seed),
+                     "--out", str(graphs), "--prefix", f"big{seed}"]) == 0
+    assert main(["evaluate", "--graph", str(graphs / "big0.edges"),
+                 "--gt", str(graphs / "big0.gt"),
+                 "--detector", f"external:path={graphs / 'big1.gt'}",
+                 "--out", str(graphs / "run")]) == 0
+    want = _bias_and_scores(graphs / "run")
+    assert (graphs / "big0.edges").stat().st_size > 3 * textio._BLOCK
+    assert want[0].count(b"\n") > 2 * bias._BLOCK
+    return graphs, want
+
+
+EVERY_DETECTOR = ["louvain", "label_propagation", "cnm", "external:path=missing.gt"]
+
+
+def _no_fork():
+    raise AssertionError("forked a worker while pinned to one CPU")
+
+
+@contextlib.contextmanager
+def _one_cpu():
+    """This process pinned to one CPU, as `taskset -c 0` starts one, until the block ends."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 class TestEvaluate:
@@ -439,24 +493,18 @@ class TestEvaluate:
         assert rc == 1
         assert not (tmp_path / "new").exists()
 
-    def test_non_canonical_inputs_give_the_same_bias_csvs(self, tmp_path):
-        # a comment and CRLF line ends make every block skip the canonical
-        # shortcut; both readings must give the same result
-        edges, gt = _generate(tmp_path / "canonical")
-        (tmp_path / "crlf").mkdir()
-        for path in (edges, gt):
-            text = b"# written on another system\n" + path.read_bytes()
-            (tmp_path / "crlf" / path.name).write_bytes(text.replace(b"\n", b"\r\n"))
-        for run in ("canonical", "crlf"):
-            d = tmp_path / run
-            assert main([
-                "evaluate", "--graph", str(d / "g.edges"), "--gt", str(d / "g.gt"),
-                "--detector", "louvain", "--detector", f"external:path={d / 'g.gt'}",
-                "--out", str(d / "out"),
-            ]) == 0
-        for name in ("louvain_g.csv", "external:g_g.csv"):
-            want = (tmp_path / "canonical" / "out" / "bias" / name).read_bytes()
-            assert (tmp_path / "crlf" / "out" / "bias" / name).read_bytes() == want
+    @pytest.mark.parametrize("dialect", sorted(DIALECTS))
+    def test_non_canonical_inputs_give_the_same_bias_csvs(self, tmp_path, big_run, dialect):
+        # the graph, its ground truth and the external partition, each a copy
+        # in the dialect, must read as the canonical files do
+        graphs, want = big_run
+        for name in ("big0.edges", "big0.gt", "big1.gt"):
+            (tmp_path / name).write_bytes(DIALECTS[dialect]((graphs / name).read_bytes()))
+        assert main(["evaluate", "--graph", str(tmp_path / "big0.edges"),
+                     "--gt", str(tmp_path / "big0.gt"),
+                     "--detector", f"external:path={tmp_path / 'big1.gt'}",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert _bias_and_scores(tmp_path / "run") == want
 
     @pytest.mark.parametrize("case", ["three columns", "edge outside ground truth",
                                       "bad ground truth", "stray huge id"])
@@ -537,25 +585,35 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: --seed must be non-negative, got -3\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("detectors", [
-        ["louvain", "label_propagation", "cnm", "external:path=missing.gt"],
-        ["label_propagation:max_sweeps=1", "louvain"],  # a logged warning per cell
-    ])
+    @pytest.mark.parametrize("detectors, serial", [
+        (EVERY_DETECTOR, 1),
+        (["label_propagation:max_sweeps=1", "louvain"], 1),  # a logged warning per cell
+        # the worker count read from a one-CPU affinity mask, as `taskset -c 0` sets it
+        (EVERY_DETECTOR, "pinned"),
+    ], ids=["detectors0", "detectors1", "pinned"])
     def test_parallel_run_matches_serial_run(self, tmp_path, monkeypatch, capsys, caplog,
-                                             detectors):
+                                             detectors, serial):
+        if serial == "pinned" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("this platform cannot pin a process to a CPU")
         graphs = []
         for prefix, seed in (("g1", 3), ("g2", 4), ("g3", 5)):
             edges, gt = _generate(tmp_path, prefix, seed=seed)
             graphs += ["--graph", str(edges), "--gt", str(gt)]
         capsys.readouterr()
         runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(evaluate, "_worker_count", lambda cells, w=workers: w)
+        for workers in (serial, 2):
             caplog.clear()
             out = tmp_path / f"workers{workers}"
-            with _deadline(120):
-                rc = main(["evaluate", *graphs, *(f"--detector={d}" for d in detectors),
-                           "--seed", "7", "--out", str(out)])
+            with monkeypatch.context() as patch, _deadline(120):
+                if workers == "pinned":
+                    patch.setattr(os, "fork", _no_fork)
+                    pin = _one_cpu()
+                else:
+                    patch.setattr(evaluate, "_worker_count", lambda cells, w=workers: w)
+                    pin = contextlib.nullcontext()
+                with pin:
+                    rc = main(["evaluate", *graphs, *(f"--detector={d}" for d in detectors),
+                               "--seed", "7", "--out", str(out)])
             assert rc == 0
             files = {str(p.relative_to(out)): p.read_bytes()
                      for p in sorted(out.rglob("*")) if p.is_file()}
@@ -934,18 +992,23 @@ class TestSweep:
 
 @pytest.mark.parametrize("command, blocked", [
     ("generate", "g.gt"),
+    ("evaluate", "report.json"),
     ("sweep", "sweep_change_majority.csv"),
     ("report", "scatter_ibg_vs_nmi.svg"),
 ])
 def test_a_blocked_destination_lands_no_file(tmp_path, capsys, command, blocked):
     # a directory stands where the command's file goes: the files placed
     # before it must not land either, and no staging directory is left
+    edges, gt = tmp_path / "g.edges", tmp_path / "g.gt"
     argv = {"generate": ["generate", "abcd", "--n", "300", "--c-min", "20", "--c-max", "60",
                          "--prefix", "g"],
+            "evaluate": ["evaluate", "--graph", str(edges), "--gt", str(gt),
+                         "--detector", "louvain"],
             "sweep": ["sweep", "--n", "200"],
             "report": ["report", str(tmp_path / "run" / "report.json")]}[command]
+    if command in ("evaluate", "report"):
+        _generate(tmp_path)
     if command == "report":
-        edges, gt = _generate(tmp_path)
         assert main(["evaluate", "--graph", str(edges), "--gt", str(gt),
                      "--detector", "louvain", "--out", str(tmp_path / "run")]) == 0
     done = tmp_path / "done"

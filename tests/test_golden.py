@@ -101,7 +101,11 @@ def test_generate_outputs_match_the_manifest(tmp_path):
     assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
 
 
-def test_sweep_outputs_match_the_manifest(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["--runs", "5", "--seed", "3"]],
+                         ids=["defaults", "runs-and-seed"])
+def test_sweep_outputs_match_the_manifest(tmp_path, monkeypatch, flags):
+    # --runs and --seed, which perfbench/run.py passes, are accepted and change no byte
+    monkeypatch.setitem(RUNS, "sweep/default", RUNS["sweep/default"] + flags)
     differ = _differ(tmp_path, "sweep")
     assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
 

@@ -4,8 +4,8 @@ without dataclasses (sweep, --help and --version without the report module
 too), ``cdfair generate`` without the evaluate pipeline, ``cdfair evaluate``
 without ``numpy.ma``, and its forked workers without a process pool or a
 thread; the `cdfair` command keeps main's exit codes and exits with a frozen
-heap, README's library example runs as written, and nothing in `src/` is
-there for tests alone.
+heap, `python -m cdfair.cli` executes the cli module once, README's library
+example runs as written, and nothing in `src/` is there for tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -165,6 +165,25 @@ def test_the_cdfair_command_keeps_mains_exit_codes_and_exits_frozen(tmp_path, en
     assert len(paths) == (6 if code == 0 else 0)
     assert sorted(proc.stdout.splitlines()) == [f"wrote {path}" for path in paths]
     assert all(len(path.read_text().splitlines()) == 12 for path in paths)
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "report"])
+def test_python_m_executes_the_cli_module_once(tmp_path, karate_report, command):
+    # runpy executes cdfair/cli.py as __main__ and leaves cdfair.cli unimported;
+    # a module that imported it would execute the file a second time
+    data = ROOT / "tests" / "data"
+    argv = {"generate": ["generate", "abcd", "--n", "300", "--c-min", "20", "--c-max", "60"],
+            "evaluate": ["evaluate", "--graph", str(data / "karate.edges"),
+                         "--gt", str(data / "karate.gt"), "--detector", "louvain"],
+            "report": ["report", str(karate_report)]}[command]
+    proc = _python(
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules if m == 'cdfair.cli')))\n"
+        f"sys.argv = ['cdfair', *{argv!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        + ENTRIES["python -m cdfair.cli"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_generate_loads_no_evaluate_pipeline(tmp_path):
