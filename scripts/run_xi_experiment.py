@@ -2,9 +2,11 @@
 """Detector comparison across the mixing fraction xi.
 
 For each xi in a grid, generates `--graphs` planted-partition graphs, runs all
-built-in detectors, and writes per-cell metrics plus per-xi run reports. The
-run reports can then be fed to `cdfair report` to get IB_G-vs-quality scatter
-plots.
+built-in detectors on them, and writes per-cell metrics plus a per-xi run
+report; `cdfair report` then turns the run reports into IB_G-vs-quality
+scatter plots. Each step is a `cdfair` command run in this process, so the
+files carry the same provenance and checks as on the command line, and the
+script exits with the first non-zero exit code.
 
 Usage:
     python3 scripts/run_xi_experiment.py --out results/xi [--n 2000 --graphs 5]
@@ -15,12 +17,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from cdfair.evaluate import RunConfig, evaluate_run
-from cdfair.detectors import DetectorSpec
-from cdfair.graph import write_edge_list
-from cdfair.partition import write_partition
-from cdfair.report import write_report_outputs
-from cdfair.synthgen import AbcdParams, generate_abcd_lite
+from cdfair.cli import main as cdfair
 
 DETECTORS = ("louvain", "label_propagation", "cnm")
 
@@ -37,38 +34,25 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out)
-    reports = []
+    commands, reports = [], []
     for xi in (float(v) for v in args.xi.split(",")):
         xi_dir = out / f"xi_{xi:g}"
         data_dir = xi_dir / "data"
-        data_dir.mkdir(parents=True, exist_ok=True)
-        pairs = []
+        evaluate = ["evaluate", *(f"--detector={name}" for name in DETECTORS),
+                    "--seed", str(args.seed), "--group", f"xi={xi:g}", "--out", str(xi_dir / "run")]
         for i in range(args.graphs):
-            params = AbcdParams(n=args.n, c_min=args.c_min, c_max=args.c_max,
-                                xi=xi, seed=args.seed + 101 * i)
-            g, p, info = generate_abcd_lite(params)
-            edges_path = data_dir / f"g{i}.edges"
-            gt_path = data_dir / f"g{i}.gt"
-            with open(edges_path, "w", encoding="utf-8") as fh:
-                write_edge_list(g, fh)
-            with open(gt_path, "w", encoding="utf-8") as fh:
-                write_partition(p, fh)
-            pairs.append((str(edges_path), str(gt_path)))
-            print(f"xi={xi:g} graph {i}: |E|={info['num_edges']}, "
-                  f"mixing={info['realized_inter_fraction']:.3f}")
-        cfg = RunConfig(
-            graphs=pairs,
-            detectors=[DetectorSpec(name) for name in DETECTORS],
-            out_dir=str(xi_dir / "run"),
-            seed=args.seed,
-            graph_group=f"xi={xi:g}",
-        )
-        evaluate_run(cfg)
-        reports.append(xi_dir / "run" / "report.json")
-        print(f"wrote {xi_dir / 'run' / 'report.json'}")
-
-    for path in write_report_outputs([str(p) for p in reports], str(out / "figures")):
-        print(f"wrote {path}")
+            commands.append(["generate", "abcd", "--n", str(args.n), "--c-min", str(args.c_min),
+                             "--c-max", str(args.c_max), "--xi", repr(xi),
+                             "--seed", str(args.seed + 101 * i),
+                             "--out", str(data_dir), "--prefix", f"g{i}"])
+            evaluate += ["--graph", str(data_dir / f"g{i}.edges"),
+                         "--gt", str(data_dir / f"g{i}.gt")]
+        commands.append(evaluate)
+        reports.append(str(xi_dir / "run" / "report.json"))
+    commands.append(["report", *reports, "--out", str(out / "figures")])
+    for argv in commands:  # each command checks its input; the first failure stops the run
+        if rc := cdfair(argv):
+            return rc
     return 0
 
 

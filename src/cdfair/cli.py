@@ -39,6 +39,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from .report import write_json
     from .synthgen import AbcdParams, generate_abcd_lite
 
+    out, prefix = Path(args.out), args.prefix
+    if prefix in ("", ".", "..") or Path(prefix).name != prefix:  # a file name in --out
+        raise ValueError(f"--prefix must be a file name without a path separator, "
+                         f"not empty, '.' or '..', got {prefix!r}")
     params = AbcdParams(
         n=args.n, gamma=args.gamma, d_min=args.d_min, d_max=args.d_max,
         beta=args.beta, c_min=args.c_min, c_max=args.c_max, xi=args.xi, seed=args.seed,
@@ -46,7 +50,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     g, p, info = generate_abcd_lite(params)
     provenance = {"model": "abcd_lite", "params": asdict(params), "realized": info,
                   "package_version": __version__}
-    out, prefix = Path(args.out), args.prefix
     with staged(out) as place:
         with open(place(f"{prefix}.edges"), "w", encoding="utf-8") as fh:
             write_edge_list(g, fh)
@@ -63,16 +66,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluate import WorkerError, evaluate_run, load_run_config
+    from .evaluate import ConfigError, WorkerError, _parse_detector, evaluate_run
 
-    cfg = load_run_config(args)
+    if len(args.graph) != len(args.gt):
+        raise ConfigError("--graph and --gt must be given the same number of times")
+    detectors = [_parse_detector(d) for d in args.detector]
     try:
-        doc = evaluate_run(cfg)
+        doc = evaluate_run(list(zip(args.graph, args.gt)), detectors, args.out,
+                           seed=args.seed, graph_group=args.group)
     except WorkerError as exc:
         return _error(exc)
     for w in doc["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {Path(cfg.out_dir) / 'report.json'} and results.csv")
+    print(f"wrote {Path(args.out) / 'report.json'} and results.csv")
     return 0
 
 

@@ -1,21 +1,21 @@
 """The evaluate pipeline: every detector on every graph, every measure per cell.
 
-`cdfair evaluate` parses its options into a `RunConfig` here and runs it with
-`evaluate_run`, which writes report.json, results.csv and one bias CSV per
-cell. All randomness flows from the run seed through `derive_cell_seed`, so
-a run gives the same bytes whatever the number of worker processes.
+`evaluate_run` is the entry for `cdfair evaluate` and library callers alike:
+it checks its arguments, so both get the same errors before any input is read
+or anything is made under the output directory, and then writes report.json,
+results.csv and one bias CSV per cell. All randomness flows from the run seed
+through `derive_cell_seed`, so a run gives the same bytes whatever the number
+of worker processes.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import logging
 import math
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -40,15 +40,6 @@ class WorkerError(RuntimeError):
 
 
 _ABRUPT = "a worker process ended abruptly while evaluating cells"
-
-
-@dataclass
-class RunConfig:
-    graphs: list[tuple[str, str]]  # (edge-list path, ground-truth path) pairs
-    detectors: list[DetectorSpec]
-    out_dir: str
-    seed: int = 0
-    graph_group: str = "run"
 
 
 def derive_cell_seed(base: int, detector_index: int, graph_index: int) -> int:
@@ -249,16 +240,45 @@ def _load_inputs(graph_path: str, gt_path: str) -> tuple[Graph, Partition]:
     return g, gt
 
 
-def evaluate_run(cfg: RunConfig) -> dict:
-    """Run every detector on every graph. Only bad input, a ValueError or an
+def evaluate_run(graphs: list[tuple[str, str]], detectors: list[DetectorSpec], out_dir: str,
+                 *, seed: int = 0, graph_group: str = "run") -> dict:
+    """Run every detector on every (edge-list path, ground-truth path) pair
+    in `graphs`, writing into `out_dir`. Only bad input, a ValueError or an
     OSError, fails one cell, with a warning; any other exception stops the run.
+
+    A bad argument raises ConfigError before any input is read or anything
+    is made under `out_dir`: no graphs, no detectors, two cells that would
+    write the same bias file, a negative seed, or no `out_dir`.
 
     The cells run in forked worker processes, one per CPU in this process's
     affinity mask, or in this process when that is one CPU. Every output
     byte is the same either way. A failed run leaves --out as it was (`staged`).
     """
+    if not graphs:
+        raise ConfigError("no input graphs: pass --graph and --gt")
+    if not detectors:
+        raise ConfigError("no detectors requested")
+    # a bias file is named after the detector label and the graph's file stem,
+    # so two cells would overwrite each other's when two detectors share a
+    # label (which also names their report entry), when two graphs share a
+    # stem, or when a label or stem holds "_": external:a on b_c.edges and
+    # external:a_b on c.edges
+    by_name: dict[str, str] = {}
+    for spec in detectors:
+        text = ",".join(f"{key}={value}" for key, value in spec.params.items())
+        text = f"{spec.name}:{text}" if text else spec.name  # as given to --detector
+        for graph_path, _ in graphs:
+            name = _bias_name(spec.label(), graph_path)
+            cell = f"detector {text!r} on graph {str(graph_path)!r}"
+            if name in by_name:
+                raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
+            by_name[name] = cell
+    if seed < 0:  # random.Random(-s) would repeat seed s
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    if not out_dir:
+        raise ConfigError("no output directory: pass --out")
     loaded = [(graph_path, *_load_inputs(graph_path, gt_path))
-              for graph_path, gt_path in cfg.graphs]
+              for graph_path, gt_path in graphs]
     detectors_block: dict = {}
     warnings = []
 
@@ -267,14 +287,14 @@ def evaluate_run(cfg: RunConfig) -> dict:
         di, gi = divmod(i, len(loaded))
         _, g, gt = loaded[gi]
         try:
-            return evaluate_cell(g, gt, cfg.detectors[di], derive_cell_seed(cfg.seed, di, gi))
+            return evaluate_cell(g, gt, detectors[di], derive_cell_seed(seed, di, gi))
         except (ValueError, OSError) as exc:  # bad input fails its cell, not the run
             return {"error": f"{type(exc).__name__}: {exc}"}
 
-    rows = _map_cells(run_cell, len(cfg.detectors) * len(loaded))
+    rows = _map_cells(run_cell, len(detectors) * len(loaded))
     # after every input has loaded; closing the rows stops the workers on any failure
-    with staged(cfg.out_dir) as place, contextlib.closing(rows):
-        for spec in cfg.detectors:
+    with staged(out_dir) as place, contextlib.closing(rows):
+        for spec in detectors:
             label = spec.label()
             per_graph = []
             for graph_path, _, _ in loaded:
@@ -295,13 +315,13 @@ def evaluate_run(cfg: RunConfig) -> dict:
 
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "graph_group": cfg.graph_group,
+            "graph_group": graph_group,
             "provenance": {
                 "package_version": __version__,
                 "config": {
-                    "graphs": [list(p) for p in cfg.graphs],
-                    "detectors": [{"name": s.name, "params": s.params} for s in cfg.detectors],
-                    "seed": cfg.seed,
+                    "graphs": [list(p) for p in graphs],
+                    "detectors": [{"name": s.name, "params": s.params} for s in detectors],
+                    "seed": seed,
                 },
             },
             "warnings": warnings,
@@ -355,32 +375,3 @@ def _bias_name(label: str, graph_path: str) -> str:
     """The file under bias/ holding the per-node bias of one (detector, graph) cell."""
     return f"{label}_{Path(graph_path).stem}.csv"
 
-
-def load_run_config(args: argparse.Namespace) -> RunConfig:
-    if len(args.graph) != len(args.gt):
-        raise ConfigError("--graph and --gt must be given the same number of times")
-    graphs = list(zip(args.graph, args.gt))
-    if not graphs:
-        raise ConfigError("no input graphs: pass --graph and --gt")
-    detectors = [_parse_detector(d) for d in args.detector]
-    if not detectors:
-        raise ConfigError("no detectors requested")
-    # a bias file is named after the detector label and the graph's file stem,
-    # so two cells would overwrite each other's when two detectors share a
-    # label (which also names their report entry), when two graphs share a
-    # stem, or when a label or stem holds "_": external:a on b_c.edges and
-    # external:a_b on c.edges
-    by_name: dict[str, str] = {}
-    for text, spec in zip(args.detector, detectors):
-        for graph_path, _ in graphs:
-            name = _bias_name(spec.label(), graph_path)
-            cell = f"detector {text!r} on graph {graph_path!r}"
-            if name in by_name:
-                raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
-            by_name[name] = cell
-    if args.seed < 0:  # random.Random(-s) would repeat seed s
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    if not args.out:
-        raise ConfigError("no output directory: pass --out")
-    return RunConfig(graphs=graphs, detectors=detectors, out_dir=args.out,
-                     seed=args.seed, graph_group=args.group)

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -20,6 +21,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
@@ -34,6 +36,8 @@ from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
 from oracles import generate_two_community, graph_from_edges
+
+DATA = Path(__file__).parent / "data"
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -118,6 +122,11 @@ class TestGenerate:
         # 50^200 overflows float64; the community sizes were once all c_min
         (["--beta", "-200"],
          "beta = -200.0: the weights v^-beta over [10, 50] sum to 0 or overflow float64"),
+        # the files would land beside --out, or be hidden ones named .edges/.gt/.json
+        (["--prefix", "../escaped"], "--prefix must be a file name without a path separator, "
+                                     "not empty, '.' or '..', got '../escaped'"),
+        (["--prefix", ""], "--prefix must be a file name without a path separator, "
+                           "not empty, '.' or '..', got ''"),
     ])
     def test_bad_abcd_input_exit_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "graphs"
@@ -128,7 +137,7 @@ class TestGenerate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert [str(w.message) for w in caught] == []  # no numpy warning either
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())  # no --out, and nothing beside it
 
     def test_failed_generate_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "new" / "graphs"
@@ -740,11 +749,10 @@ class TestEvaluate:
         monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 2)
         before = sorted(os.listdir("/proc/self/fd"))
         for run in ("run1", "run2"):  # as run_xi_experiment.py makes one call per xi
-            cfg = evaluate.RunConfig(graphs=[(str(edges), str(gt))],
-                                     detectors=[DetectorSpec("louvain"), DetectorSpec("cnm")],
-                                     out_dir=str(tmp_path / run))
             with _deadline(120):
-                evaluate.evaluate_run(cfg)
+                evaluate.evaluate_run([(str(edges), str(gt))],
+                                      [DetectorSpec("louvain"), DetectorSpec("cnm")],
+                                      str(tmp_path / run))
         assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -877,6 +885,36 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: no output directory: pass --out\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("change, message", [
+        ({"graphs": "a/k and b/k"}, "detector 'louvain' on graph {a!r} and detector 'louvain' "
+                                    "on graph {b!r} would both write bias/louvain_k.csv"),
+        ({"seed": -3}, "--seed must be non-negative, got -3"),
+        ({"graphs": []}, "no input graphs: pass --graph and --gt"),
+        ({"detectors": []}, "no detectors requested"),
+        ({"out_dir": None}, "no output directory: pass --out"),
+        ({"out_dir": ""}, "no output directory: pass --out"),
+    ], ids=["shared stem", "negative seed", "no graphs", "no detectors", "no out_dir",
+            "empty out_dir"])
+    def test_library_call_fails_as_the_command_line_does(self, tmp_path, monkeypatch,
+                                                         change, message):
+        # evaluate_run raises the error `cdfair evaluate` prints, before it
+        # reads an input or makes anything, wherever out_dir points
+        pairs = []
+        for sub, name in (("a", "karate"), ("b", "abcd300")):
+            (tmp_path / sub).mkdir()
+            pairs.append(tuple(str(shutil.copy(DATA / f"{name}.{ext}", tmp_path / sub / f"k.{ext}"))
+                               for ext in ("edges", "gt")))
+        args = {"graphs": pairs[:1], "detectors": [DetectorSpec("louvain")],
+                "out_dir": str(tmp_path / "o"), **change}
+        if args["graphs"] == "a/k and b/k":
+            args["graphs"] = pairs
+        monkeypatch.chdir(tmp_path)  # where an empty out_dir would resolve
+        before = _digests(tmp_path)
+        with pytest.raises(evaluate.ConfigError) as exc:
+            evaluate.evaluate_run(**args)
+        assert str(exc.value) == message.format(a=pairs[0][0], b=pairs[1][0])
+        assert _digests(tmp_path) == before
+
     def test_nmi_norm_is_no_option(self, tmp_path, capsys):
         edges, gt = _generate(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -919,6 +957,69 @@ def test_round_trip_keeps_isolated_nodes(data):
             assert doc["detectors"][label]["per_graph"][0]["error"] is None
             assert len((out / "bias" / f"{label}_r.csv").read_text().splitlines()) == n + 1
         assert doc["detectors"]["external:r"]["per_graph"][0]["ib_g"] == 0.0
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)  # about 3 s; one run in thirty exits 0
+def test_evaluate_options_give_a_sound_run_or_one_error(data):
+    """Generated `cdfair evaluate` command lines, good and bad: each exits 0
+    with a sound report and bias CSVs, or 1 with one error line and no --out."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(evaluate, "_worker_count", lambda cells: 1):
+        tmp = Path(tmp)
+        (tmp / "copy").mkdir()
+        (tmp / "ext").mkdir()
+        for ext in ("edges", "gt"):  # the stem of a graph already given
+            shutil.copy(DATA / f"karate.{ext}", tmp / "copy")
+        pairs = [(str(d / f"{name}.edges"), str(d / f"{name}.gt"))
+                 for d, name in ((DATA, "karate"), (DATA, "abcd300"), (tmp / "copy", "karate"))]
+        parts = [str(shutil.copy(DATA / f"{name}.gt", tmp / "ext"))
+                 for name in ("karate", "abcd300")]
+        detector = st.one_of(
+            st.sampled_from(["louvain", "label_propagation", "cnm", "label_propagation:seed=1",
+                             "walktrap", "louvain:sed=1"]),
+            st.integers(-2, 2).map(lambda seed: f"louvain:seed={seed}"),
+            st.integers(-1, 3).map(lambda sweeps: f"label_propagation:max_sweeps={sweeps}"),
+            st.sampled_from(parts).map(lambda path: f"external:path={path}"),
+        )
+        graphs = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+        texts = data.draw(st.lists(detector, min_size=1, max_size=3))
+        out = tmp / "run"
+        seed = data.draw(st.integers(-2, 3))
+        argv = ["evaluate", "--seed", str(seed)]
+        argv += [f"--detector={text}" for text in texts]
+        for edges, gt in graphs:
+            argv += ["--graph", edges, "--gt", gt]
+        if data.draw(st.booleans()):
+            argv += ["--out", str(out)]
+        before = _digests(tmp)
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert _digests(tmp) == before
+            return
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["provenance"]["config"]["seed"] == seed >= 0
+        labels = [evaluate._parse_detector(text).label() for text in texts]
+        assert sorted(doc["detectors"]) == sorted(labels)
+        # one bias CSV per cell that ran: none overwrote another's
+        ok = sum(row["error"] is None for label in labels
+                 for row in doc["detectors"][label]["per_graph"])
+        assert len(list((out / "bias").glob("*"))) == ok
+        for label in labels:
+            rows = doc["detectors"][label]["per_graph"]
+            assert [row["graph"] for row in rows] == [edges for edges, _ in graphs]
+            for row, (edges, gt) in zip(rows, graphs):
+                if row["error"] is not None:
+                    continue
+                assert 0.0 <= row["ib_g"] <= 0.5
+                with open(out / "bias" / f"{label}_{Path(edges).stem}.csv", newline="") as fh:
+                    ib = [float(r["ib"]) for r in csv.DictReader(fh)]
+                assert len(ib) == load_partition(Path(gt).read_bytes()).n
+                assert all(0.0 <= v < 1.0 for v in ib)
 
 
 class TestSweep:
