@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gt", action="append", default=[],
                     help="ground-truth partition path (repeatable)")
     ev.add_argument("--detector", action="append", default=[],
-                    help="name[:k=v,...], e.g. louvain:seed=1 or external:path=p.gt")
+                    help="name[:k=v,...], e.g. louvain or external:path=p.gt")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--group", default="run", help="graph group label used in reports")
     ev.add_argument("--out")

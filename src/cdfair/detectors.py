@@ -9,7 +9,6 @@ the pipeline as an externally computed partition file.
 from __future__ import annotations
 
 import heapq
-import inspect
 import logging
 import random
 from dataclasses import dataclass, field
@@ -21,23 +20,12 @@ from .textio import load_file
 
 log = logging.getLogger(__name__)
 
-def _check_max_sweeps(max_sweeps: int, given) -> None:
-    """Raise ValueError unless `max_sweeps` is at least 1; the message shows
-    `given`, the value as the caller wrote it."""
-    if max_sweeps < 1:
-        raise ValueError(
-            f"detector 'label_propagation': parameter 'max_sweeps' must be at least 1, "
-            f"got {given!r}"
-        )
-
-
-def _check_seed(name: str, seed: int, given) -> None:
+def _check_seed(name: str, seed: int) -> None:
     """Raise ValueError if detector `name`'s `seed` is negative, since
-    random.Random(-s) would repeat seed s; the message shows `given`, the
-    value as the caller wrote it."""
+    random.Random(-s) would repeat seed s."""
     if seed < 0:
         raise ValueError(
-            f"detector {name!r}: parameter 'seed' must be non-negative, got {given!r}"
+            f"detector {name!r}: parameter 'seed' must be non-negative, got {seed!r}"
         )
 
 
@@ -45,43 +33,27 @@ def _check_seed(name: str, seed: int, given) -> None:
 class DetectorSpec:
     """A detector and its parameters, checked when the spec is built.
 
-    `params` holds the values as given, which `report.json` records, and
-    `kwargs` the same values converted to the types of the detector's
-    signature.
+    Only `external` takes a parameter, the `path` of its partition file; the
+    detectors that take a seed get the cell's (`run_detector`).
     """
 
     name: str
     params: dict = field(default_factory=dict)
-    kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in DETECTORS:
             raise ValueError(f"unknown detector {self.name!r}")
         if not isinstance(self.params, dict):
             raise ValueError(f"detector {self.name!r}: parameters must be key=value pairs")
-        types = PARAM_TYPES[self.name]
-        kwargs = {}
+        accepted = ["path"] if self.name == "external" else []
         for key, value in self.params.items():
-            if key not in types:
-                accepted = ", ".join(types) or "none"
+            if key not in accepted:
                 raise ValueError(
                     f"detector {self.name!r} has no parameter {key!r} (given {value!r}); "
-                    f"it accepts: {accepted}"
+                    f"it accepts: {', '.join(accepted) or 'none'}"
                 )
-            try:
-                kwargs[key] = types[key](value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"detector {self.name!r}: parameter {key!r} must be "
-                    f"{types[key].__name__}, got {value!r}"
-                ) from None
-        if "max_sweeps" in kwargs:
-            _check_max_sweeps(kwargs["max_sweeps"], self.params["max_sweeps"])
-        if "seed" in kwargs:
-            _check_seed(self.name, kwargs["seed"], self.params["seed"])
-        if self.name == "external" and not kwargs.get("path"):
+        if self.name == "external" and not self.params.get("path"):
             raise ValueError("detector 'external' requires a 'path' parameter")
-        object.__setattr__(self, "kwargs", kwargs)
 
     def label(self) -> str:
         if self.name == "external":
@@ -105,8 +77,12 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     it was, so a visit would pick the same label and draw nothing from the
     random stream; settled nodes are skipped without counting.
     """
-    _check_max_sweeps(max_sweeps, max_sweeps)
-    _check_seed("label_propagation", seed, seed)
+    if max_sweeps < 1:
+        raise ValueError(
+            f"detector 'label_propagation': parameter 'max_sweeps' must be at least 1, "
+            f"got {max_sweeps!r}"
+        )
+    _check_seed("label_propagation", seed)
     _require_edges(g)
     rng = random.Random(seed)
     adj = g.neighbor_lists()
@@ -221,7 +197,7 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
     kept weights are read. Each pass's order is shuffled by `_shuffle`,
     which draws what ``random.Random.shuffle`` draws.
     """
-    _check_seed("louvain", seed, seed)
+    _check_seed("louvain", seed)
     _require_edges(g)
     rng = random.Random(seed)
     # one level: neighbour -> edge weight per node (no self entries), and each
@@ -332,19 +308,13 @@ DETECTORS = {
     "cnm": greedy_agglomerative,
     "external": _external_partition,
 }
-# each detector's parameters, from its signature after the graph, and the type
-# a given value is converted to: that of the parameter's default
-PARAM_TYPES: dict[str, dict[str, type]] = {
-    name: {key: type(param.default)
-           for key, param in inspect.signature(fn).parameters.items() if key != "g"}
-    for name, fn in DETECTORS.items()
-}
 
 
 def run_detector(spec: DetectorSpec, g: Graph, seed: int = 0) -> Partition:
-    """Run the spec's detector on `g`; a detector that takes a seed gets
-    `seed` when the spec sets none."""
-    kwargs = spec.kwargs
-    if "seed" in PARAM_TYPES[spec.name]:
-        kwargs = {"seed": seed, **kwargs}
-    return DETECTORS[spec.name](g, **kwargs)
+    """Run the spec's detector on `g`; louvain and label_propagation get `seed`."""
+    fn = DETECTORS[spec.name]
+    if spec.name == "external":
+        return fn(g, path=spec.params["path"])
+    if spec.name == "cnm":
+        return fn(g)
+    return fn(g, seed=seed)

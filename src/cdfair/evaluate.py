@@ -25,7 +25,7 @@ from .detectors import DetectorSpec, run_detector
 from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi
 from .partition import Partition, contingency, load_partition
-from .quality import ari, modularity, nf1, nmi
+from .quality import ari, modularity, nf1, nmi, sum_in_order
 from .report import (PHI_METRICS, PROPERTIES, QUALITY_METRICS, REPORT_SCHEMA_VERSION, SCORES,
                      write_json)
 from .textio import load_file
@@ -80,8 +80,8 @@ def _aggregate(rows: list[dict]) -> dict:
         if not vals:
             agg[key] = None
         else:
-            mean = sum(vals) / len(vals)
-            std = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
+            mean = sum_in_order(vals) / len(vals)
+            std = math.sqrt(sum_in_order([(v - mean) ** 2 for v in vals]) / len(vals))
             agg[key] = {"mean": mean, "std": std}
     return agg
 

@@ -16,28 +16,28 @@ import numpy as np
 
 from .graph import Graph
 from .partition import ContingencyTable, Partition
-from .quality import community_edges
+from .quality import community_edges, sum_in_order
 from .report import PROPERTIES, SCORES
 
 
 def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Slope of the least-squares line through (x, y).
 
-    Each sum adds one term at a time in point order, so the slope is the one
-    the textbook loop gives, bit for bit.
+    Each sum adds one term at a time in point order (`sum_in_order`), so the
+    slope is the one the textbook loop gives, bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
     if n != len(y) or n < 2:
         raise ValueError("need at least two paired points")
-    dx = x - sum(x.tolist()) / n
+    dx = x - sum_in_order(x) / n
     # float_power calls C pow() as Python's ** does; numpy's dx ** 2 multiplies,
     # which rounds differently in about one term in a thousand
-    sxx = sum(np.float_power(dx, 2).tolist())
+    sxx = sum_in_order(np.float_power(dx, 2))
     if sxx == 0.0:
         raise ValueError("slope undefined: all x values equal")
-    return sum((dx * (y - sum(y.tolist()) / n)).tolist()) / sxx
+    return sum_in_order(dx * (y - sum_in_order(y) / n)) / sxx
 
 
 def _minmax(values) -> np.ndarray | None:

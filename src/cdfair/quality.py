@@ -14,6 +14,18 @@ from .graph import Graph
 from .partition import ContingencyTable, Partition, PartitionError
 
 
+def sum_in_order(values) -> float:
+    """The floats of `values` added one at a time from 0.0, in order: the
+    built-in `sum()` as it adds floats before CPython 3.12, which compensates
+    its rounding, on every version. A plain loop: ``np.cumsum`` gives the
+    same sum, but raised the benchmark's evaluate-detect peak RSS by about
+    0.1 MB (2-CPU Linux host, numpy 2.4)."""
+    total = 0.0
+    for value in np.asarray(values, dtype=np.float64).tolist():
+        total += value
+    return total
+
+
 def community_edges(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per community of `p`: the edges inside it and its volume (degree sum)."""
     if p.n != g.n:
@@ -30,8 +42,7 @@ def modularity(g: Graph, p: Partition) -> float:
     if m == 0:
         raise ValueError("modularity undefined on an edgeless graph")
     intra, vol = community_edges(g, p)
-    # summed in community order, one term at a time
-    return sum((intra / m - (vol / (2.0 * m)) ** 2).tolist())
+    return sum_in_order(intra / m - (vol / (2.0 * m)) ** 2)  # in community order
 
 
 def _entropy(sizes, n: int) -> float:
@@ -59,7 +70,7 @@ def nmi(ct: ContingencyTable) -> float:
         return 0.0
     o = ct.overlap
     terms = (o / n) * np.log(o * n / (ct.row_sums[ct.rows] * ct.col_sums[ct.cols]))
-    mi = max(sum(terms.tolist()), 0.0)  # guard tiny negative round-off
+    mi = max(sum_in_order(terms), 0.0)  # guard tiny negative round-off
     return mi / (0.5 * (h1 + h2))
 
 
@@ -105,7 +116,7 @@ def nf1(ct: ContingencyTable) -> float:
     # counted without np.unique, whose plain call imports numpy.ma
     n_matched = int(np.count_nonzero(np.bincount(matched, minlength=ct.gt.k)))
     k_gt, k_pred = ct.gt.k, ct.pred.k
-    mean_f1 = sum(f1.tolist()) / k_pred  # summed in predicted-id order
+    mean_f1 = sum_in_order(f1) / k_pred  # summed in predicted-id order
     coverage = n_matched / k_gt
     redundancy = k_pred / n_matched
     return mean_f1 * coverage / redundancy

@@ -247,11 +247,7 @@ def generate_abcd_lite(p: AbcdParams) -> tuple[Graph, Partition, dict]:
         start = end
 
     inter = np.empty(0, dtype=np.int64)  # the background's keys, each joining two communities
-    if background.sum() > 0:
-        if background.sum() % 2 == 1:
-            j = int(np.argmax(background))
-            background[j] -= 1
-            dropped += 1
+    if background.sum() > 0:  # even: so are the degree sum and every intra count
         stubs = np.repeat(np.arange(p.n, dtype=np.int64), background)
         if len(sizes) > 1:
             inter, rest = _pair_background(rng, stubs, labels, p.n)

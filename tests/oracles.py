@@ -258,15 +258,22 @@ def community_scores(g: Graph, gt: Partition, pred: Partition) -> dict[str, list
 
 
 def ols_slope(x, y) -> float:
+    # each sum is a plain loop: the built-in sum() of floats compensates its
+    # rounding from CPython 3.12 on
     n = len(x)
     if n != len(y) or n < 2:
         raise ValueError("need at least two paired points")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((xi - mx) ** 2 for xi in x)
+    mx = my = 0.0
+    for xi, yi in zip(x, y):
+        mx += xi
+        my += yi
+    mx, my = mx / n, my / n
+    sxx = sxy = 0.0
+    for xi, yi in zip(x, y):
+        sxx += (xi - mx) ** 2
+        sxy += (xi - mx) * (yi - my)
     if sxx == 0.0:
         raise ValueError("slope undefined: all x values equal")
-    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
     return sxy / sxx
 
 

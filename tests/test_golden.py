@@ -1,5 +1,5 @@
-"""Every output byte of three `cdfair evaluate` runs, five `cdfair generate
-abcd` runs, one `cdfair sweep` and one `cdfair report`, pinned by sha256.
+"""Every output byte of four `cdfair evaluate` runs, five `cdfair generate
+abcd` runs, one `cdfair sweep` and two `cdfair report` runs, pinned by sha256.
 
 The evaluate runs read inputs checked in under tests/data, so their digests
 do not depend on the ABCD generator's random stream; the generate runs pin
@@ -12,8 +12,10 @@ changed and why.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,8 +44,16 @@ RUNS = {
     "evaluate/karate-snap": [
         "evaluate", "--graph", "tests/data/karate-snap.edges", "--gt", "tests/data/karate.gt",
         "--detector", "louvain"],
+    # two graphs, so results.csv holds the ALL mean and std rows
+    "evaluate/two-graphs": [
+        "evaluate", "--graph", "tests/data/karate.edges", "--gt", "tests/data/karate.gt",
+        "--graph", "tests/data/abcd300.edges", "--gt", "tests/data/abcd300.gt",
+        "--detector", "louvain", "--detector", "label_propagation", "--group", "two-graphs"],
     # the plot data and scatters of the evaluate/karate run
     "report/karate": ["report", "{out}/evaluate/karate/report.json"],
+    # two graph groups; the two-graphs points carry error bars
+    "report/two-groups": ["report", "{out}/evaluate/karate/report.json",
+                          "{out}/evaluate/two-graphs/report.json"],
     "sweep/default": ["sweep", "--n", "1000"],
     # criterion 9's shape
     "generate/n2000": ["generate", "abcd", "--n", "2000", "--c-min", "50", "--c-max", "400",
@@ -112,8 +122,27 @@ def test_sweep_outputs_match_the_manifest(tmp_path, monkeypatch, flags):
 
 def test_report_outputs_match_the_manifest(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    run_digests(tmp_path, ["evaluate/karate"])  # the report run reads its report.json
+    run_digests(tmp_path, ["evaluate/karate", "evaluate/two-graphs"])  # the reports read these
     differ = _differ(tmp_path, "report")
+    assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
+
+
+def test_evaluate_sums_no_float_with_the_builtin_sum(tmp_path, monkeypatch):
+    """From CPython 3.12 the built-in sum() of floats compensates its
+    rounding, so a float summed with it would tie the digests to the
+    interpreter; `quality.sum_in_order` adds in order on every version."""
+    def integer_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in (start, *values)):
+            raise TypeError(f"the built-in sum() given a float: {values!r}")
+        return builtins.sum(values, start)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cdfair":
+            monkeypatch.setattr(module, "sum", integer_sum, raising=False)
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(evaluate, "_worker_count", lambda cells: 1)
+    differ = _differ(tmp_path, "evaluate")
     assert not differ, f"{len(differ)} file(s) differ from {MANIFEST.name}: {differ}"
 
 

@@ -27,6 +27,11 @@ def test_ols_degenerate_x():
         ols_slope([1.0, 1.0], [0.0, 1.0])
 
 
+def test_ols_needs_two_points():
+    with pytest.raises(ValueError, match="need at least two paired points"):
+        ols_slope([0.5], [0.5])
+
+
 # ---------------------------------------------------------------- stats
 
 

@@ -22,6 +22,11 @@ def focal_ib(gt, pred, focal):
     return float(ib_all_fast(contingency(gt, pred)).ib[focal])
 
 
+def test_sweep_config_rejects_an_unknown_target():
+    with pytest.raises(ValueError, match="unknown target 'middle'"):
+        SweepConfig(scenario="expand", target="middle")
+
+
 def test_round_half_away():
     assert round_half_away(0.5) == 1
     assert round_half_away(1.5) == 2

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cdfair.graph import Graph
-from cdfair.partition import Partition, contingency
-from cdfair.quality import ari, modularity, nf1, nmi
+from cdfair.partition import Partition, PartitionError, contingency
+from cdfair.quality import ari, community_edges, modularity, nf1, nmi, sum_in_order
 from oracles import graph_from_edges
 
 
@@ -25,6 +25,17 @@ def test_two_triangles_modularity():
 def test_all_in_one_modularity_zero():
     p = Partition.from_labels([0] * 6)
     assert modularity(two_triangles(), p) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_community_edges_rejects_a_partition_of_other_nodes():
+    with pytest.raises(PartitionError, match="partition covers 5 nodes, graph has 6"):
+        community_edges(two_triangles(), Partition.from_labels([0] * 5))
+
+
+def test_sum_in_order_adds_left_to_right():
+    # CPython 3.12's sum() compensates and gives 1.0
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert sum_in_order(np.array([0.1] * 10)) == 0.9999999999999999
 
 
 def test_edgeless_graph_rejected():
