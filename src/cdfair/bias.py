@@ -64,7 +64,7 @@ def ib_all_fast(ct: ContingencyTable) -> BiasReport:
 
     The bias is computed once per non-empty cell and gathered to the nodes.
     """
-    s = ct.row_sums[ct.rows].astype(np.float64)
-    sp = ct.col_sums[ct.cols].astype(np.float64)
+    s = ct.gt.sizes[ct.rows].astype(np.float64)
+    sp = ct.pred.sizes[ct.cols].astype(np.float64)
     cell_ib = 1.0 - ct.overlap / np.sqrt(s * sp)
     return BiasReport.from_values(cell_ib, ct.node_cell)

@@ -66,13 +66,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluate import ConfigError, WorkerError, _parse_detector, evaluate_run
+    from .evaluate import ConfigError, WorkerError, evaluate_run
 
     if len(args.graph) != len(args.gt):
         raise ConfigError("--graph and --gt must be given the same number of times")
-    detectors = [_parse_detector(d) for d in args.detector]
     try:
-        doc = evaluate_run(list(zip(args.graph, args.gt)), detectors, args.out,
+        doc = evaluate_run(list(zip(args.graph, args.gt)), args.detector, args.out,
                            seed=args.seed, graph_group=args.group)
     except WorkerError as exc:
         return _error(exc)

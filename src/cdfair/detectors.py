@@ -11,8 +11,6 @@ from __future__ import annotations
 import heapq
 import logging
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .graph import Graph
 from .partition import Partition, load_partition
@@ -27,38 +25,6 @@ def _check_seed(name: str, seed: int) -> None:
         raise ValueError(
             f"detector {name!r}: parameter 'seed' must be non-negative, got {seed!r}"
         )
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """A detector and its parameters, checked when the spec is built.
-
-    Only `external` takes a parameter, the `path` of its partition file; the
-    detectors that take a seed get the cell's (`run_detector`).
-    """
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in DETECTORS:
-            raise ValueError(f"unknown detector {self.name!r}")
-        if not isinstance(self.params, dict):
-            raise ValueError(f"detector {self.name!r}: parameters must be key=value pairs")
-        accepted = ["path"] if self.name == "external" else []
-        for key, value in self.params.items():
-            if key not in accepted:
-                raise ValueError(
-                    f"detector {self.name!r} has no parameter {key!r} (given {value!r}); "
-                    f"it accepts: {', '.join(accepted) or 'none'}"
-                )
-        if self.name == "external" and not self.params.get("path"):
-            raise ValueError("detector 'external' requires a 'path' parameter")
-
-    def label(self) -> str:
-        if self.name == "external":
-            return f"external:{Path(str(self.params.get('path', ''))).stem}"
-        return self.name
 
 
 def _require_edges(g: Graph) -> None:
@@ -297,7 +263,7 @@ def greedy_agglomerative(g: Graph) -> Partition:
     return Partition.from_labels(root)
 
 
-def _external_partition(g: Graph, path: str = "") -> Partition:
+def _external_partition(g: Graph, path: str) -> Partition:
     """Load a partition of `g`'s nodes computed outside this package."""
     return load_file(path, "external partition", lambda data: load_partition(data, g.n))
 
@@ -310,11 +276,12 @@ DETECTORS = {
 }
 
 
-def run_detector(spec: DetectorSpec, g: Graph, seed: int = 0) -> Partition:
-    """Run the spec's detector on `g`; louvain and label_propagation get `seed`."""
-    fn = DETECTORS[spec.name]
-    if spec.name == "external":
-        return fn(g, path=spec.params["path"])
-    if spec.name == "cnm":
+def run_detector(name: str, path: str | None, g: Graph, seed: int = 0) -> Partition:
+    """Run detector `name` on `g`: `external` reads the partition file at
+    `path`, and louvain and label_propagation get `seed`."""
+    fn = DETECTORS[name]
+    if name == "external":
+        return fn(g, path=path)
+    if name == "cnm":
         return fn(g)
     return fn(g, seed=seed)

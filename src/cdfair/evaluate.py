@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .bias import ib_all_fast
 from .staging import staged
-from .detectors import DetectorSpec, run_detector
+from .detectors import DETECTORS, run_detector
 from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi
 from .partition import Partition, contingency, load_partition
@@ -57,9 +57,9 @@ def _phi_flat(phi_slopes: dict) -> dict[str, float | None]:
     return dict(zip(PHI_METRICS, slopes))
 
 
-def evaluate_cell(g: Graph, gt: Partition, spec: DetectorSpec, seed: int) -> dict:
+def evaluate_cell(g: Graph, gt: Partition, name: str, path: str | None, seed: int) -> dict:
     """Every metric for one (graph, detector) pair."""
-    pred = run_detector(spec, g, seed)
+    pred = run_detector(name, path, g, seed)
     ct = contingency(gt, pred)  # the one table every external metric reads
     report = ib_all_fast(ct)
     return {
@@ -240,20 +240,24 @@ def _load_inputs(graph_path: str, gt_path: str) -> tuple[Graph, Partition]:
     return g, gt
 
 
-def evaluate_run(graphs: list[tuple[str, str]], detectors: list[DetectorSpec], out_dir: str,
+def evaluate_run(graphs: list[tuple[str, str]], detectors: list[str], out_dir: str,
                  *, seed: int = 0, graph_group: str = "run") -> dict:
-    """Run every detector on every (edge-list path, ground-truth path) pair
-    in `graphs`, writing into `out_dir`. Only bad input, a ValueError or an
-    OSError, fails one cell, with a warning; any other exception stops the run.
+    """Run every detector, each a `--detector` text, on every (edge-list
+    path, ground-truth path) pair in `graphs`, writing into `out_dir`. Only
+    bad input, a ValueError or an OSError, fails one cell, with a warning;
+    any other exception stops the run.
 
     A bad argument raises ConfigError before any input is read or anything
-    is made under `out_dir`: no graphs, no detectors, two cells that would
-    write the same bias file, a negative seed, or no `out_dir`.
+    is made under `out_dir`: a detector text that does not parse, no graphs,
+    no detectors, two cells that would write the same bias file, a negative
+    seed, or no `out_dir`.
 
     The cells run in forked worker processes, one per CPU in this process's
     affinity mask, or in this process when that is one CPU. Every output
     byte is the same either way. A failed run leaves --out as it was (`staged`).
     """
+    parsed = [_parse_detector(text) for text in detectors]
+    labels = [_label(name, path) for name, path in parsed]
     if not graphs:
         raise ConfigError("no input graphs: pass --graph and --gt")
     if not detectors:
@@ -264,11 +268,9 @@ def evaluate_run(graphs: list[tuple[str, str]], detectors: list[DetectorSpec], o
     # stem, or when a label or stem holds "_": external:a on b_c.edges and
     # external:a_b on c.edges
     by_name: dict[str, str] = {}
-    for spec in detectors:
-        text = ",".join(f"{key}={value}" for key, value in spec.params.items())
-        text = f"{spec.name}:{text}" if text else spec.name  # as given to --detector
+    for text, label in zip(detectors, labels):
         for graph_path, _ in graphs:
-            name = _bias_name(spec.label(), graph_path)
+            name = _bias_name(label, graph_path)
             cell = f"detector {text!r} on graph {str(graph_path)!r}"
             if name in by_name:
                 raise ConfigError(f"{by_name[name]} and {cell} would both write bias/{name}")
@@ -287,15 +289,14 @@ def evaluate_run(graphs: list[tuple[str, str]], detectors: list[DetectorSpec], o
         di, gi = divmod(i, len(loaded))
         _, g, gt = loaded[gi]
         try:
-            return evaluate_cell(g, gt, detectors[di], derive_cell_seed(seed, di, gi))
+            return evaluate_cell(g, gt, *parsed[di], derive_cell_seed(seed, di, gi))
         except (ValueError, OSError) as exc:  # bad input fails its cell, not the run
             return {"error": f"{type(exc).__name__}: {exc}"}
 
-    rows = _map_cells(run_cell, len(detectors) * len(loaded))
+    rows = _map_cells(run_cell, len(parsed) * len(loaded))
     # after every input has loaded; closing the rows stops the workers on any failure
     with staged(out_dir) as place, contextlib.closing(rows):
-        for spec in detectors:
-            label = spec.label()
+        for label in labels:
             per_graph = []
             for graph_path, _, _ in loaded:
                 row = next(rows)
@@ -320,7 +321,8 @@ def evaluate_run(graphs: list[tuple[str, str]], detectors: list[DetectorSpec], o
                 "package_version": __version__,
                 "config": {
                     "graphs": [list(p) for p in graphs],
-                    "detectors": [{"name": s.name, "params": s.params} for s in detectors],
+                    "detectors": [{"name": name, "params": {"path": path} if path else {}}
+                                  for name, path in parsed],
                     "seed": seed,
                 },
             },
@@ -357,7 +359,9 @@ def _write_results_csv(doc: dict, path: Path) -> None:
 _PARAM_SEP = re.compile(r",(?=[^,=]*=)")
 
 
-def _parse_detector(text: str) -> DetectorSpec:
+def _parse_detector(text: str) -> tuple[str, str | None]:
+    """A `--detector` text as (name, path): the partition file's `path` for
+    `external`, None for every other detector, which takes no parameter."""
     name, _, rest = text.partition(":")
     params: dict = {}
     if rest:
@@ -368,7 +372,21 @@ def _parse_detector(text: str) -> DetectorSpec:
             if key in params:
                 raise ConfigError(f"detector parameter {key!r} given twice in {text!r}")
             params[key] = value
-    return DetectorSpec(name, params)
+    if name not in DETECTORS:
+        raise ConfigError(f"unknown detector {name!r}")
+    path = params.pop("path", None) if name == "external" else None
+    if params:  # a key the detector does not take
+        key, value = next(iter(params.items()))
+        raise ConfigError(f"detector {name!r} has no parameter {key!r} (given {value!r}); "
+                          f"it accepts: {'path' if name == 'external' else 'none'}")
+    if name == "external" and not path:
+        raise ConfigError("detector 'external' requires a 'path' parameter")
+    return name, path
+
+
+def _label(name: str, path: str | None) -> str:
+    """A detector's name in report.json, results.csv and its bias file names."""
+    return f"{name}:{Path(path).stem}" if path else name
 
 
 def _bias_name(label: str, graph_path: str) -> str:

@@ -76,7 +76,7 @@ def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str
     best = ct.best_cells()  # one cell per ground-truth community
     o = ct.overlap[best]
     s = gt.sizes
-    sp = ct.col_sums[ct.cols[best]]
+    sp = ct.pred.sizes[ct.cols[best]]
     # an edge is kept when both ends share one cell and it is their row's best
     cu, cv = ct.node_cell[g.edge_array].T
     is_best = np.zeros(len(ct.overlap), dtype=bool)

@@ -59,8 +59,9 @@ class ContingencyTable:
 
     Sparse: only the non-empty cells are stored, sorted by (ground-truth id,
     predicted id). ``node_cell`` maps every node to its own cell, so per-node
-    quantities are a gather from per-cell ones. Row marginals are the
-    ground-truth community sizes, column marginals the predicted ones.
+    quantities are a gather from per-cell ones. The row marginals are
+    ``gt.sizes``, the column marginals ``pred.sizes``, and ``gt.n`` is the
+    node count.
     """
 
     gt: Partition
@@ -69,18 +70,6 @@ class ContingencyTable:
     cols: np.ndarray  # (cells,) predicted id of each non-empty cell
     overlap: np.ndarray  # (cells,) cell counts, all >= 1
     node_cell: np.ndarray  # (n,) index of each node's cell
-
-    @property
-    def n(self) -> int:
-        return self.gt.n
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.gt.sizes
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return self.pred.sizes
 
     def best_cells(self, by_gt: bool = True) -> np.ndarray:
         """Largest cell of each ground-truth row (or predicted column).

@@ -45,8 +45,11 @@ def write_json(path: Path, doc: dict) -> None:
 
 def load_run_report(path: str | Path) -> dict:
     """A run report, checked for every part that `collect_points` reads."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ReportSchemaError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ReportSchemaError(f"{path}: a run report must be a JSON object")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:

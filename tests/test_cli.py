@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from cdfair import bias, cli, evaluate, textio
 from cdfair.cli import main
 from cdfair.bias import BiasReport
-from cdfair.detectors import DETECTORS, DetectorSpec, label_propagation
+from cdfair.detectors import DETECTORS, label_propagation
 from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
@@ -672,10 +672,10 @@ class TestEvaluate:
     def test_dead_worker_exits_1_without_report(self, tmp_path, monkeypatch, capsys, keep=False):
         evaluate_cell = evaluate.evaluate_cell
 
-        def die_on_cnm(g, gt, spec, seed):
-            if spec.name == "cnm":
+        def die_on_cnm(g, gt, name, path, seed):
+            if name == "cnm":
                 os._exit(3)  # as a worker killed by the OOM killer would end
-            return evaluate_cell(g, gt, spec, seed)
+            return evaluate_cell(g, gt, name, path, seed)
 
         # forked workers inherit the patches
         monkeypatch.setattr(evaluate, "evaluate_cell", die_on_cnm)
@@ -720,9 +720,9 @@ class TestEvaluate:
         if death == "killed mid-cell":
             run_detector = evaluate.run_detector
 
-            def killed_after_cnm(spec, g, seed):
-                pred = run_detector(spec, g, seed)
-                if spec.name == "cnm":
+            def killed_after_cnm(name, path, g, seed):
+                pred = run_detector(name, path, g, seed)
+                if name == "cnm":
                     os.kill(os.getpid(), signal.SIGKILL)
                 return pred
 
@@ -758,7 +758,7 @@ class TestEvaluate:
         for run in ("run1", "run2"):  # as run_xi_experiment.py makes one call per xi
             with _deadline(120):
                 evaluate.evaluate_run([(str(edges), str(gt))],
-                                      [DetectorSpec("louvain"), DetectorSpec("cnm")],
+                                      ["louvain", "cnm"],
                                       str(tmp_path / run))
         assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):
@@ -950,8 +950,12 @@ class TestEvaluate:
         ({"detectors": []}, "no detectors requested"),
         ({"out_dir": None}, "no output directory: pass --out"),
         ({"out_dir": ""}, "no output directory: pass --out"),
+        ({"detectors": ["louvain:seed=1"]},
+         "detector 'louvain' has no parameter 'seed' (given '1'); it accepts: none"),
+        ({"detectors": ["walktrap"]}, "unknown detector 'walktrap'"),
+        ({"detectors": ["external"]}, "detector 'external' requires a 'path' parameter"),
     ], ids=["shared stem", "negative seed", "no graphs", "no detectors", "no out_dir",
-            "empty out_dir"])
+            "empty out_dir", "detector parameter", "unknown detector", "external without path"])
     def test_library_call_fails_as_the_command_line_does(self, tmp_path, monkeypatch,
                                                          change, message):
         # evaluate_run raises the error `cdfair evaluate` prints, before it
@@ -961,7 +965,7 @@ class TestEvaluate:
             (tmp_path / sub).mkdir()
             pairs.append(tuple(str(shutil.copy(DATA / f"{name}.{ext}", tmp_path / sub / f"k.{ext}"))
                                for ext in ("edges", "gt")))
-        args = {"graphs": pairs[:1], "detectors": [DetectorSpec("louvain")],
+        args = {"graphs": pairs[:1], "detectors": ["louvain"],
                 "out_dir": str(tmp_path / "o"), **change}
         if args["graphs"] == "a/k and b/k":
             args["graphs"] = pairs
@@ -1058,7 +1062,7 @@ def test_evaluate_options_give_a_sound_run_or_one_error(data):
             return
         doc = json.loads((out / "report.json").read_text())
         assert doc["provenance"]["config"]["seed"] == seed >= 0
-        labels = [evaluate._parse_detector(text).label() for text in texts]
+        labels = [evaluate._label(*evaluate._parse_detector(text)) for text in texts]
         assert sorted(doc["detectors"]) == sorted(labels)
         # one bias CSV per cell that ran: none overwrote another's
         ok = sum(row["error"] is None for label in labels
@@ -1074,6 +1078,116 @@ def test_evaluate_options_give_a_sound_run_or_one_error(data):
                 with open(out / "bias" / f"{label}_{Path(edges).stem}.csv", newline="") as fh:
                     ib = [float(r["ib"]) for r in csv.DictReader(fh)]
                 assert len(ib) == load_partition(Path(gt).read_bytes()).n
+                assert all(0.0 <= v < 1.0 for v in ib)
+
+
+def _data_rows(name: str, ext: str) -> list[list[bytes]]:
+    """The token pairs of a file under tests/data, without its comment lines."""
+    lines = (DATA / f"{name}.{ext}").read_bytes().splitlines()
+    return [line.split() for line in lines if line and line[:1] not in (b"#", b"%")]
+
+
+# one fault a line of an input file may hold; each gives the line's tokens
+_FAULTS = {
+    "unicode space": lambda tokens, col: ["\u2003".encode().join(tokens)],  # em space
+    "three columns": lambda tokens, col: tokens + [b"1"],
+    "huge id": lambda tokens, col: _put(tokens, col, b"9" * 20),
+    "negative id": lambda tokens, col: _put(tokens, col, b"-%d" % (int(tokens[col]) + 1)),
+    "non-digit token": lambda tokens, col: _put(tokens, col, tokens[col] + b"x"),
+    "non-UTF-8 byte": lambda tokens, col: _put(tokens, col, tokens[col] + b"\xff"),
+}
+
+
+def _put(tokens: list[bytes], col: int, token: bytes) -> list[bytes]:
+    return tokens[:col] + [token] + tokens[col + 1:]
+
+
+def _draw_file(data, rows: list[list[bytes]], labels: bool) -> tuple[bytes, bool]:
+    """A file of `rows` in a drawn dialect, and whether it holds a fault. In a
+    partition file (`labels`) a huge, negative or non-digit token in the second
+    column is a community id, which is compared as text: no fault."""
+    fault = data.draw(st.sampled_from([None] * 18 + list(_FAULTS) + ["empty content"]))
+    if fault == "empty content":
+        return b"", True
+    col = data.draw(st.integers(0, 1))
+    eol = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    sep = data.draw(st.sampled_from([b" ", b"\t", b" \t "]))
+    lines = [sep.join(tokens) for tokens in rows]
+    if fault is not None:
+        at = data.draw(st.integers(0, len(rows) - 1))
+        lines[at] = sep.join(_FAULTS[fault](rows[at], col))
+    comments = data.draw(st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(b"#%")),
+                                  max_size=3))
+    for at, mark in sorted(comments, reverse=True):
+        lines.insert(at, bytes([mark]) + b" a comment" + sep + b"1 2")
+    bom = b"\xef\xbb\xbf" if data.draw(st.booleans()) else b""
+    label_token = labels and col == 1 and fault in ("huge id", "negative id", "non-digit token")
+    content = bom + eol.join(lines) + eol * data.draw(st.booleans())
+    return content, fault is not None and not label_token
+
+
+_ROWS = {(name, ext): _data_rows(name, ext)
+         for name in ("karate", "abcd300") for ext in ("edges", "gt")}
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)  # about 3 s
+def test_evaluate_input_files_give_a_sound_run_or_one_error(data):
+    """Graph, ground-truth and external partition files in every dialect the
+    loaders read (LF, CRLF or lone-CR line ends, a byte order mark, space or
+    tab separators, '#' and '%' comments), each with at most one fault: a run
+    exits 0 with sound bias CSVs, or 1 or 2 with one error line naming a
+    faulty file or the option, the directory as it was."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(evaluate, "_worker_count", lambda cells: 1):
+        tmp = Path(tmp)
+        faulty = []
+        argv = ["evaluate", "--detector", "louvain", "--out", str(tmp / "run")]
+        names = data.draw(st.lists(st.sampled_from(["karate", "abcd300"]), min_size=1, max_size=2))
+        for i, name in enumerate(names):
+            for ext, flag in (("edges", "--graph"), ("gt", "--gt")):
+                path = tmp / f"g{i}.{ext}"
+                content, fault = _draw_file(data, _ROWS[name, ext], labels=ext == "gt")
+                path.write_bytes(content)
+                faulty += [str(path)] * fault
+                argv += [flag, str(path)]
+        unpaired = data.draw(st.integers(0, 9)) == 0
+        if unpaired:  # one --gt fewer than --graph
+            argv = argv[:-2]
+        external = data.draw(st.sampled_from([None, "karate", "abcd300"]))
+        if external is not None:
+            content, external_fault = _draw_file(data, _ROWS[external, "gt"], labels=True)
+            (tmp / "x.part").write_bytes(content)
+            argv += ["--detector", f"external:path={tmp / 'x.part'}"]
+        before = _digests(tmp)
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if rc != 0:
+            assert len(lines) == 1 and lines[0].startswith(("error: ", "I/O error: "))
+            if unpaired:
+                assert lines[0] == "error: --graph and --gt must be given the same number of times"
+            else:
+                assert any(path in lines[0] for path in faulty), lines[0]
+            assert _digests(tmp) == before
+            return
+        assert not unpaired and not faulty
+        doc = json.loads((tmp / "run" / "report.json").read_text())
+        for label, entry in doc["detectors"].items():
+            for i, row in enumerate(entry["per_graph"]):
+                # an external partition fails its cell when it is faulty or
+                # covers another number of nodes than the graph
+                fails = label != "louvain" and (
+                    external_fault or len(_ROWS[external, "gt"]) != len(_ROWS[names[i], "gt"]))
+                assert (row["error"] is not None) == fails, row["error"]
+                if fails:
+                    continue
+                assert 0.0 <= row["ib_g"] <= 0.5
+                with open(tmp / "run" / "bias" / f"{label}_g{i}.csv", newline="") as fh:
+                    ib = [float(r["ib"]) for r in csv.DictReader(fh)]
+                assert len(ib) == len(_ROWS[names[i], "gt"])
                 assert all(0.0 <= v < 1.0 for v in ib)
 
 
@@ -1234,10 +1348,15 @@ class TestReport:
         ({"schema_version": 1, "detectors": {"louvain": {"aggregate": {
             "ib_g": {"mean": 0.1, "std": 10**400}}}}},
          "detector 'louvain': aggregate 'ib_g' must be null or hold a numeric 'mean' and 'std'"),
+        pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte", id="not utf-8"),
+        pytest.param(b'{"schema_version": 1, ', "Expecting property name enclosed in double "
+                     "quotes", id="cut off"),
     ])
     def test_report_rejects_malformed_report(self, tmp_path, capsys, doc, message):
+        # a file that is not UTF-8 or not JSON is named as one that breaks the schema is
         bad = tmp_path / "report.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         assert main(["report", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
@@ -1257,8 +1376,7 @@ class TestReport:
     ("cnm", {}),
 ])
 def test_parse_detector_splits_only_before_a_key(text, params):
-    spec = evaluate._parse_detector(text)
-    assert (spec.name, spec.params) == (text.partition(":")[0], params)
+    assert evaluate._parse_detector(text) == (text.partition(":")[0], params.get("path"))
 
 
 def test_derive_cell_seed_is_injective_over_small_grid():

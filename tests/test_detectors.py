@@ -8,12 +8,12 @@ import pytest
 
 from cdfair.detectors import (
     DETECTORS,
-    DetectorSpec,
     greedy_agglomerative,
     label_propagation,
     louvain,
     run_detector,
 )
+from cdfair.evaluate import ConfigError, _parse_detector
 from cdfair.partition import contingency
 from cdfair.quality import ari, modularity, nmi
 from oracles import graph_from_edges
@@ -158,14 +158,13 @@ def test_cnm_deterministic():
 
 def test_run_detector_determinism():
     g, _ = planted(50, 2, 0.4, 0.02, seed=5)
-    spec = DetectorSpec("louvain")
-    assert run_detector(spec, g, 1) == run_detector(spec, g, 1)
+    assert run_detector("louvain", None, g, 1) == run_detector("louvain", None, g, 1)
 
 
 def test_run_detector_lpa_complete_graph():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     g = graph_from_edges(4, edges)
-    p = run_detector(DetectorSpec("label_propagation"), g, 7)
+    p = run_detector("label_propagation", None, g, 7)
     assert p.k == 1
 
 
@@ -173,13 +172,13 @@ def test_run_detector_external(tmp_path):
     g = two_triangles()
     path = tmp_path / "pred.gt"
     path.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
-    p = run_detector(DetectorSpec("external", {"path": str(path)}), g)
+    p = run_detector("external", str(path), g)
     assert p.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_run_detector_external_requires_path():
-    with pytest.raises(ValueError):
-        run_detector(DetectorSpec("external"), two_triangles())
+    with pytest.raises(ConfigError, match="^detector 'external' requires a 'path' parameter$"):
+        _parse_detector("external")
 
 
 @pytest.mark.parametrize("name, params, called_with", [
@@ -190,10 +189,10 @@ def test_run_detector_external_requires_path():
 ])
 def test_run_detector_passes_the_derived_seed_only_when_the_spec_sets_none(
         monkeypatch, name, params, called_with):
-    # no spec sets a seed: louvain and label_propagation take the cell's
+    # no detector text sets a seed: louvain and label_propagation take the cell's
     calls = []
     monkeypatch.setitem(DETECTORS, name, lambda g, **kwargs: calls.append(kwargs))
-    run_detector(DetectorSpec(name, params), two_triangles(), seed=5)
+    run_detector(name, params.get("path"), two_triangles(), seed=5)
     assert calls == [called_with]
 
 
@@ -204,24 +203,20 @@ def test_run_detector_passes_the_derived_seed_only_when_the_spec_sets_none(
 ])
 def test_bad_parameter_fails_when_the_spec_is_built(name, params):
     # `external`'s path is the only detector parameter
-    with pytest.raises(ValueError, match=f"detector {name!r} has no parameter"):
-        DetectorSpec(name, params)
-
-
-def test_spec_params_must_be_a_dict():
-    with pytest.raises(ValueError, match="detector 'external': parameters must be key=value pairs"):
-        DetectorSpec("external", [("path", "p.gt")])
+    text = f"{name}:" + ",".join(f"{key}={value}" for key, value in params.items())
+    with pytest.raises(ConfigError, match=f"detector {name!r} has no parameter"):
+        _parse_detector(text)
 
 
 def test_unknown_detector_rejected():
-    with pytest.raises(ValueError):
-        DetectorSpec("leiden")
+    with pytest.raises(ConfigError, match="^unknown detector 'leiden'$"):
+        _parse_detector("leiden")
 
 
 def test_returned_partitions_valid():
     g, _ = planted(40, 2, 0.4, 0.05, seed=6)
-    for spec in (DetectorSpec("louvain"), DetectorSpec("label_propagation"), DetectorSpec("cnm")):
-        p = run_detector(spec, g)
+    for name in ("louvain", "label_propagation", "cnm"):
+        p = run_detector(name, None, g)
         assert p.n == g.n
         assert sorted(set(p.labels.tolist())) == list(range(p.k))
         assert p.sizes.sum() == g.n
@@ -229,7 +224,8 @@ def test_returned_partitions_valid():
 
 def test_docs_table_lists_the_detector_parameters():
     """The detector table of docs/file_formats.md names every detector and
-    the parameters its spec accepts: `external`'s path, and none for the others."""
+    the parameters its `--detector` text accepts: `external`'s path, and
+    none for the others."""
     docs = (Path(__file__).parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
     section = docs.split("## Detector specs", 1)[1].split("\n## ", 1)[0]
     table = {name: re.findall(r"`(\w+)` \(", params)
@@ -237,8 +233,8 @@ def test_docs_table_lists_the_detector_parameters():
 
     def accepts(name, key):
         try:
-            DetectorSpec(name, {key: "p.gt"})
-        except ValueError as exc:
+            _parse_detector(f"{name}:{key}=p.gt")
+        except ConfigError as exc:
             return "has no parameter" not in str(exc)
         return True
 
