@@ -31,11 +31,6 @@ class BiasReport:
     ib_g: float  # population std of ib, in [0, 0.5]
     mean_ib: float
 
-    @property
-    def ib(self) -> np.ndarray:
-        """The bias of each node, shape (n,)."""
-        return self.cell_ib[self.node_cell]
-
     @classmethod
     def from_values(cls, cell_ib: np.ndarray, node_cell: np.ndarray) -> "BiasReport":
         # two-pass population std over the n node values: mean first, then deviations

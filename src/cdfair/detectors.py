@@ -32,10 +32,13 @@ def _require_edges(g: Graph) -> None:
         raise ValueError("detector requires a graph with at least one edge")
 
 
-def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partition:
+MAX_SWEEPS = 100  # label propagation's sweep cap
+
+
+def label_propagation(g: Graph, seed: int = 0) -> Partition:
     """Asynchronous label propagation with seeded order and tie-breaking.
 
-    Stops when a sweep changes no label, or after `max_sweeps` sweeps, which
+    Stops when a sweep changes no label, or after `MAX_SWEEPS` sweeps, which
     is logged as a warning.
 
     A node whose last visit found a single most frequent neighbour label is
@@ -43,11 +46,6 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     it was, so a visit would pick the same label and draw nothing from the
     random stream; settled nodes are skipped without counting.
     """
-    if max_sweeps < 1:
-        raise ValueError(
-            f"detector 'label_propagation': parameter 'max_sweeps' must be at least 1, "
-            f"got {max_sweeps!r}"
-        )
     _check_seed("label_propagation", seed)
     _require_edges(g)
     rng = random.Random(seed)
@@ -55,7 +53,7 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
     labels = list(range(g.n))
     order = list(range(g.n))
     settled = [not nbrs for nbrs in adj]  # an isolated node never changes
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         _shuffle(rng, order)
         changed = False
         for u in order:
@@ -80,7 +78,7 @@ def label_propagation(g: Graph, seed: int = 0, max_sweeps: int = 100) -> Partiti
         if not changed:
             break
     else:
-        log.warning("label propagation stopped after %d sweep(s) without converging", max_sweeps)
+        log.warning("label propagation stopped after %d sweep(s) without converging", MAX_SWEEPS)
     return Partition.from_labels(labels)
 
 
@@ -263,25 +261,16 @@ def greedy_agglomerative(g: Graph) -> Partition:
     return Partition.from_labels(root)
 
 
-def _external_partition(g: Graph, path: str) -> Partition:
-    """Load a partition of `g`'s nodes computed outside this package."""
-    return load_file(path, "external partition", lambda data: load_partition(data, g.n))
-
-
 DETECTORS = {
     "label_propagation": label_propagation,
     "louvain": louvain,
-    "cnm": greedy_agglomerative,
-    "external": _external_partition,
+    "cnm": lambda g, seed: greedy_agglomerative(g),  # deterministic: no seed
 }
 
 
-def run_detector(name: str, path: str | None, g: Graph, seed: int = 0) -> Partition:
+def run_detector(name: str, path: str | None, g: Graph, seed: int) -> Partition:
     """Run detector `name` on `g`: `external` reads the partition file at
-    `path`, and louvain and label_propagation get `seed`."""
-    fn = DETECTORS[name]
+    `path`, and every built-in is called as ``DETECTORS[name](g, seed)``."""
     if name == "external":
-        return fn(g, path=path)
-    if name == "cnm":
-        return fn(g)
-    return fn(g, seed=seed)
+        return load_file(path, "external partition", lambda data: load_partition(data, g.n))
+    return DETECTORS[name](g, seed)

@@ -15,7 +15,6 @@ import csv
 import logging
 import math
 import os
-import re
 from pathlib import Path
 
 from . import __version__
@@ -26,8 +25,7 @@ from .graph import EdgeListError, Graph, load_edge_list
 from .groupfair import phi
 from .partition import Partition, contingency, load_partition
 from .quality import ari, modularity, nf1, nmi, sum_in_order
-from .report import (PHI_METRICS, PROPERTIES, QUALITY_METRICS, REPORT_SCHEMA_VERSION, SCORES,
-                     write_json)
+from .report import PHI_METRICS, QUALITY_METRICS, REPORT_SCHEMA_VERSION, write_json
 from .textio import load_file
 
 
@@ -51,12 +49,6 @@ def _fmt(x) -> str:
     return "" if x is None else repr(x)
 
 
-def _phi_flat(phi_slopes: dict) -> dict[str, float | None]:
-    # PHI_METRICS names the (property, score) pairs in this order
-    slopes = (phi_slopes[prop][score] for prop in PROPERTIES for score in SCORES)
-    return dict(zip(PHI_METRICS, slopes))
-
-
 def evaluate_cell(g: Graph, gt: Partition, name: str, path: str | None, seed: int) -> dict:
     """Every metric for one (graph, detector) pair."""
     pred = run_detector(name, path, g, seed)
@@ -66,7 +58,7 @@ def evaluate_cell(g: Graph, gt: Partition, name: str, path: str | None, seed: in
         "error": None, "k_pred": pred.k, "ib_g": report.ib_g, "mean_ib": report.mean_ib,
         "_bias_report": report, "modularity": modularity(g, pred),
         "nmi": nmi(ct), "ari": ari(ct), "nf1": nf1(ct),
-        **_phi_flat(phi(g, ct)),
+        **phi(g, ct),
     }
 
 
@@ -354,34 +346,22 @@ def _write_results_csv(doc: dict, path: Path) -> None:
                     out.writerow(cells)
 
 
-# a comma starts a new parameter only when "key=" follows it, so a value such
-# as an external partition's path may hold commas
-_PARAM_SEP = re.compile(r",(?=[^,=]*=)")
-
-
 def _parse_detector(text: str) -> tuple[str, str | None]:
-    """A `--detector` text as (name, path): the partition file's `path` for
-    `external`, None for every other detector, which takes no parameter."""
+    """A `--detector` text as (name, path): a built-in detector's name, with
+    path None, or `external:path=PATH`, whose PATH is all the text after
+    `path=`, commas and `=` included."""
     name, _, rest = text.partition(":")
-    params: dict = {}
-    if rest:
-        for item in _PARAM_SEP.split(rest):
-            key, _, value = item.partition("=")
-            if not _:
-                raise ConfigError(f"bad detector parameter {item!r} (expected key=value)")
-            if key in params:
-                raise ConfigError(f"detector parameter {key!r} given twice in {text!r}")
-            params[key] = value
-    if name not in DETECTORS:
+    key, eq, value = rest.partition("=")
+    if rest and not eq:
+        raise ConfigError(f"bad detector parameter {rest!r} (expected key=value)")
+    if name != "external" and name not in DETECTORS:
         raise ConfigError(f"unknown detector {name!r}")
-    path = params.pop("path", None) if name == "external" else None
-    if params:  # a key the detector does not take
-        key, value = next(iter(params.items()))
+    if rest and (name, key) != ("external", "path"):  # a key the detector does not take
         raise ConfigError(f"detector {name!r} has no parameter {key!r} (given {value!r}); "
                           f"it accepts: {'path' if name == 'external' else 'none'}")
-    if name == "external" and not path:
+    if name == "external" and not value:
         raise ConfigError("detector 'external' requires a 'path' parameter")
-    return name, path
+    return name, value or None
 
 
 def _label(name: str, path: str | None) -> str:

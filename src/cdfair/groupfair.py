@@ -92,20 +92,20 @@ def _scores(g: Graph, ct: ContingencyTable, intra_edges: np.ndarray) -> dict[str
     }
 
 
-def phi(g: Graph, ct: ContingencyTable) -> dict[str, dict[str, float | None]]:
+def phi(g: Graph, ct: ContingencyTable) -> dict[str, float | None]:
     """Fairness slopes for all (property, score) combinations.
 
-    Returns ``{property: {score: OLS slope}}``. A property equal across
-    every ground-truth community, as with a single community, gives no
-    slope: its entries are None.
+    Returns ``{"phi_<property>_<score>": OLS slope}``, keyed and ordered as
+    ``report.PHI_METRICS``. A property equal across every ground-truth
+    community, as with a single community, gives no slope: its entries are
+    None.
     """
     intra, vol = community_edges(g, ct.gt)  # shared by the properties and the scores
     stats = _stats(g, ct.gt, intra, vol)
     scores = _scores(g, ct, intra)
-    result: dict[str, dict[str, float | None]] = {}
+    result: dict[str, float | None] = {}
     for prop in PROPERTIES:
         norm = _minmax(stats[prop])
-        result[prop] = {
-            score: None if norm is None else ols_slope(norm, scores[score]) for score in SCORES
-        }
+        for score in SCORES:
+            result[f"phi_{prop}_{score}"] = None if norm is None else ols_slope(norm, scores[score])
     return result

@@ -58,14 +58,16 @@ def nmi(ct: ContingencyTable) -> float:
     """Normalized mutual information from the contingency table, divided by
     the arithmetic mean of the two entropies.
 
-    Conventions for zero-entropy partitions: both single-community -> 1.0,
-    exactly one side single-community -> 0.0.
+    Conventions: partitions equal up to community ids (one cell per
+    community of each, two single-community partitions included) give
+    exactly 1.0, which the rounded sums can miss either way; exactly one
+    side single-community gives 0.0.
     """
+    if len(ct.overlap) == ct.gt.k == ct.pred.k:
+        return 1.0
     n = ct.gt.n
     h1 = _entropy(ct.gt.sizes.tolist(), n)
     h2 = _entropy(ct.pred.sizes.tolist(), n)
-    if h1 == 0.0 and h2 == 0.0:
-        return 1.0
     if h1 == 0.0 or h2 == 0.0:
         return 0.0
     o = ct.overlap

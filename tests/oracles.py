@@ -97,9 +97,15 @@ def ib_all_naive(gt: Partition, pred: Partition, cap: int = NAIVE_NODE_CAP) -> B
     return BiasReport.from_values(ib, np.arange(gt.n))
 
 
+def node_ib(report: BiasReport) -> np.ndarray:
+    """The bias of each node, shape (n,)."""
+    return report.cell_ib[report.node_cell]
+
+
 def write_bias_csv(report: BiasReport, sink) -> None:
     """``BiasReport.write_csv`` as one string of all n rows, one ``repr`` per node."""
-    sink.write("node_id,ib\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(report.ib.tolist())))
+    rows = (f"{i},{v!r}\n" for i, v in enumerate(node_ib(report).tolist()))
+    sink.write("node_id,ib\n" + "".join(rows))
 
 
 def perturb_expand(gt: Partition, focal: int, ratio: float, seed: int = 0) -> Partition:
@@ -284,20 +290,20 @@ def _minmax(values) -> list[float] | None:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def phi(g: Graph, gt: Partition, pred: Partition) -> dict[str, dict[str, float | None]]:
-    """phi[property][score]: OLS slope of the score on the min-max normalised
-    property, None when the property is the same for every community."""
+def phi(g: Graph, gt: Partition, pred: Partition) -> dict[str, float | None]:
+    """phi[f"phi_{property}_{score}"]: OLS slope of the score on the min-max
+    normalised property, None when the property is the same for every
+    community."""
     stats = community_stats(g, gt)
     scores = community_scores(g, gt, pred)
-    result: dict[str, dict[str, float | None]] = {}
+    result: dict[str, float | None] = {}
     for prop in ("size", "conductance", "density"):
         norm = _minmax(stats[prop])
-        result[prop] = {}
         for score in ("fccn", "f1", "fcce"):
             if norm is None:
-                result[prop][score] = None
+                result[f"phi_{prop}_{score}"] = None
             else:
-                result[prop][score] = ols_slope(norm, scores[score])
+                result[f"phi_{prop}_{score}"] = ols_slope(norm, scores[score])
     return result
 
 

@@ -27,7 +27,8 @@ from cdfair.perturb import SweepConfig, run_sweep
 from cdfair.quality import ari, modularity, nf1, nmi
 from cdfair.synthgen import AbcdParams, generate_abcd_lite
 from oracles import (
-    generate_two_community, graph_from_edges, ib_all_naive, perturb_expand, perturb_shrink,
+    generate_two_community, graph_from_edges, ib_all_naive, node_ib, perturb_expand,
+    perturb_shrink,
 )
 
 
@@ -48,8 +49,8 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(2, 201))
         gt = _random_partition(rng, n)
         pred = _random_partition(rng, n)
-        fast = ib_all_fast(contingency(gt, pred)).ib
-        naive = ib_all_naive(gt, pred).ib
+        fast = node_ib(ib_all_fast(contingency(gt, pred)))
+        naive = node_ib(ib_all_naive(gt, pred))
         worst = max(worst, float(np.max(np.abs(fast - naive))))
         assert worst <= 1e-12
     elapsed = time.monotonic() - start
@@ -67,7 +68,7 @@ def test_criterion_2_range_invariants():
         gt = _random_partition(rng, n)
         pred = _random_partition(rng, n)
         rep = ib_all_fast(contingency(gt, pred))
-        assert np.all(rep.ib >= 0.0) and np.all(rep.ib < 1.0)
+        assert np.all(node_ib(rep) >= 0.0) and np.all(node_ib(rep) < 1.0)
         assert 0.0 <= rep.ib_g <= 0.5
         assert ib_all_fast(contingency(gt, gt)).ib_g == 0.0  # exact, not approximate
     print("criterion 2 PASS: IB in [0,1), IB_G in [0,0.5], identity gives exactly 0")
@@ -121,8 +122,8 @@ def test_criterion_5_shrink_exceeds_expand():
         for k in range(1, s):
             shrunk = perturb_shrink(gt, 0, k / s, seed=k)
             expanded = perturb_expand(gt, 0, k / s, seed=k)
-            ib_shrink = float(ib_all_fast(contingency(gt, shrunk)).ib[0])
-            ib_expand = float(ib_all_fast(contingency(gt, expanded)).ib[0])
+            ib_shrink = float(node_ib(ib_all_fast(contingency(gt, shrunk)))[0])
+            ib_expand = float(node_ib(ib_all_fast(contingency(gt, expanded)))[0])
             assert ib_shrink == pytest.approx(1.0 - math.sqrt((s - k) / s), abs=1e-12)
             assert ib_expand == pytest.approx(1.0 - math.sqrt(s / (s + k)), abs=1e-12)
             assert ib_shrink > ib_expand, (s, k)
@@ -223,9 +224,8 @@ def test_criterion_7_quality_goldens():
     assert nmi(contingency(gt3, gt3)) == 1.0
     assert nf1(contingency(gt3, gt3)) == 1.0
     perfect = phi(g3, contingency(gt3, gt3))
-    for prop, by_score in perfect.items():
-        for score, value in by_score.items():
-            assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
+    for metric, value in perfect.items():
+        assert value == pytest.approx(0.0, abs=1e-12), metric
 
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -252,8 +252,8 @@ def _shatter(shatter_small: bool):
 
 
 def test_criterion_8_phi_signs_and_ols():
-    pos = phi(*_shatter(shatter_small=True))["size"]["fccn"]
-    neg = phi(*_shatter(shatter_small=False))["size"]["fccn"]
+    pos = phi(*_shatter(shatter_small=True))["phi_size_fccn"]
+    neg = phi(*_shatter(shatter_small=False))["phi_size_fccn"]
     assert pos > 0.0
     assert neg < 0.0
     slope = ols_slope([0.0, 0.5, 1.0], [0.2, 0.5, 0.8])

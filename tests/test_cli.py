@@ -20,7 +20,6 @@ import signal
 import tempfile
 import time
 import warnings
-from functools import partial
 from pathlib import Path
 from unittest import mock
 from xml.etree import ElementTree
@@ -32,7 +31,6 @@ from hypothesis import strategies as st
 from cdfair import bias, cli, evaluate, textio
 from cdfair.cli import main
 from cdfair.bias import BiasReport
-from cdfair.detectors import DETECTORS, label_propagation
 from cdfair.evaluate import derive_cell_seed
 from cdfair.graph import load_edge_list, write_edge_list
 from cdfair.partition import Partition, load_partition, write_partition
@@ -275,6 +273,21 @@ class TestEvaluate:
         assert row["ari"] == 1.0
         assert row["nf1"] == 1.0
 
+    def test_external_path_holding_commas_and_equals_is_read_as_given(self, tmp_path):
+        # PATH is all of the text after `path=`
+        edges, gt = _generate(tmp_path)
+        part = tmp_path / "a,path=b.gt"
+        part.write_bytes(gt.read_bytes())
+        out = tmp_path / "run"
+        rc = main(["evaluate", "--graph", str(edges), "--gt", str(gt),
+                   "--detector", f"external:path={part}", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["provenance"]["config"]["detectors"] == [
+            {"name": "external", "params": {"path": str(part)}}]
+        row = doc["detectors"]["external:a,path=b"]["per_graph"][0]
+        assert row["error"] is None and row["nmi"] == 1.0
+
     def test_cell_failure_is_isolated(self, tmp_path, capsys):
         edges, gt = _generate(tmp_path)
         out = tmp_path / "run"
@@ -374,7 +387,7 @@ class TestEvaluate:
         ("louvain:seed=x", ("louvain", "seed", "x")),
         ("label_propagation:max_sweeps=1.5", ("label_propagation", "max_sweeps", "1.5")),
         ("external:path=", ("external", "path")),
-        ("louvain:seed=2,seed=3", ("seed", "louvain:seed=2,seed=3")),
+        ("louvain:seed=2,seed=3", ("louvain", "seed", "2,seed=3")),
         ("label_propagation:max_sweeps=0", ("label_propagation", "max_sweeps", "0")),
         ("label_propagation:max_sweeps=-3", ("label_propagation", "max_sweeps", "-3")),
         ("louvain:seed=-5", ("louvain", "seed", "-5")),
@@ -600,7 +613,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("detectors, serial", [
         (EVERY_DETECTOR, 1),
-        (["label_propagation", "louvain"], 1),  # max_sweeps=1 below: a logged warning per cell
+        (["label_propagation", "louvain"], 1),  # MAX_SWEEPS=1 below: a logged warning per cell
         # the worker count read from a one-CPU affinity mask, as `taskset -c 0` sets it
         (EVERY_DETECTOR, "pinned"),
     ], ids=["detectors0", "detectors1", "pinned"])
@@ -609,8 +622,7 @@ class TestEvaluate:
         if serial == "pinned" and not hasattr(os, "sched_setaffinity"):
             pytest.skip("this platform cannot pin a process to a CPU")
         if "cnm" not in detectors:  # the forked workers inherit the patch
-            monkeypatch.setitem(DETECTORS, "label_propagation",
-                                partial(label_propagation, max_sweeps=1))
+            monkeypatch.setattr("cdfair.detectors.MAX_SWEEPS", 1)
         graphs = []
         for prefix, seed in (("g1", 3), ("g2", 4), ("g3", 5)):
             edges, gt = _generate(tmp_path, prefix, seed=seed)

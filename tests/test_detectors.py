@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdfair import detectors
 from cdfair.detectors import (
     DETECTORS,
     greedy_agglomerative,
@@ -64,13 +65,14 @@ def test_lpa_recovers_planting():
     assert hits >= 9
 
 
-def test_lpa_warns_when_it_stops_at_max_sweeps(caplog):
+def test_lpa_warns_when_it_stops_at_max_sweeps(caplog, monkeypatch):
     g, _ = planted(60, 2, 0.5, 0.01, seed=100)
     with caplog.at_level(logging.WARNING, logger="cdfair.detectors"):
         label_propagation(g, seed=0)
     assert caplog.records == []
+    monkeypatch.setattr(detectors, "MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="cdfair.detectors"):
-        label_propagation(g, seed=0, max_sweeps=1)
+        label_propagation(g, seed=0)
     assert [r.getMessage() for r in caplog.records] == [
         "label propagation stopped after 1 sweep(s) without converging"
     ]
@@ -82,8 +84,9 @@ def test_lpa_requires_edges():
 
 
 @pytest.mark.parametrize("detector, kwargs, message", [
-    (label_propagation, {"max_sweeps": 0}, "parameter 'max_sweeps' must be at least 1, got 0"),
-    (label_propagation, {"max_sweeps": -3}, "parameter 'max_sweeps' must be at least 1, got -3"),
+    (louvain, {"seed": -1}, "detector 'louvain': parameter 'seed' must be non-negative, got -1"),
+    (label_propagation, {"seed": -1},
+     "detector 'label_propagation': parameter 'seed' must be non-negative, got -1"),
     (louvain, {"seed": -5}, "detector 'louvain': parameter 'seed' must be non-negative, got -5"),
     (label_propagation, {"seed": -7},
      "detector 'label_propagation': parameter 'seed' must be non-negative, got -7"),
@@ -172,7 +175,7 @@ def test_run_detector_external(tmp_path):
     g = two_triangles()
     path = tmp_path / "pred.gt"
     path.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
-    p = run_detector("external", str(path), g)
+    p = run_detector("external", str(path), g, 0)
     assert p.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
 
@@ -181,19 +184,28 @@ def test_run_detector_external_requires_path():
         _parse_detector("external")
 
 
-@pytest.mark.parametrize("name, params, called_with", [
-    ("louvain", {}, {"seed": 5}),
-    ("label_propagation", {}, {"seed": 5}),
-    ("cnm", {}, {}),
-    ("external", {"path": "p.gt"}, {"path": "p.gt"}),
-])
-def test_run_detector_passes_the_derived_seed_only_when_the_spec_sets_none(
-        monkeypatch, name, params, called_with):
-    # no detector text sets a seed: louvain and label_propagation take the cell's
+@pytest.mark.parametrize("name", ["louvain", "label_propagation", "cnm"])
+def test_run_detector_calls_each_builtin_with_graph_and_seed(monkeypatch, name):
     calls = []
-    monkeypatch.setitem(DETECTORS, name, lambda g, **kwargs: calls.append(kwargs))
-    run_detector(name, params.get("path"), two_triangles(), seed=5)
-    assert calls == [called_with]
+    g = two_triangles()
+    monkeypatch.setitem(DETECTORS, name, lambda *args: calls.append(args))
+    run_detector(name, None, g, 5)
+    assert calls == [(g, 5)]
+
+
+def test_cnm_entry_ignores_the_seed():
+    g, _ = planted(40, 2, 0.4, 0.05, seed=6)
+    assert DETECTORS["cnm"](g, 1) == DETECTORS["cnm"](g, 2) == greedy_agglomerative(g)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("external:path=a,b.part", "a,b.part"),
+    ("external:path=a,path=b", "a,path=b"),
+    ("external:path=x=1,seed=2", "x=1,seed=2"),
+    ("external:path=c:/p.gt", "c:/p.gt"),
+])
+def test_external_path_is_all_the_text_after_path_equals(text, path):
+    assert _parse_detector(text) == ("external", path)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -216,28 +228,23 @@ def test_unknown_detector_rejected():
 def test_returned_partitions_valid():
     g, _ = planted(40, 2, 0.4, 0.05, seed=6)
     for name in ("louvain", "label_propagation", "cnm"):
-        p = run_detector(name, None, g)
+        p = run_detector(name, None, g, 0)
         assert p.n == g.n
         assert sorted(set(p.labels.tolist())) == list(range(p.k))
         assert p.sizes.sum() == g.n
 
 
 def test_docs_table_lists_the_detector_parameters():
-    """The detector table of docs/file_formats.md names every detector and
-    the parameters its `--detector` text accepts: `external`'s path, and
-    none for the others."""
+    """The table of docs/file_formats.md lists every `--detector` form: each
+    built-in by its name, then `external:path=PATH`, and no form takes any
+    other parameter."""
     docs = (Path(__file__).parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
     section = docs.split("## Detector specs", 1)[1].split("\n## ", 1)[0]
-    table = {name: re.findall(r"`(\w+)` \(", params)
-             for name, params in re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, flags=re.M)}
-
-    def accepts(name, key):
-        try:
-            _parse_detector(f"{name}:{key}=p.gt")
-        except ConfigError as exc:
-            return "has no parameter" not in str(exc)
-        return True
-
-    keys = ("path", "seed", "max_sweeps")
-    assert table == {name: [key for key in keys if accepts(name, key)] for name in DETECTORS}
-    assert list(table) == list(DETECTORS)
+    forms = re.findall(r"^\| `([^`]+)` +\|", section, flags=re.M)
+    assert forms == [*DETECTORS, "external:path=PATH"]
+    assert [_parse_detector(form) for form in forms] == [
+        *((name, None) for name in DETECTORS), ("external", "PATH")]
+    for form in forms:
+        name = form.partition(":")[0]
+        with pytest.raises(ConfigError, match=f"^detector {name!r} has no parameter 'seed'"):
+            _parse_detector(f"{name}:seed=1")

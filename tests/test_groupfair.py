@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cdfair.groupfair import PROPERTIES, SCORES, _scores, _stats, ols_slope, phi
+from cdfair.groupfair import _scores, _stats, ols_slope, phi
 from cdfair.partition import Partition, contingency
 from cdfair.quality import community_edges
+from cdfair.report import PHI_METRICS
 from oracles import graph_from_edges
 
 
@@ -128,16 +129,16 @@ def three_distinct_communities():
 def test_phi_perfect_prediction_all_zero():
     g, gt = three_distinct_communities()
     result = phi(g, contingency(gt, gt))
-    for prop, by_score in result.items():
-        for score, value in by_score.items():
-            assert value == pytest.approx(0.0, abs=1e-12), (prop, score)
+    assert list(result) == list(PHI_METRICS)
+    for metric, value in result.items():
+        assert value == pytest.approx(0.0, abs=1e-12), metric
 
 
 def test_phi_of_one_community_is_null():
     # every property is equal across a single community, so no slope exists
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     result = phi(g, contingency(Partition.from_labels([0, 0, 0]), Partition.from_labels([0, 0, 1])))
-    assert result == {prop: {score: None for score in SCORES} for prop in PROPERTIES}
+    assert result == dict.fromkeys(PHI_METRICS)
 
 
 def shatter_construction(shatter_small: bool):
@@ -157,13 +158,13 @@ def shatter_construction(shatter_small: bool):
 def test_phi_size_sign_shatter_small():
     g, gt, pred = shatter_construction(shatter_small=True)
     result = phi(g, contingency(gt, pred))
-    assert result["size"]["fccn"] > 0.0  # favours the larger community
+    assert result["phi_size_fccn"] > 0.0  # favours the larger community
 
 
 def test_phi_size_sign_shatter_large():
     g, gt, pred = shatter_construction(shatter_small=False)
     result = phi(g, contingency(gt, pred))
-    assert result["size"]["fccn"] < 0.0
+    assert result["phi_size_fccn"] < 0.0
 
 
 def test_phi_degenerate_property_reported_missing():
@@ -172,9 +173,7 @@ def test_phi_degenerate_property_reported_missing():
     pred = Partition.from_labels([0, 0, 1, 1, 2, 2])
     result = phi(g, contingency(gt, pred))
     # both communities have identical size/density/conductance
-    for prop in ("size", "conductance", "density"):
-        for score in ("fccn", "f1", "fcce"):
-            assert result[prop][score] is None
+    assert result == dict.fromkeys(PHI_METRICS)
 
 
 def test_phi_affine_rescale_invariance():

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cdfair import textio
+from cdfair import detectors, textio
 from cdfair.detectors import (_louvain_local_move, _shuffle, greedy_agglomerative,
                               label_propagation, louvain)
 from cdfair.graph import MAX_NODES, EdgeListError, load_edge_list, write_edge_list
@@ -381,13 +381,14 @@ class _Messages(logging.Handler):
 
 
 def _lpa_against_oracle(g, seed, max_sweeps):
-    """Labels equal to the oracle's, and the max_sweeps warning exactly when
-    the oracle did not converge."""
+    """Labels equal to the oracle's with `max_sweeps` as the sweep cap, and
+    the cap's warning exactly when the oracle did not converge."""
     handler = _Messages()
     logger = logging.getLogger("cdfair.detectors")
     logger.addHandler(handler)
     try:
-        got = label_propagation(g, seed=seed, max_sweeps=max_sweeps)
+        with mock.patch.object(detectors, "MAX_SWEEPS", max_sweeps):
+            got = label_propagation(g, seed=seed)
     finally:
         logger.removeHandler(handler)
     want, converged = oracles.label_propagation(g, seed=seed, max_sweeps=max_sweeps)

@@ -262,13 +262,15 @@ def test_readme_library_example_runs():
 
 def test_every_definition_in_src_has_a_caller_in_src():
     """Code that only tests call lives under tests/ (``tests/oracles.py``).
-    Every module-level function and class of ``src/cdfair``, and every method
-    not named ``__…__``, is read somewhere in ``src/cdfair`` outside its own
-    definition, as a name or an attribute. ``_KeepRecords.emit`` is exempt:
-    ``logging`` calls it."""
+    Every module-level function and class of ``src/cdfair`` is read
+    somewhere in ``src/cdfair`` outside its own definition, as a name or an
+    attribute, and every method not named ``__…__`` as an attribute: a local
+    variable of the same name does not count. ``_KeepRecords.emit`` is
+    exempt: ``logging`` calls it."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "cdfair").glob("*.py"))}
-    reads = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+    reads = [(module, node.lineno, node.attr if isinstance(node, ast.Attribute) else node.id,
+              isinstance(node, ast.Attribute))
              for module, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -283,7 +285,8 @@ def test_every_definition_in_src_has_a_caller_in_src():
     uncalled = [
         f"{module}:{node.lineno} {qualname}" for module, qualname, node in found
         if qualname != "_KeepRecords.emit" and not any(
-            name == node.name and not (at == module and node.lineno <= line <= node.end_lineno)
-            for at, line, name in reads)
+            name == node.name and (attribute or "." not in qualname)
+            and not (at == module and node.lineno <= line <= node.end_lineno)
+            for at, line, name, attribute in reads)
     ]
     assert uncalled == []

@@ -15,11 +15,11 @@ from cdfair.perturb import (
     round_half_away,
     run_sweep,
 )
-from oracles import perturb_change, perturb_expand, perturb_shrink, two_block_partition
+from oracles import node_ib, perturb_change, perturb_expand, perturb_shrink, two_block_partition
 
 
 def focal_ib(gt, pred, focal):
-    return float(ib_all_fast(contingency(gt, pred)).ib[focal])
+    return float(node_ib(ib_all_fast(contingency(gt, pred)))[focal])
 
 
 def test_sweep_config_rejects_an_unknown_target():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfair.graph import Graph
 from cdfair.partition import Partition, PartitionError, contingency
@@ -82,6 +84,21 @@ def test_modularity_matches_pairwise_oracle():
 def test_nmi_identical():
     p = Partition.from_labels([0, 0, 1, 1, 2])
     assert nmi(contingency(p, p)) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.integers(1, 399), st.integers(1, 399), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_nmi_is_exactly_one_on_the_same_partition_and_in_unit_range(n, k, seed):
+    # the rounded entropy and information sums once gave self-pairs values
+    # either side of 1, up to 1.0000000000000027
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, min(k, n), n)
+    p = Partition.from_labels(labels.tolist())
+    renamed = Partition.from_labels(rng.permutation(n)[labels].tolist())
+    assert nmi(contingency(p, p)) == 1.0
+    assert nmi(contingency(p, renamed)) == 1.0
+    other = Partition.from_labels(rng.integers(0, min(k, n), n).tolist())
+    assert 0.0 <= nmi(contingency(p, other)) <= 1.0
 
 
 def test_nmi_independent_labels():
