@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TextIO
 
 import numpy as np
 
 from .partition import ContingencyTable
+from .textio import digit_matrix
 
 _BLOCK = 8192  # rows per block of BiasReport.write_csv
 
@@ -42,16 +42,31 @@ class BiasReport:
     def write_csv(self, sink: TextIO) -> None:
         """One ``node_id,ib`` row per node, each value as ``repr`` writes it.
 
-        Each cell's value is formatted once, and the rows are written
-        ``_BLOCK`` nodes at a time, so the text of one block exists at once,
-        not of n rows.
+        Each distinct value is formatted once, into one row of a byte table;
+        it is told apart by its bits, as 0.0 and -0.0 are equal but print
+        apart. The rows are written ``_BLOCK`` nodes at a time, each block a
+        byte matrix: the node ids' digits (``textio.digit_matrix``), then
+        each node's value gathered from the table. So the bytes of one block
+        exist at once, not of n rows.
         """
-        text = [f",{val!r}\n" for val in self.cell_ib.tolist()]
+        # return_index makes np.unique sort stably, the sort load_partition
+        # already ran in this process; its default sort would fault in
+        # about 128 KB more of numpy's code
+        bits, _, value = np.unique(self.cell_ib.view(np.int64), return_index=True,
+                                   return_inverse=True)
+        text = [f"{val!r}\n".encode() for val in bits.view(np.float64).tolist()]
+        width = max(map(len, text))
+        table = np.frombuffer(b"".join(t.ljust(width) for t in text), dtype=np.uint8)
+        table = table.reshape(-1, width)
+        table_keep = np.arange(width) < np.array(list(map(len, text)))[:, None]
         sink.write("node_id,ib\n")
         for start in range(0, len(self.node_cell), _BLOCK):
-            block = self.node_cell[start:start + _BLOCK].tolist()
-            sink.write("".join(chain.from_iterable(zip(map(str, range(start, start + len(block))),
-                                                       map(text.__getitem__, block)))))
+            rows = value[self.node_cell[start:start + _BLOCK]]
+            ids, keep = digit_matrix(np.arange(start, start + len(rows)))
+            ids[:, -1] = ord(",")
+            chars = np.hstack([ids, table[rows]])
+            keep = np.hstack([keep, table_keep[rows]])
+            sink.write(chars[keep].tobytes().decode("ascii"))
 
 
 def ib_all_fast(ct: ContingencyTable) -> BiasReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -181,6 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "numpy" not in sys.modules:
+        # numpy would load OpenBLAS with a thread per CPU, and cdfair makes no
+        # BLAS call: one thread starts faster, and evaluate forks its workers
+        # from a single-threaded process. A value the user set is kept
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except ValueError as exc:  # a bad input or option, and the loaders' errors

@@ -10,8 +10,6 @@ communities are favoured.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .graph import Graph
@@ -20,24 +18,25 @@ from .quality import community_edges, sum_in_order
 from .report import PROPERTIES, SCORES
 
 
-def ols_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Slope of the least-squares line through (x, y).
+def _centred(values) -> np.ndarray:
+    """`values` as floats less their mean, summed in order (`sum_in_order`)."""
+    values = np.asarray(values, dtype=np.float64)
+    return values - sum_in_order(values) / len(values)
 
-    Each sum adds one term at a time in point order (`sum_in_order`), so the
-    slope is the one the textbook loop gives, bit for bit.
+
+def _slopes(x, dys: dict[str, np.ndarray]) -> dict[str, float]:
+    """Slope of the least-squares line through (x, y) for each centred y of
+    `dys` (``_centred``), by key; x holds two distinct values or more.
+
+    Each sum adds one term at a time in point order (`sum_in_order`), so each
+    slope is the one the textbook loop gives, bit for bit; x is centred
+    once for all of them.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    if n != len(y) or n < 2:
-        raise ValueError("need at least two paired points")
-    dx = x - sum_in_order(x) / n
+    dx = _centred(x)
     # float_power calls C pow() as Python's ** does; numpy's dx ** 2 multiplies,
     # which rounds differently in about one term in a thousand
     sxx = sum_in_order(np.float_power(dx, 2))
-    if sxx == 0.0:
-        raise ValueError("slope undefined: all x values equal")
-    return sum_in_order(dx * (y - sum_in_order(y) / n)) / sxx
+    return {key: sum_in_order(dx * dy) / sxx for key, dy in dys.items()}
 
 
 def _minmax(values) -> np.ndarray | None:
@@ -98,14 +97,15 @@ def phi(g: Graph, ct: ContingencyTable) -> dict[str, float | None]:
     Returns ``{"phi_<property>_<score>": OLS slope}``, keyed and ordered as
     ``report.PHI_METRICS``. A property equal across every ground-truth
     community, as with a single community, gives no slope: its entries are
-    None.
+    None. Each score is centred once for all three properties (``_slopes``).
     """
     intra, vol = community_edges(g, ct.gt)  # shared by the properties and the scores
     stats = _stats(g, ct.gt, intra, vol)
-    scores = _scores(g, ct, intra)
+    dys = {score: _centred(y) for score, y in _scores(g, ct, intra).items()}
     result: dict[str, float | None] = {}
     for prop in PROPERTIES:
         norm = _minmax(stats[prop])
+        slopes = {} if norm is None else _slopes(norm, dys)
         for score in SCORES:
-            result[f"phi_{prop}_{score}"] = None if norm is None else ols_slope(norm, scores[score])
+            result[f"phi_{prop}_{score}"] = slopes.get(score)
     return result

@@ -8,7 +8,8 @@ encoding="utf-8")`` reads a file. ``read_rows`` is the one reader, into one
 int64 array of token values. Checks that fail report the line number of the
 first offending line (``column``), and ``load_file`` puts the file's path
 and role before that. Writing formats whole integer columns at once, in the
-canonical form that ``read_rows`` parses fastest.
+canonical form that ``read_rows`` parses fastest, through one byte matrix of
+digits (``digit_matrix``), which also gives bias CSVs their node ids.
 """
 
 from __future__ import annotations
@@ -207,18 +208,13 @@ def first_true(mask: np.ndarray) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def format_rows(*columns: np.ndarray) -> str:
-    """One line per row: the columns' decimal values, space-separated.
-
-    The columns are non-negative integer arrays of one length. Each value is
-    written as ``str()`` writes it, without building one string per value:
-    the digits of every row go into one byte matrix, column after column,
-    with a separator byte after each (a space, and a newline after the last).
-    Leading zeros are masked out, and the kept bytes, read row by row, are
-    the text.
-    """
-    if len(columns[0]) == 0:
-        return ""
+def digit_matrix(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(chars, keep)``: the decimal digits of non-negative integer columns
+    of one non-zero length, one byte row per row, without building one string
+    per value. Each column's digits are right-aligned in a field as wide as
+    its largest value, followed by one separator byte, a space; `keep` masks
+    out the leading zeros, so the kept bytes of a row, read in order, are its
+    values as ``str()`` writes them, each followed by its separator."""
     widths = [len(str(int(col.max()))) for col in columns]
     chars = np.full((len(columns[0]), sum(widths) + len(widths)), ord(" "), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
@@ -231,5 +227,15 @@ def format_rows(*columns: np.ndarray) -> str:
             keep[:, j - 1] = rest > 0  # the digit before j unless it is a leading zero
         chars[:, start] = rest + ord("0")
         start += width + 1
+    return chars, keep
+
+
+def format_rows(*columns: np.ndarray) -> str:
+    """One line per row: the columns' decimal values, space-separated, as
+    ``str()`` writes them; the kept bytes of ``digit_matrix``, with a newline
+    for the last separator."""
+    if len(columns[0]) == 0:
+        return ""
+    chars, keep = digit_matrix(*columns)
     chars[:, -1] = ord("\n")
     return chars[keep].tobytes().decode("ascii")

@@ -21,7 +21,7 @@ from cdfair.bias import ib_all_fast
 from cdfair.cli import main as cli_main
 from cdfair.detectors import louvain
 from cdfair.graph import Graph, write_edge_list
-from cdfair.groupfair import ols_slope, phi
+from cdfair.groupfair import _centred, _slopes, phi
 from cdfair.partition import Partition, contingency, write_partition
 from cdfair.perturb import SweepConfig, run_sweep
 from cdfair.quality import ari, modularity, nf1, nmi
@@ -256,7 +256,7 @@ def test_criterion_8_phi_signs_and_ols():
     neg = phi(*_shatter(shatter_small=False))["phi_size_fccn"]
     assert pos > 0.0
     assert neg < 0.0
-    slope = ols_slope([0.0, 0.5, 1.0], [0.2, 0.5, 0.8])
+    slope = _slopes([0.0, 0.5, 1.0], {"y": _centred([0.2, 0.5, 0.8])})["y"]
     assert slope == pytest.approx(0.6, abs=1e-12)
     print(f"criterion 8 PASS: phi_size_fccn = {pos:+.3f} / {neg:+.3f}, OLS slope 0.6")
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cdfair.groupfair import _scores, _stats, ols_slope, phi
+from cdfair.groupfair import _centred, _scores, _slopes, _stats, phi
 from cdfair.partition import Partition, contingency
 from cdfair.quality import community_edges
 from cdfair.report import PHI_METRICS
-from oracles import graph_from_edges
+from oracles import graph_from_edges, ols_slope
 
 
 def two_triangles():
@@ -13,14 +13,23 @@ def two_triangles():
 
 
 # ---------------------------------------------------------------- OLS
+# phi's slopes (``_slopes``) and the textbook loop they equal bit for bit
+# (``oracles.ols_slope``, which alone checks its points)
+
+
+def slope(x, y) -> float:
+    """phi's slope of y on x, with y centred as phi centres each score."""
+    return _slopes(x, {"y": _centred(y)})["y"]
 
 
 def test_ols_three_point_slope():
-    assert ols_slope([0.0, 0.5, 1.0], [0.2, 0.5, 0.8]) == pytest.approx(0.6, abs=1e-12)
+    for fit in (slope, ols_slope):
+        assert fit([0.0, 0.5, 1.0], [0.2, 0.5, 0.8]) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_ols_constant_y():
-    assert ols_slope([0.0, 1.0], [1.0, 1.0]) == 0.0
+    for fit in (slope, ols_slope):
+        assert fit([0.0, 1.0], [1.0, 1.0]) == 0.0
 
 
 def test_ols_degenerate_x():

@@ -24,7 +24,7 @@ from cdfair import detectors, textio
 from cdfair.detectors import (_louvain_local_move, _shuffle, greedy_agglomerative,
                               label_propagation, louvain)
 from cdfair.graph import MAX_NODES, EdgeListError, load_edge_list, write_edge_list
-from cdfair.groupfair import _scores, _stats, ols_slope, phi
+from cdfair.groupfair import _centred, _scores, _slopes, _stats, phi
 from cdfair.partition import Partition, PartitionError, contingency, load_partition, write_partition
 from cdfair.quality import community_edges, nf1
 from cdfair.synthgen import AbcdParams, _sample_community_sizes, generate_abcd_lite
@@ -74,8 +74,9 @@ def tied_pair(draw):
 I64 = st.integers(-(2**63), 2**63 - 1)
 
 
-@given(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1]), I64),
-                min_size=1, max_size=40))
+# labels repeat: a few small ones, and a few within 3 of -2**63 and of 2**63 - 1
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**63), -(2**63) + 3),
+                          st.integers(2**63 - 4, 2**63 - 1), I64), min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_from_labels_first_seen_order(raw):
     dense = oracles.from_labels(raw)
@@ -191,7 +192,7 @@ def test_ols_slope_squares_like_the_loop():
     rng = np.random.default_rng(0)
     for d in rng.random(5000).tolist():
         x, y = [0.0, 2 * d], [0.0, 1.0]
-        assert ols_slope(x, y) == oracles.ols_slope(x, y)
+        assert _slopes(x, {"y": _centred(y)})["y"] == oracles.ols_slope(x, y)
 
 
 # ---------------------------------------------------------------- detectors

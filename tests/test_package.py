@@ -3,9 +3,11 @@ and ``cdfair report`` run without numpy, and with ``--help`` and ``--version``
 without dataclasses (sweep, --help and --version without the report module
 too), ``cdfair generate`` without the evaluate pipeline, ``cdfair evaluate``
 without ``numpy.ma``, and its forked workers without a process pool or a
-thread; the `cdfair` command keeps main's exit codes and exits with a frozen
-heap, `python -m cdfair.cli` executes the cli module once, README's library
-example runs as written, and nothing in `src/` is there for tests alone.
+thread, forked from a process of one thread (the CLI asks for one OpenBLAS
+thread before numpy loads, unless the variable is set); the `cdfair` command
+keeps main's exit codes and exits with a frozen heap, `python -m cdfair.cli`
+executes the cli module once, README's library example runs as written, and
+nothing in `src/` is there for tests alone.
 
 Each check runs in a fresh interpreter with `src/` on its import path, since
 this test process has imported every module already.
@@ -248,6 +250,51 @@ def test_parallel_evaluate_starts_no_thread_and_no_pool(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[]", "1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc/self/task; OpenBLAS starts no thread of its own on 1 CPU")
+def test_evaluate_forks_its_workers_from_one_thread(tmp_path):
+    # numpy loads OpenBLAS with a thread per CPU unless told otherwise, and
+    # forking a multi-threaded process is unsafe (a DeprecationWarning from
+    # CPython 3.12 on); cdfair makes no BLAS call, so it asks for one thread.
+    # Two cells on two CPUs or more fork two workers
+    data = ROOT / "tests" / "data"
+    proc = _python(
+        "import os\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "threads, fork = [], os.fork\n"
+        "def counted_fork():\n"
+        "    threads.append(len(os.listdir('/proc/self/task')))\n"
+        "    return fork()\n"
+        "os.fork = counted_fork\n"
+        "from cdfair.cli import main\n"
+        f"assert main(['evaluate', '--graph', {str(data / 'karate.edges')!r},\n"
+        f"             '--gt', {str(data / 'karate.gt')!r},\n"
+        "             '--detector', 'louvain', '--detector', 'cnm',\n"
+        f"             '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(threads)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[1, 1]"
+
+
+def test_blas_threads_are_set_before_numpy_loads_and_a_set_value_is_kept():
+    # `sweep --ratios x` fails before loading numpy
+    proc = _python(
+        "import os\n"
+        "from cdfair.cli import main\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "assert main(['sweep', '--ratios', 'x']) == 1\n"
+        "print(os.environ.pop('OPENBLAS_NUM_THREADS'))\n"
+        "assert main(['sweep', '--ratios', 'x']) == 1\n"
+        "print(os.environ.pop('OPENBLAS_NUM_THREADS'))\n"
+        "import numpy\n"
+        "assert main(['sweep', '--ratios', 'x']) == 1\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2", "1", "None"]
 
 
 def test_readme_library_example_runs():
