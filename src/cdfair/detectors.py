@@ -85,53 +85,73 @@ def label_propagation(g: Graph, seed: int = 0) -> Partition:
 def _shuffle(rng: random.Random, x: list) -> None:
     """Shuffle `x` in place exactly as ``rng.shuffle(x)`` does, drawing the
     same ``getrandbits`` calls with the same rejections, without the
-    per-item ``_randbelow`` call."""
+    per-item ``_randbelow`` call. The swaps go in runs of i of equal bit
+    width k = (i + 1).bit_length(), so k is computed once per run."""
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i of width k; k >= 2, so low >= 1
+        for i in range(top, low - 1, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
 
 
 def _louvain_local_move(adj: list[dict[int, int]], strength: list[int],
                         rng: random.Random) -> list[int]:
-    comm = list(range(len(adj)))
+    n = len(adj)
+    comm = list(range(n))
     comm_tot = strength[:]  # total strength per community
     two_m = sum(strength)
+    floor = -two_m * two_m - 1  # below every gain 2m·w − k·tot
     # edge weight from each node into each neighbouring community; every node
     # starts alone, so this is adj. An entry goes when its weight reaches 0:
     # kept at 0, it would compete as a community u has no link to
     links = [row.copy() for row in adj]
-    order = list(range(len(adj)))
+    # a visit to u is skipped while moved <= until[u] (see `louvain`); a node
+    # of strength 0 has no edge and never moves
+    moved = 0  # total strength of the moves made on this level
+    until = [-1 if k else float("inf") for k in strength]
+    order = list(range(n))
     improved = True
     while improved:
         improved = False
         _shuffle(rng, order)
         for u in order:
+            if moved <= until[u]:
+                continue
             cu = comm[u]
             ku = strength[u]
             row = links[u]
-            comm_tot[cu] -= ku
-            best_c = cu
-            best = two_m * row.get(cu, 0) - ku * comm_tot[cu]
+            w_own = row.pop(cu, 0)  # scan only the other communities
+            stay = two_m * w_own - ku * (comm_tot[cu] - ku)
+            best_c, best = cu, floor
             for c, w_uc in row.items():
                 gain = two_m * w_uc - ku * comm_tot[c]
-                if gain > best or (gain == best and best_c != cu and c < best_c):
+                if gain > best or (gain == best and c < best_c):
                     best_c, best = c, gain
+            if w_own:
+                row[cu] = w_own
+            if best <= stay:  # ties keep u where it is
+                until[u] = moved + (stay - best) // (2 * ku)
+                continue
+            comm[u] = best_c
+            comm_tot[cu] -= ku
             comm_tot[best_c] += ku
-            if best_c != cu:
-                comm[u] = best_c
-                improved = True
-                for v, w in adj[u].items():
-                    kept = links[v]
-                    left = kept[cu] - w
-                    if left:
-                        kept[cu] = left
-                    else:
-                        del kept[cu]
-                    kept[best_c] = kept.get(best_c, 0) + w
+            moved += ku
+            improved = True
+            for v, w in adj[u].items():
+                until[v] = -1
+                kept = links[v]
+                left = kept[cu] - w
+                if left:
+                    kept[cu] = left
+                else:
+                    del kept[cu]
+                kept[best_c] = kept.get(best_c, 0) + w
     return comm
 
 
@@ -160,6 +180,19 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
     The rule above picks the same community whatever the order in which the
     kept weights are read. Each pass's order is shuffled by `_shuffle`,
     which draws what ``random.Random.shuffle`` draws.
+
+    A visit that provably keeps u in place is skipped. `moved` is the total
+    strength of the moves made on the level so far. A visit that keeps u
+    records until_u = moved + (stay − best) // (2·k_u), with stay =
+    2m·w_u,cu − k_u·(tot_cu − k_u) and best the largest gain over the other
+    communities (below every gain if there is none); later visits are
+    skipped while moved <= until_u, and a move resets until to −1 for the
+    mover's neighbours. Proof: with no neighbour moved, u's weights and
+    community are as they were, and moves of total strength d since the
+    visit raise any other gain by at most k_u·d and lower stay by at most
+    k_u·d, so while 2·k_u·d <= stay − best no other community gains more
+    than staying. A visit draws no random number, so skipping it changes
+    neither the partition nor the random stream.
     """
     _check_seed("louvain", seed)
     _require_edges(g)

@@ -350,6 +350,14 @@ class TestEvaluate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_detector_help_gives_the_accepted_grammar(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--help"])
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert "--detector DETECTOR NAME or external:path=PATH (repeatable)" in text
+        assert "k=v" not in text
+
     def test_unknown_detector_exit_1(self, tmp_path):
         edges, gt = _generate(tmp_path)
         rc = main([
